@@ -236,9 +236,11 @@ def cmd_train(args, parser) -> int:
     )
     if records:
         last = records[-1]
+        # absent when the target carries unknown labels
+        target_acc = "absent" if last.target_acc is None else f"{last.target_acc:.4f}"
         print(
             f"trained {config.iterations} iterations; "
-            f"source_acc={last.source_acc:.4f} target_acc={last.target_acc:.4f}"
+            f"source_acc={last.source_acc:.4f} target_acc={target_acc}"
         )
     else:
         print("trained 0 iterations; wrote initialized checkpoint")

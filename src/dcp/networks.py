@@ -10,9 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, matmul
+from .tensor import ShapeError, Tensor, linear, linear_values, sigmoid_values
 
 OUTPUT_ACTIVATIONS = ("none", "sigmoid")
+
+# Rows per block of the graph-free forward. At the trainer's feature width a
+# block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
+# mmap threshold, so repeated evaluations reuse heap memory instead of
+# faulting in fresh pages.
+EVAL_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -77,18 +83,25 @@ def init_params(spec: MlpSpec, seed: int) -> Params:
 
 
 def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Run the batch (rows = samples) through every layer."""
+    """Run the batch (rows = samples) through every layer, one graph node each."""
     if x.cols != spec.d_in:
         raise ShapeError(f"input has {x.cols} columns, spec expects {spec.d_in}")
     h = x
     last = spec.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = matmul(h, w.T) + b.T
-        if i < last:
-            h = h.relu()
-        elif spec.output_activation == "sigmoid":
-            h = h.sigmoid()
-    return h
+        h = linear(h, w, b, relu=i < last)
+    return h.sigmoid() if spec.output_activation == "sigmoid" else h
+
+
+def _forward_values(params: Params, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+    """The same forward on a plain array, recording no graph; identical bits."""
+    if x.shape[1] != spec.d_in:
+        raise ShapeError(f"input has {x.shape[1]} columns, spec expects {spec.d_in}")
+    h = x
+    last = spec.n_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = linear_values(h, w.values, b.values, relu=i < last)
+    return sigmoid_values(h) if spec.output_activation == "sigmoid" else h
 
 
 @dataclass
@@ -115,21 +128,27 @@ def softmax_rows(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BranchOutputs:
-    """Features, logits, and the derived hard labels and confidences."""
+    """Logits, and the derived hard labels and confidences."""
 
-    features: Tensor
-    logits: Tensor
+    logits: np.ndarray = field(repr=False)
     predicted_labels: np.ndarray = field(repr=False)
     confidence: np.ndarray = field(repr=False)
 
 
 def branch_outputs(extractor: Mlp, head: Mlp, x: Tensor) -> BranchOutputs:
-    """Extractor then head; argmax ties break toward the lowest index."""
-    features = extractor(x)
-    logits = head(features)
-    probs = softmax_rows(logits.values)
+    """Extractor then head; argmax ties break toward the lowest index.
+
+    Evaluation only: runs on plain arrays in blocks of ``EVAL_BLOCK_ROWS``
+    rows and records no graph. Both forwards use the same kernel, so the
+    logits equal the graph forward's bit for bit.
+    """
+    logits = np.empty((x.rows, head.spec.d_out))
+    for lo in range(0, x.rows, EVAL_BLOCK_ROWS):
+        block = x.values[lo : lo + EVAL_BLOCK_ROWS]
+        features = _forward_values(extractor.params, extractor.spec, block)
+        logits[lo : lo + EVAL_BLOCK_ROWS] = _forward_values(head.params, head.spec, features)
+    probs = softmax_rows(logits)
     return BranchOutputs(
-        features=features,
         logits=logits,
         predicted_labels=probs.argmax(axis=1),
         confidence=probs.max(axis=1),

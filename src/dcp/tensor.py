@@ -7,6 +7,11 @@ operations applied to it and accumulates ``grad`` during
 explicitly zeroed; discriminator and main updates reuse subgraphs, so
 overwrite semantics would be wrong.
 
+A node's backward rule receives the node's gradient as its argument, so no
+rule refers to its own output node and a graph holds no reference cycle: it
+is freed by reference counting as soon as the last tensor of it is dropped,
+without waiting for the cyclic garbage collector.
+
 Broadcasting is deliberately minimal: a full matrix may combine with a row
 vector (1 x n), a column vector (m x 1), a 1 x 1 scalar tensor, or a plain
 Python float. Anything else raises :class:`ShapeError`.
@@ -71,17 +76,19 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], None] | None = None
 
     @classmethod
     def _node(
         cls,
         values: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward_fn: Callable[[], None] | None,
+        backward_fn: Callable[[np.ndarray], None] | None,
     ) -> "Tensor":
         # Internal constructor for op outputs: the array is freshly computed
         # and owned by the node, so no defensive copy is needed.
+        # ``backward_fn(g)`` gets the output's gradient ``g`` and accumulates
+        # into the parents; it must not capture the output node itself.
         out = cls.__new__(cls)
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
@@ -176,42 +183,33 @@ class Tensor:
         self._accumulate(np.ones((1, 1)))
         for node in reversed(order):
             if node._backward_fn is not None:
-                node._backward_fn()
+                node._backward_fn(node.grad)
 
     # -- elementwise arithmetic -------------------------------------------
 
     def _scalar_shift(self, c: float) -> "Tensor":
-        out = Tensor._node(self.values + c, (self,), None)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g)
 
-        def bw() -> None:
-            self._accumulate(out.grad)
-
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values + c, (self,), bw)
 
     def _scalar_scale(self, c: float) -> "Tensor":
-        out = Tensor._node(self.values * c, (self,), None)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g * c)
 
-        def bw() -> None:
-            self._accumulate(out.grad * c)
-
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values * c, (self,), bw)
 
     def __add__(self, other):
         other = _coerce(other)
         if isinstance(other, float):
             return self._scalar_shift(other)
         _check_broadcast(self, other, "+")
-        out = Tensor._node(self.values + other.values, (self, other), None)
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             self._accumulate(_reduce_to(g, self.shape))
             other._accumulate(_reduce_to(g, other.shape))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values + other.values, (self, other), bw)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -221,27 +219,22 @@ class Tensor:
         if isinstance(other, float):
             return self._scalar_shift(-other)
         _check_broadcast(self, other, "-")
-        out = Tensor._node(self.values - other.values, (self, other), None)
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             self._accumulate(_reduce_to(g, self.shape))
             other._accumulate(_reduce_to(-g, other.shape))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values - other.values, (self, other), bw)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if not isinstance(other, float):
             return other.__sub__(self)
-        out = Tensor._node(other - self.values, (self,), None)
 
-        def bw() -> None:
-            self._accumulate(-out.grad)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(-g)
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(other - self.values, (self,), bw)
 
     def __neg__(self):
         return self._scalar_scale(-1.0)
@@ -251,15 +244,12 @@ class Tensor:
         if isinstance(other, float):
             return self._scalar_scale(other)
         _check_broadcast(self, other, "*")
-        out = Tensor._node(self.values * other.values, (self, other), None)
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             self._accumulate(_reduce_to(g * other.values, self.shape))
             other._accumulate(_reduce_to(g * self.values, other.shape))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values * other.values, (self, other), bw)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -269,29 +259,24 @@ class Tensor:
         if isinstance(other, float):
             return self._scalar_scale(1.0 / other)
         _check_broadcast(self, other, "/")
-        out = Tensor._node(self.values / other.values, (self, other), None)
 
-        def bw() -> None:
-            g = out.grad
+        def bw(g: np.ndarray) -> None:
             self._accumulate(_reduce_to(g / other.values, self.shape))
             other._accumulate(
                 _reduce_to(-g * self.values / (other.values * other.values), other.shape)
             )
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values / other.values, (self, other), bw)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if not isinstance(other, float):
             return other.__truediv__(self)
-        out = Tensor._node(other / self.values, (self,), None)
 
-        def bw() -> None:
-            self._accumulate(-out.grad * other / (self.values * self.values))
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(-g * other / (self.values * self.values))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(other / self.values, (self,), bw)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -300,24 +285,18 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        out = Tensor._node(self.values.T, (self,), None)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g.T)
 
-        def bw() -> None:
-            self._accumulate(out.grad.T)
-
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(self.values.T, (self,), bw)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self) -> "Tensor":
-        out = Tensor._node(np.array([[self.values.sum()]]), (self,), None)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(np.full(self.shape, g[0, 0]))
 
-        def bw() -> None:
-            self._accumulate(np.full(self.shape, out.grad[0, 0]))
-
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(np.array([[self.values.sum()]]), (self,), bw)
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.values.size)
@@ -325,25 +304,18 @@ class Tensor:
     # -- elementwise nonlinearities ------------------------------------------
 
     def relu(self) -> "Tensor":
-        out = Tensor._node(np.maximum(self.values, 0.0), (self,), None)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g * (self.values > 0.0))
 
-        def bw() -> None:
-            self._accumulate(out.grad * (self.values > 0.0))
-
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(np.maximum(self.values, 0.0), (self,), bw)
 
     def sigmoid(self) -> "Tensor":
-        x = self.values
-        # Split by sign to avoid overflow in exp for large |x|.
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor._node(s, (self,), None)
+        s = sigmoid_values(self.values)
 
-        def bw() -> None:
-            self._accumulate(out.grad * s * (1.0 - s))
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g * s * (1.0 - s))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(s, (self,), bw)
 
     def log(self) -> "Tensor":
         bad = np.argwhere(self.values <= 0.0)
@@ -352,13 +324,11 @@ class Tensor:
             raise DomainError(
                 f"log needs strictly positive entries; entry ({i}, {j}) is {self.values[i, j]}"
             )
-        out = Tensor._node(np.log(self.values), (self,), None)
 
-        def bw() -> None:
-            self._accumulate(out.grad / self.values)
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g / self.values)
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(np.log(self.values), (self,), bw)
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root; gradient stabilized by ``SQRT_SHIFT``.
@@ -373,24 +343,19 @@ class Tensor:
                 f"sqrt needs nonnegative entries; entry ({i}, {j}) is {self.values[i, j]}"
             )
         root = np.sqrt(self.values)
-        out = Tensor._node(root, (self,), None)
 
-        def bw() -> None:
-            self._accumulate(out.grad / (2.0 * np.sqrt(self.values + SQRT_SHIFT)))
+        def bw(g: np.ndarray) -> None:
+            self._accumulate(g / (2.0 * np.sqrt(self.values + SQRT_SHIFT)))
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(root, (self,), bw)
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
         """Clip values into [lo, hi]; gradient passes only where unclipped."""
-        out = Tensor._node(np.clip(self.values, lo, hi), (self,), None)
-
-        def bw() -> None:
+        def bw(g: np.ndarray) -> None:
             mask = (self.values >= lo) & (self.values <= hi)
-            self._accumulate(out.grad * mask)
+            self._accumulate(g * mask)
 
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor._node(np.clip(self.values, lo, hi), (self,), bw)
 
 
 def _coerce(other):
@@ -424,19 +389,57 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # -- free-standing primitives ---------------------------------------------
 
 
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function on a plain array."""
+    # Split by sign to avoid overflow in exp for large |x|.
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ w.T + b.T``, then relu if asked, on plain arrays.
+
+    ``w`` is (out x in) and ``b`` is (out x 1). This is the forward of
+    :func:`linear` and of the graph-free forward in ``networks``, so both give
+    the same bits. The product takes a contiguous copy of ``w.T``: BLAS may
+    round a strided operand differently, and the pinned metrics traces were
+    recorded with this layout.
+    """
+    h = x @ np.ascontiguousarray(w.T) + b.T
+    return np.maximum(h, 0.0) if relu else h
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One fully connected layer as one graph node: ``x @ w.T + b.T``, optional relu.
+
+    ``x`` is (rows x in), ``w`` is (out x in) and ``b`` is (out x 1).
+    """
+    if x.cols != w.cols:
+        raise ShapeError(f"linear input has {x.cols} columns, weight expects {w.cols}")
+    if b.shape != (w.rows, 1):
+        raise ShapeError(f"bias must be ({w.rows}, 1) for weight {w.shape}, got {b.shape}")
+    h = linear_values(x.values, w.values, b.values, relu)
+
+    def bw(g: np.ndarray) -> None:
+        if relu:
+            g = g * (h > 0.0)
+        if x.requires_grad:
+            x._accumulate(g @ w.values)
+        w._accumulate((x.values.T @ g).T)
+        b._accumulate(g.sum(axis=0, keepdims=True).T)
+
+    return Tensor._node(h, (x, w, b), bw)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with the standard gradient rules."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = Tensor._node(a.values @ b.values, (a, b), None)
 
-    def bw() -> None:
-        g = out.grad
+    def bw(g: np.ndarray) -> None:
         a._accumulate(g @ b.values.T)
         b._accumulate(a.values.T @ g)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor._node(a.values @ b.values, (a, b), bw)
 
 
 _ACTIVATIONS = ("relu", "sigmoid", "log")
@@ -467,17 +470,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     sez = ez.sum(axis=1, keepdims=True)
     log_probs = z - np.log(sez)
     loss = -log_probs[np.arange(n), labels].mean()
-    out = Tensor._node(np.array([[loss]]), (logits,), None)
-
     local = ez / sez
     local[np.arange(n), labels] -= 1.0
     local /= n
 
-    def bw() -> None:
-        logits._accumulate(out.grad[0, 0] * local)
+    def bw(g: np.ndarray) -> None:
+        logits._accumulate(g[0, 0] * local)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor._node(np.array([[loss]]), (logits,), bw)
 
 
 def pairwise_euclidean(a: Tensor, b: Tensor) -> Tensor:
@@ -490,15 +490,13 @@ def pairwise_euclidean(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"feature dimensions differ: {a.shape} vs {b.shape}")
     diff = a.values[:, None, :] - b.values[None, :, :]
     sq = np.einsum("ijd,ijd->ij", diff, diff)
-    out = Tensor._node(np.sqrt(sq), (a, b), None)
 
-    def bw() -> None:
-        w = out.grad / np.sqrt(sq + SQRT_SHIFT)
+    def bw(g: np.ndarray) -> None:
+        w = g / np.sqrt(sq + SQRT_SHIFT)
         a._accumulate(w.sum(axis=1, keepdims=True) * a.values - w @ b.values)
         b._accumulate(w.sum(axis=0)[:, None] * b.values - w.T @ a.values)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor._node(np.sqrt(sq), (a, b), bw)
 
 
 def vstack(tensors: Sequence[Tensor]) -> Tensor:
@@ -510,16 +508,14 @@ def vstack(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors[1:]:
         if t.cols != cols:
             raise ShapeError(f"vstack column mismatch: {t.shape} vs (*, {cols})")
-    out = Tensor._node(np.vstack([t.values for t in tensors]), tensors, None)
 
-    def bw() -> None:
+    def bw(g: np.ndarray) -> None:
         offset = 0
         for t in tensors:
-            t._accumulate(out.grad[offset : offset + t.rows])
+            t._accumulate(g[offset : offset + t.rows])
             offset += t.rows
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)
 
 
 def backward(loss: Tensor) -> None:

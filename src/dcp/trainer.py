@@ -41,7 +41,11 @@ NETWORK_NAMES = ("adv_extractor", "adv_head", "clu_extractor", "clu_head", "disc
 
 
 class NumericsError(RuntimeError):
-    """A loss became non-finite at some iteration."""
+    """A loss became non-finite at some iteration.
+
+    Raised before any update of that iteration is kept, so the state is the
+    one the last good iteration left.
+    """
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
@@ -271,6 +275,13 @@ def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
         )
 
 
+def _check_finite(state: TrainState, **losses_by_name: float | None) -> None:
+    """Raise NumericsError on the first non-finite loss; absent losses pass."""
+    for name, value in losses_by_name.items():
+        if value is not None and not np.isfinite(value):
+            raise NumericsError(state.t, f"{name} is {value}")
+
+
 def train_step(
     state: TrainState,
     source_batch: tuple[np.ndarray, np.ndarray],
@@ -368,10 +379,14 @@ def train_step(
         # collapsed feature geometry: skip only the alignment losses this step
         alignment_skipped = True
 
-    # (e) discriminator update on detached features; only D moves
+    # (e) discriminator update on detached features; only D moves. Each loss
+    # is checked before the update it drives.
     d_source = disc(fs_adv.detached())
     d_target = disc(ft_adv.detached())
     l_d = losses.discriminator_loss(d_source, d_target)
+    _check_finite(state, l_d=l_d.item())
+    disc_params = disc.params.tensors()
+    disc_before = ([p.values for p in disc_params], list(state.velocity["discriminator"]))
     l_d.backward()
     _update_networks(state, ("discriminator",))
 
@@ -392,6 +407,22 @@ def train_step(
         total = total + l_pl
     if not alignment_skipped and cfg.alpha > 0.0:
         total = total + (l_cc_tensor + l_cs_tensor) * cfg.alpha
+    try:
+        _check_finite(
+            state,
+            l_g=l_g.item(),
+            l_c1=l_c1.item(),
+            l_c2=l_c2.item(),
+            l_cc=None if alignment_skipped else l_cc_tensor.item(),
+            l_cs=None if alignment_skipped else l_cs_tensor.item(),
+            l_pl=None if l_pl is None else l_pl.item(),
+        )
+    except NumericsError:
+        # undo the discriminator update of this iteration
+        values, state.velocity["discriminator"] = disc_before
+        for p, v in zip(disc_params, values):
+            p.update_values(v)
+        raise
     total.backward()
     _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
     for p in _all_params(state, NETWORK_NAMES):
@@ -416,10 +447,6 @@ def train_step(
             else None
         ),
     )
-    for name in ("l_d", "l_g", "l_c1", "l_c2", "l_cc", "l_cs", "l_pl"):
-        value = getattr(record, name)
-        if value is not None and not np.isfinite(value):
-            raise NumericsError(state.t, f"{name} is {value}")
     if bank_adv_step is not None:
         state.bank_adv = bank_adv_step.detached()
         state.bank_clu = bank_clu_step.detached()
@@ -495,7 +522,8 @@ def train(
     The whole run is a pure function of (config, dataset contents): batches
     come from seeded per-epoch shuffles, target accuracy is measured through
     the evaluation-only label accessor, and records at the evaluation cadence
-    carry source/target accuracy.
+    carry source/target accuracy. Target accuracy and pseudo-label precision
+    need every target label; when any is unknown (-1) they are absent.
     """
     if source.domain_tag != SOURCE:
         raise ValueError("first dataset must be the labeled source domain")
@@ -506,11 +534,18 @@ def train(
         raise ValueError(
             f"batch_size {config.batch_size} cannot stratify over {k} classes"
         )
+    target_eval_labels = target.eval_labels()
+    out_of_range = (target_eval_labels < -1) | (target_eval_labels >= k)
+    if out_of_range.any():
+        raise ValueError(
+            f"target label {target_eval_labels[out_of_range][0]} is outside [-1, {k}): "
+            f"the source has {k} classes and -1 marks an unknown label"
+        )
+    target_labeled = bool((target_eval_labels >= 0).all())
     state = init_state(config, k=k, d_in=source.d)
     rng = np.random.default_rng(config.data_seed)
     source_sampler = _ClassStratifiedSampler(source.y, k, config.batch_size, rng)
     target_sampler = _CycleSampler(target.n, config.batch_size, rng)
-    target_eval_labels = target.eval_labels()
 
     records: list[MetricsRecord] = []
     for t in range(config.iterations):
@@ -520,11 +555,12 @@ def train(
             state,
             (source.X[src_idx], source.y[src_idx]),
             target.X[tgt_idx],
-            target_batch_true_labels=target_eval_labels[tgt_idx],
+            target_batch_true_labels=target_eval_labels[tgt_idx] if target_labeled else None,
         )
         if t % config.eval_every == 0 or t == config.iterations - 1:
             record.source_acc = _dataset_accuracy(state, source.X, source.y)
-            record.target_acc = _dataset_accuracy(state, target.X, target_eval_labels)
+            if target_labeled:
+                record.target_acc = _dataset_accuracy(state, target.X, target_eval_labels)
         records.append(record)
         if on_step is not None:
             on_step(state, record, info)

@@ -120,6 +120,15 @@ class TestBranchOutputs:
         out = branch_outputs(extractor, extractor, Tensor([[1.0, 1.0]]))
         assert out.predicted_labels[0] == 0
 
+    @pytest.mark.parametrize("rows", [600, 50])
+    def test_logits_bit_identical_to_graph_forward(self, rows):
+        # 600 rows cross several evaluation blocks; 50 fit in one
+        extractor = Mlp.create(MlpSpec(layer_widths=(2, 64, 64)), seed=3)
+        head = Mlp.create(MlpSpec(layer_widths=(64, 3)), seed=4)
+        x = Tensor(np.random.default_rng(5).normal(size=(rows, 2)))
+        out = branch_outputs(extractor, head, x)
+        assert np.array_equal(out.logits, head(extractor(x)).values)
+
     def test_confidence_in_unit_interval(self):
         extractor, head = self._branch()
         x = np.random.default_rng(2).normal(size=(20, 2))

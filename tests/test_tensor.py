@@ -8,6 +8,7 @@ from dcp.tensor import (
     Tensor,
     activation,
     grad_check,
+    linear,
     matmul,
     pairwise_euclidean,
     softmax_cross_entropy,
@@ -257,6 +258,52 @@ class TestVstackAndTranspose:
         np.testing.assert_allclose(a.grad, [[1.0, 0.0], [0.0, 0.0]])
 
 
+class TestLinear:
+    def _operands(self, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(5, 3))
+        w = rng.normal(size=(4, 3))
+        b = rng.normal(size=(4, 1))
+        return x, w, b, rng.normal(size=(5, 4))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("wrt", ["x", "w", "b"])
+    def test_gradient_matches_finite_differences(self, relu, wrt):
+        x, w, b, weights = self._operands()
+        operands = {"x": x, "w": w, "b": b}
+
+        def f(probe):
+            args = {name: Tensor(v) for name, v in operands.items()}
+            args[wrt] = probe
+            return (linear(args["x"], args["w"], args["b"], relu=relu) * Tensor(weights)).sum()
+
+        report = grad_check(f, Tensor(operands[wrt]))
+        assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_bit_identical_to_transpose_matmul_add_chain(self, relu):
+        x, w, b, weights = self._operands(seed=1)
+        results = []
+        for fused in (True, False):
+            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
+            if fused:
+                out = linear(tx, tw, tb, relu=relu)
+            else:
+                out = matmul(tx, tw.T) + tb.T
+                out = out.relu() if relu else out
+            (out * Tensor(weights)).sum().backward()
+            results.append([out.values, tx.grad, tw.grad, tb.grad])
+        for fused_value, chain_value in zip(*results):
+            assert np.array_equal(fused_value, chain_value)
+
+    def test_shape_errors(self):
+        x, w, b, _ = self._operands()
+        with pytest.raises(ShapeError, match="columns"):
+            linear(Tensor(x), Tensor(w.T), Tensor(b))
+        with pytest.raises(ShapeError, match="bias"):
+            linear(Tensor(x), Tensor(w), Tensor(b.T))
+
+
 class TestGradCheck:
     def test_quadratic_is_tight(self):
         report = grad_check(lambda x: (x * x).sum(), Tensor([[1.0, 2.0]]), h=1e-6)
@@ -274,12 +321,11 @@ class TestGradCheck:
         def f(x):
             # Forward identity, backward sign flip on column 1 only.
             flip = np.array([[1.0, -1.0]])
-            out = Tensor._node(x.values.copy(), (x,), None)
 
-            def bw():
-                x._accumulate(out.grad * flip)
+            def bw(g):
+                x._accumulate(g * flip)
 
-            out._backward_fn = bw
+            out = Tensor._node(x.values.copy(), (x,), bw)
             return (out * out).sum()
 
         report = grad_check(f, Tensor([[1.0, 2.0]]))

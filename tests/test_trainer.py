@@ -1,19 +1,26 @@
+import copy
 import dataclasses
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from dcp import centroids as cent
+from dcp import losses
 from dcp.datasets import ShiftSpec, gen_blobs
+from dcp.networks import Mlp, MlpSpec, Params
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
-from dcp.tensor import Tensor
+from dcp.tensor import Tensor, grad_check, matmul, vstack
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
     METRICS_FIELDS,
     Checkpoint,
     CheckpointVersionError,
     MetricsRecord,
+    NumericsError,
     TrainConfig,
+    TrainState,
     UnlabeledDatasetError,
     apply_sgd_update,
     evaluate,
@@ -226,6 +233,57 @@ class TestTrainStep:
         for off, on in zip(heads[False][1], heads[True][1]):
             assert not np.array_equal(off, on)
 
+    @pytest.mark.parametrize(
+        "poisoned, loss_name",
+        [
+            ("discriminator_loss", "l_d"),
+            ("generator_loss", "l_g"),
+            ("source_classification_loss", "l_c1"),
+        ],
+    )
+    def test_non_finite_loss_leaves_state_untouched(self, monkeypatch, poisoned, loss_name):
+        # l_d fails before the discriminator update; l_g and l_c1 fail after
+        # it, before the main update, which must undo the discriminator's
+        state, src_b, tgt_b, tgt_y = self._setup()
+        for _ in range(2):
+            train_step(state, src_b, tgt_b, tgt_y)
+
+        def snapshot():
+            return (
+                [p.values.copy() for net in state.networks.values() for p in net.params.tensors()],
+                [v.copy() for vel in state.velocity.values() for v in vel],
+                [bank.centroids.values.copy() for bank in (state.bank_adv, state.bank_clu)],
+                [bank.counts.copy() for bank in (state.bank_adv, state.bank_clu)],
+            )
+
+        before, t_before = snapshot(), state.t
+        real = getattr(losses, poisoned)
+        monkeypatch.setattr(losses, poisoned, lambda *args: real(*args) * float("nan"))
+        with pytest.raises(NumericsError, match=f"iteration {t_before}: {loss_name} is nan"):
+            train_step(state, src_b, tgt_b, tgt_y)
+        assert state.t == t_before
+        for kept, now in zip(before, snapshot()):
+            assert len(kept) == len(now)
+            assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+        assert all(
+            p.grad is None for net in state.networks.values() for p in net.params.tensors()
+        )
+
+    def test_steps_leave_no_cyclic_garbage(self):
+        # graphs hold no reference cycles, so reference counting frees them
+        state, src_b, tgt_b, tgt_y = self._setup()
+        train_step(state, src_b, tgt_b, tgt_y)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(3):
+                train_step(state, src_b, tgt_b, tgt_y)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_deterministic_records(self):
         records = []
         for _ in range(2):
@@ -324,6 +382,31 @@ class TestTrain:
         final = records[-1]
         assert final.source_acc is not None and final.target_acc is not None
         assert abs(final.source_acc - final.target_acc) <= 0.05
+
+    def test_unlabeled_target_reports_absent_accuracy_and_precision(self, tmp_path):
+        src, tgt = tiny_datasets()
+        cfg = tiny_config(iterations=6)
+        _, labeled = train(cfg, src, tgt)
+        _, unlabeled = train(cfg, src, dataclasses.replace(tgt, y=np.full(tgt.n, -1)))
+        assert any(r.n_selected for r in unlabeled)
+        for a, b in zip(labeled, unlabeled):
+            assert b.target_acc is None and b.pseudo_precision is None
+            # labels are evaluation-only: everything else is the same run
+            assert dataclasses.replace(a, target_acc=None, pseudo_precision=None) == b
+        assert unlabeled[0].source_acc is not None
+        write_metrics_csv(unlabeled, tmp_path / "metrics.csv")
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        columns = [lines[0].split(",").index(name) for name in ("pseudo_precision", "target_acc")]
+        for line in lines[1:]:
+            assert [line.split(",")[i] for i in columns] == ["", ""]
+
+    @pytest.mark.parametrize("bad", [3, -2])
+    def test_target_label_outside_range_rejected(self, bad):
+        src, tgt = tiny_datasets()
+        y = tgt.y.copy()
+        y[5] = bad
+        with pytest.raises(ValueError, match=rf"target label {bad} is outside \[-1, 3\)"):
+            train(tiny_config(), src, dataclasses.replace(tgt, y=y))
 
     def test_batch_size_must_cover_classes(self):
         src, tgt = tiny_datasets()
@@ -449,3 +532,105 @@ class TestMetricsCsv:
         cells = path.read_text().splitlines()[1].split(",")
         assert float(cells[1]) == 1 / 3
         assert float(cells[-1]) == 2 / 3
+
+
+class TestMainObjectiveGradient:
+    """Finite differences on the whole main objective of one training step.
+
+    L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS), built as ``train_step``
+    builds it, checked with respect to every parameter of two tiny
+    extractors: through the fused layers, ``vstack``, the centroid weights,
+    the EMA blend and the pseudo-label pick matrix.
+    """
+
+    def _tiny_state(self) -> TrainState:
+        specs = {
+            "adv_extractor": MlpSpec((2, 4, 4)),
+            "adv_head": MlpSpec((4, 3)),
+            "clu_extractor": MlpSpec((2, 4, 4)),
+            "clu_head": MlpSpec((4, 3)),
+            "discriminator": MlpSpec((4, 3, 1), output_activation="sigmoid"),
+        }
+        networks = {name: Mlp.create(spec, seed=i) for i, (name, spec) in enumerate(specs.items())}
+        velocity = {
+            name: [np.zeros(p.shape) for p in net.params.tensors()] for name, net in networks.items()
+        }
+        return TrainState(
+            config=tiny_config(alpha=0.5), k=3, d_in=2, networks=networks, velocity=velocity
+        )
+
+    @staticmethod
+    def _objective(nets, disc, xs, ys, xt, selected, banks, cfg):
+        k = 3
+        fs_adv, ft_adv = nets["adv_extractor"](xs), nets["adv_extractor"](xt)
+        fs_clu, ft_clu = nets["clu_extractor"](xs), nets["clu_extractor"](xt)
+        pseudo = np.full(xt.rows, -1)
+        pseudo[selected.indices] = selected.labels
+        union = np.concatenate([ys, pseudo])
+        bank_adv = cent.update_centroids_ema(
+            banks[0], cent.compute_centroids(vstack([fs_adv, ft_adv]), union, k, cfg.ema_momentum)
+        )
+        bank_clu = cent.update_centroids_ema(
+            banks[1], cent.compute_centroids(vstack([fs_clu, ft_clu]), union, k, cfg.ema_momentum)
+        )
+        pick = Tensor(np.eye(xt.rows)[selected.indices])
+        terms = {
+            "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
+            "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
+            "l_g": losses.generator_loss(disc(ft_adv)),
+            "l_pl": losses.source_classification_loss(
+                matmul(pick, nets["adv_head"](ft_adv)), selected.labels
+            )
+            + losses.source_classification_loss(
+                nets["clu_head"](matmul(pick, ft_clu)), selected.labels
+            ),
+            "l_cc": cent.loss_cc(
+                cent.centroid_centroid_matrix(bank_clu), cent.centroid_centroid_matrix(bank_adv)
+            ),
+            "l_cs": cent.loss_cs(
+                cent.centroid_sample_matrix(bank_clu, ft_clu),
+                cent.centroid_sample_matrix(bank_adv, ft_adv),
+            ),
+        }
+        total = terms["l_c1"] + terms["l_c2"] + terms["l_g"] + terms["l_pl"]
+        return total + (terms["l_cc"] + terms["l_cs"]) * cfg.alpha, terms
+
+    def test_matches_finite_differences(self):
+        src, tgt = tiny_datasets()
+        rng = np.random.default_rng(0)
+        state = self._tiny_state()
+        for _ in range(10):
+            src_idx = np.concatenate([rng.choice(np.flatnonzero(src.y == c), 4) for c in range(3)])
+            tgt_idx = rng.choice(tgt.n, size=12, replace=False)
+            xs, ys, xt = src.X[src_idx], src.y[src_idx], tgt.X[tgt_idx]
+            before = copy.deepcopy(state)
+            record, info = train_step(state, (xs, ys), xt)
+            if before.bank_adv is not None and len(info.selected) and not info.alignment_skipped:
+                break
+        else:
+            pytest.fail("no step selected pseudo-labels with live centroid banks")
+
+        # the main phase sees the discriminator after its own update
+        disc = state.networks["discriminator"]
+        banks = (before.bank_adv, before.bank_clu)
+        args = (Tensor(xs), ys, Tensor(xt), info.selected, banks, before.config)
+        _, terms = self._objective(before.networks, disc, *args)
+        for name, term in terms.items():
+            assert term.item() == getattr(record, name), name
+
+        for net_name in ("adv_extractor", "clu_extractor"):
+            params = before.networks[net_name].params
+            for i, base in enumerate(params.tensors()):
+
+                def f(probe, net_name=net_name, i=i):
+                    tensors = params.tensors()
+                    tensors[i] = probe
+                    nets = dict(before.networks)
+                    nets[net_name] = Mlp(
+                        spec=before.networks[net_name].spec,
+                        params=Params(weights=tensors[0::2], biases=tensors[1::2]),
+                    )
+                    return self._objective(nets, disc, *args)[0]
+
+                report = grad_check(f, base)
+                assert report.max_rel_error < 1e-4, (net_name, i, report)

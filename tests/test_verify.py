@@ -6,13 +6,10 @@ from dcp.tensor import Tensor
 
 def sign_flip(x: Tensor) -> Tensor:
     """Forward identity whose backward negates the gradient (test sabotage)."""
-    out = Tensor._node(x.values.copy(), (x,), None)
+    def bw(g):
+        x._accumulate(-g)
 
-    def bw():
-        x._accumulate(-out.grad)
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor._node(x.values.copy(), (x,), bw)
 
 
 def test_all_default_losses_pass():
