@@ -28,8 +28,6 @@ from .datasets import (
     save_embeddings,
 )
 from .losses import (
-    AdvLossParts,
-    compose_adv,
     discriminator_loss,
     generator_loss,
     source_classification_loss,
@@ -49,7 +47,6 @@ from .tensor import (
     GradCheckReport,
     ShapeError,
     Tensor,
-    activation,
     grad_check,
     matmul,
     pairwise_euclidean,

@@ -34,7 +34,6 @@ class CentroidBank:
 
     centroids: Tensor
     counts: np.ndarray
-    ema_momentum: float = 0.7
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
@@ -44,8 +43,6 @@ class CentroidBank:
             raise ShapeError(
                 f"{self.counts.shape[0]} counts for {self.centroids.rows} centroids"
             )
-        if not 0.0 <= self.ema_momentum < 1.0:
-            raise ValueError(f"ema_momentum must be in [0, 1), got {self.ema_momentum}")
 
     @property
     def k(self) -> int:
@@ -56,16 +53,10 @@ class CentroidBank:
         return self.centroids.cols
 
     def detached(self) -> "CentroidBank":
-        return CentroidBank(
-            centroids=self.centroids.detached(),
-            counts=self.counts.copy(),
-            ema_momentum=self.ema_momentum,
-        )
+        return CentroidBank(centroids=self.centroids.detached(), counts=self.counts.copy())
 
 
-def compute_centroids(
-    features: Tensor, labels, k: int, ema_momentum: float = 0.7
-) -> CentroidBank:
+def compute_centroids(features: Tensor, labels, k: int) -> CentroidBank:
     """Per-class mean of the labeled feature rows; label -1 means unlabeled.
 
     Classes absent from the batch get count 0 and a zero placeholder row.
@@ -85,18 +76,17 @@ def compute_centroids(
         members = labels == cls
         if counts[cls]:
             weights[cls, members] = 1.0 / counts[cls]
-    return CentroidBank(
-        centroids=matmul(Tensor(weights), features),
-        counts=counts,
-        ema_momentum=ema_momentum,
-    )
+    return CentroidBank(centroids=matmul(Tensor(weights), features), counts=counts)
 
 
-def update_centroids_ema(bank: CentroidBank, fresh: CentroidBank) -> CentroidBank:
+def update_centroids_ema(
+    bank: CentroidBank, fresh: CentroidBank, theta: float
+) -> CentroidBank:
     """Blend fresh centroids into the bank: c <- theta*c_old + (1-theta)*c_new.
 
-    Classes with no fresh samples keep their previous centroid. The old
-    centroids enter as constants, so gradients reach only the fresh side.
+    ``theta`` is the trainer's ``ema_momentum``, validated there. Classes with
+    no fresh samples keep their previous centroid. The old centroids enter as
+    constants, so gradients reach only the fresh side.
     """
     if (bank.k, bank.d_f) != (fresh.k, fresh.d_f):
         raise ShapeError(
@@ -104,15 +94,11 @@ def update_centroids_ema(bank: CentroidBank, fresh: CentroidBank) -> CentroidBan
         )
     # one constant blend weight per row: 1 - theta where fresh samples
     # arrived, 0 where none did
-    blend = np.where(fresh.counts > 0, 1.0 - bank.ema_momentum, 0.0)
+    blend = np.where(fresh.counts > 0, 1.0 - theta, 0.0)
     blend = np.repeat(blend[:, None], bank.d_f, axis=1)
     kept = bank.centroids.values * (1.0 - blend)
     centroids = fresh.centroids * Tensor(blend) + Tensor(kept)
-    return CentroidBank(
-        centroids=centroids,
-        counts=bank.counts + fresh.counts,
-        ema_momentum=bank.ema_momentum,
-    )
+    return CentroidBank(centroids=centroids, counts=bank.counts + fresh.counts)
 
 
 def centroid_centroid_matrix(bank: CentroidBank) -> Tensor:

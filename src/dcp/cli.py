@@ -1,9 +1,12 @@
 """Command-line surface: gen-data, train, eval, gradcheck, schedule.
 
-Exit codes: 0 success, 1 missing input file, 2 usage error, 3 numeric
-failure during training, 4 checkpoint version mismatch. A gradcheck failure
-also exits 1. Every training run writes exactly one manifest describing the
-config and dataset fingerprints needed to reproduce its outputs.
+Exit codes: 0 success, 1 missing input file, 2 usage error (bad flags or
+config, or a malformed or out-of-range input file), 3 numeric failure during
+training, 4 checkpoint version mismatch. A gradcheck failure also exits 1.
+Every training run writes exactly one manifest describing the config and
+dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
+trained networks plus the config, iteration count, class count and input
+dimension; it has no optimizer or centroid state, so runs are not resumable.
 """
 
 from __future__ import annotations
@@ -323,6 +326,10 @@ def main(argv=None) -> int:
     except CheckpointVersionError as exc:
         print(f"checkpoint version mismatch: {exc}", file=sys.stderr)
         return EXIT_VERSION
+    except ValueError as exc:
+        # after CheckpointVersionError, which is a ValueError with its own code
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,25 +10,11 @@ accepted target pseudo-labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .tensor import DomainError, Tensor, softmax_cross_entropy
 
 # Verdicts are squeezed into [CLAMP_EPS, 1 - CLAMP_EPS] before any log, so the
 # losses stay finite for every input in [0, 1].
 CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class AdvLossParts:
-    """Scalar loss values of one iteration, for reporting."""
-
-    l_g: float
-    l_d: float
-    l_c1: float
-    l_c2: float
 
 
 def _check_verdicts(d: Tensor, name: str) -> None:
@@ -60,15 +46,3 @@ def generator_loss(d_target: Tensor) -> Tensor:
 def source_classification_loss(logits: Tensor, labels) -> Tensor:
     """Cross entropy of labeled rows: source labels or accepted pseudo-labels."""
     return softmax_cross_entropy(logits, labels)
-
-
-def compose_adv(parts: AdvLossParts) -> float:
-    """Sum of generator, discriminator, and source-classification losses.
-
-    Reported each iteration; optimization never minimizes this sum directly
-    because the game is minimax.
-    """
-    for name in ("l_g", "l_d", "l_c1"):
-        if not np.isfinite(getattr(parts, name)):
-            raise ValueError(f"{name} is not finite")
-    return parts.l_g + parts.l_d + parts.l_c1

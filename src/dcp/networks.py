@@ -119,20 +119,12 @@ class Mlp:
         return forward(self.params, self.spec, x)
 
 
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-stabilized softmax on a plain array (reporting path, no gradient)."""
-    z = values - values.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
-
-
 @dataclass
 class BranchOutputs:
-    """Logits, and the derived hard labels and confidences."""
+    """Logits and the hard labels derived from them."""
 
     logits: np.ndarray = field(repr=False)
     predicted_labels: np.ndarray = field(repr=False)
-    confidence: np.ndarray = field(repr=False)
 
 
 def branch_outputs(extractor: Mlp, head: Mlp, x: Tensor) -> BranchOutputs:
@@ -147,9 +139,4 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: Tensor) -> BranchOutputs:
         block = x.values[lo : lo + EVAL_BLOCK_ROWS]
         features = _forward_values(extractor.params, extractor.spec, block)
         logits[lo : lo + EVAL_BLOCK_ROWS] = _forward_values(head.params, head.spec, features)
-    probs = softmax_rows(logits)
-    return BranchOutputs(
-        logits=logits,
-        predicted_labels=probs.argmax(axis=1),
-        confidence=probs.max(axis=1),
-    )
+    return BranchOutputs(logits=logits, predicted_labels=logits.argmax(axis=1))

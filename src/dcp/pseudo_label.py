@@ -101,20 +101,13 @@ class PseudoLabelBatch:
 
     indices: np.ndarray
     labels: np.ndarray
-    dist_adv: np.ndarray
-    dist_clu: np.ndarray
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
 
     @classmethod
     def empty(cls) -> "PseudoLabelBatch":
-        return cls(
-            indices=np.zeros(0, dtype=np.int64),
-            labels=np.zeros(0, dtype=np.int64),
-            dist_adv=np.zeros(0),
-            dist_clu=np.zeros(0),
-        )
+        return cls(indices=np.zeros(0, dtype=np.int64), labels=np.zeros(0, dtype=np.int64))
 
 
 def _distances_to_predicted_centroid(
@@ -171,9 +164,4 @@ def select_high_confidence(
     adm_clu = _admitted(y_clu, dist_clu, bank_clu, quota_clu, k)
 
     selected = np.flatnonzero(adm_adv & adm_clu & (y_adv == y_clu))
-    return PseudoLabelBatch(
-        indices=selected,
-        labels=y_adv[selected],
-        dist_adv=dist_adv[selected],
-        dist_clu=dist_clu[selected],
-    )
+    return PseudoLabelBatch(indices=selected, labels=y_adv[selected])

@@ -278,9 +278,6 @@ class Tensor:
 
         return Tensor._node(other / self.values, (self,), bw)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops ----------------------------------------------------------
 
     @property
@@ -442,16 +439,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._node(a.values @ b.values, (a, b), bw)
 
 
-_ACTIVATIONS = ("relu", "sigmoid", "log")
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Apply an elementwise nonlinearity by name: relu, sigmoid, or log."""
-    if kind not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {_ACTIVATIONS}")
-    return getattr(x, kind)()
-
-
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over rows of -log softmax(logits)[row, label].
 
@@ -516,16 +503,6 @@ def vstack(tensors: Sequence[Tensor]) -> Tensor:
             offset += t.rows
 
     return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)
-
-
-def backward(loss: Tensor) -> None:
-    """Run the backward pass from a scalar loss."""
-    loss.backward()
-
-
-def zero_all_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # -- finite-difference verification ----------------------------------------

@@ -30,7 +30,7 @@ from .pseudo_label import (
 )
 from .tensor import Tensor, matmul, vstack
 
-CHECKPOINT_FORMAT = "dcp-checkpoint-v1"
+CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
 
 # Desk-scale architecture: smallest shapes where the adversarial game and the
 # centroid geometry are observable on 2-D synthetic data.
@@ -357,17 +357,17 @@ def train_step(
     alignment_skipped = False
     bank_adv_step = bank_clu_step = None
     try:
-        fresh_adv = cent.compute_centroids(
-            vstack([fs_adv, ft_adv]), union_labels, k, cfg.ema_momentum
-        )
-        fresh_clu = cent.compute_centroids(
-            vstack([fs_clu, ft_clu]), union_labels, k, cfg.ema_momentum
-        )
+        fresh_adv = cent.compute_centroids(vstack([fs_adv, ft_adv]), union_labels, k)
+        fresh_clu = cent.compute_centroids(vstack([fs_clu, ft_clu]), union_labels, k)
         bank_adv_step = (
-            cent.update_centroids_ema(state.bank_adv, fresh_adv) if state.bank_adv else fresh_adv
+            cent.update_centroids_ema(state.bank_adv, fresh_adv, cfg.ema_momentum)
+            if state.bank_adv
+            else fresh_adv
         )
         bank_clu_step = (
-            cent.update_centroids_ema(state.bank_clu, fresh_clu) if state.bank_clu else fresh_clu
+            cent.update_centroids_ema(state.bank_clu, fresh_clu, cfg.ema_momentum)
+            if state.bank_clu
+            else fresh_clu
         )
         m_cc_adv = cent.centroid_centroid_matrix(bank_adv_step)
         m_cc_clu = cent.centroid_centroid_matrix(bank_clu_step)
@@ -620,15 +620,17 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
 
 @dataclass
 class Checkpoint:
-    """Everything needed to reproduce forward passes and resume bookkeeping."""
+    """The trained networks plus the config and shape that produced them.
+
+    Enough to reproduce forward passes; optimizer velocity and centroid banks
+    are not kept, so a run cannot be resumed from a checkpoint.
+    """
 
     config: TrainConfig
     t: int
     k: int
     d_in: int
     networks: dict[str, Mlp]
-    velocity: dict[str, list[np.ndarray]]
-    banks: dict[str, cent.CentroidBank | None]
 
     @classmethod
     def from_state(cls, state: TrainState) -> "Checkpoint":
@@ -638,8 +640,6 @@ class Checkpoint:
             k=state.k,
             d_in=state.d_in,
             networks=state.networks,
-            velocity=state.velocity,
-            banks={"adv": state.bank_adv, "clu": state.bank_clu},
         )
 
     def save(self, path) -> None:
@@ -651,15 +651,6 @@ class Checkpoint:
                 "biases": [b.values.tolist() for b in net.params.biases],
             }
 
-        def encode_bank(bank: cent.CentroidBank | None):
-            if bank is None:
-                return None
-            return {
-                "centroids": bank.centroids.values.tolist(),
-                "counts": bank.counts.tolist(),
-                "ema_momentum": bank.ema_momentum,
-            }
-
         payload = {
             "format": CHECKPOINT_FORMAT,
             "config": self.config.to_dict(),
@@ -667,10 +658,6 @@ class Checkpoint:
             "k": self.k,
             "d_in": self.d_in,
             "networks": {name: encode_net(net) for name, net in self.networks.items()},
-            "velocity": {
-                name: [v.tolist() for v in vel] for name, vel in self.velocity.items()
-            },
-            "banks": {name: encode_bank(bank) for name, bank in self.banks.items()},
         }
         Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
@@ -691,23 +678,10 @@ class Checkpoint:
             )
             return Mlp(spec=spec, params=params)
 
-        def decode_bank(data) -> cent.CentroidBank | None:
-            if data is None:
-                return None
-            return cent.CentroidBank(
-                centroids=Tensor(np.array(data["centroids"])),
-                counts=np.array(data["counts"], dtype=np.int64),
-                ema_momentum=data["ema_momentum"],
-            )
-
         return cls(
             config=TrainConfig.from_dict(payload["config"]),
             t=payload["t"],
             k=payload["k"],
             d_in=payload["d_in"],
             networks={name: decode_net(data) for name, data in payload["networks"].items()},
-            velocity={
-                name: [np.array(v) for v in vel] for name, vel in payload["velocity"].items()
-            },
-            banks={name: decode_bank(data) for name, data in payload["banks"].items()},
         )

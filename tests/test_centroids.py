@@ -68,38 +68,38 @@ class TestComputeCentroids:
 
 
 class TestEmaUpdate:
-    def _bank(self, values, counts, theta=0.7):
-        return CentroidBank(Tensor(values), np.array(counts), ema_momentum=theta)
+    def _bank(self, values, counts):
+        return CentroidBank(Tensor(values), np.array(counts))
 
     def test_formula(self):
-        bank = self._bank([[2.0, 2.0], [0.0, 0.0]], [1, 1], theta=0.7)
+        bank = self._bank([[2.0, 2.0], [0.0, 0.0]], [1, 1])
         fresh = self._bank([[4.0, 4.0], [1.0, 1.0]], [1, 1])
-        out = update_centroids_ema(bank, fresh)
+        out = update_centroids_ema(bank, fresh, theta=0.7)
         np.testing.assert_allclose(out.centroids.values[0], [2.6, 2.6])
 
     def test_theta_zero_takes_fresh(self):
-        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1], theta=0.0)
+        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
         fresh = self._bank([[4.0, 4.0], [1.0, 1.0]], [1, 1])
-        out = update_centroids_ema(bank, fresh)
+        out = update_centroids_ema(bank, fresh, theta=0.0)
         np.testing.assert_array_equal(out.centroids.values, fresh.centroids.values)
 
     def test_empty_fresh_class_unchanged(self):
         bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
         fresh = self._bank([[4.0, 4.0], [0.0, 0.0]], [1, 0])
-        out = update_centroids_ema(bank, fresh)
+        out = update_centroids_ema(bank, fresh, theta=0.7)
         np.testing.assert_array_equal(out.centroids.values[1], [5.0, 5.0])
 
     def test_counts_accumulate(self):
         bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [3, 1])
         fresh = self._bank([[4.0, 4.0], [0.0, 0.0]], [2, 0])
-        out = update_centroids_ema(bank, fresh)
+        out = update_centroids_ema(bank, fresh, theta=0.7)
         assert np.array_equal(out.counts, [5, 1])
 
     def test_shape_mismatch(self):
         bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
         fresh = CentroidBank(Tensor(np.ones((3, 2))), np.ones(3, dtype=int))
         with pytest.raises(ShapeError):
-            update_centroids_ema(bank, fresh)
+            update_centroids_ema(bank, fresh, theta=0.7)
 
 
 class TestDistanceMatrices:

@@ -1,14 +1,33 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from dcp import cli, verify
+from dcp.datasets import load_embeddings, save_embeddings
 from dcp.tensor import Tensor
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def relabeled_copy(csv_path, out_path, label):
+    """A copy of an embedding CSV whose first row carries ``label``."""
+    dataset = load_embeddings(csv_path)
+    y = dataset.y.copy()
+    y[0] = label
+    save_embeddings(dataclasses.replace(dataset, y=y), out_path)
+    return out_path
+
+
+def assert_usage_error(code, capsys, fragment):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ")
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture
@@ -149,6 +168,20 @@ class TestTrain:
         assert code == 3
         assert "iteration" in capsys.readouterr().err
 
+    def test_target_label_out_of_range_is_usage_error(self, blob_files, tmp_path, capsys):
+        bad = relabeled_copy(blob_files / "target.csv", tmp_path / "bad_target.csv", 5)
+        args = self._train_args(blob_files, tmp_path / "run")
+        args[args.index("--target") + 1] = str(bad)
+        assert_usage_error(run_cli(args), capsys, "target label 5 is outside [-1, 3)")
+
+    def test_malformed_header_is_usage_error(self, blob_files, tmp_path, capsys):
+        bad = tmp_path / "bad_target.csv"
+        lines = (blob_files / "target.csv").read_text().splitlines()
+        bad.write_text("\n".join(["x,y,label,domain"] + lines[1:]) + "\n")
+        args = self._train_args(blob_files, tmp_path / "run")
+        args[args.index("--target") + 1] = str(bad)
+        assert_usage_error(run_cli(args), capsys, "malformed header")
+
 
 class TestEval:
     @pytest.fixture
@@ -196,6 +229,14 @@ class TestEval:
              "--out-dir", str(tmp_path)]
         )
         assert code == 4
+
+    def test_unlabeled_data_is_usage_error(self, trained, blob_files, tmp_path, capsys):
+        data = relabeled_copy(blob_files / "target.csv", tmp_path / "unlabeled.csv", -1)
+        code = run_cli(
+            ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--data", str(data),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, "unknown labels")
 
 
 class TestGradcheckCommand:

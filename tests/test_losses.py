@@ -6,8 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from dcp.losses import (
     CLAMP_EPS,
-    AdvLossParts,
-    compose_adv,
     discriminator_loss,
     generator_loss,
     source_classification_loss,
@@ -93,18 +91,6 @@ class TestSourceClassificationLoss:
         a = source_classification_loss(Tensor(logits), labels).item()
         b = softmax_cross_entropy(Tensor(logits), labels).item()
         assert a == b
-
-
-class TestComposeAdv:
-    def test_zero(self):
-        assert compose_adv(AdvLossParts(0.0, 0.0, 0.0, 0.0)) == 0.0
-
-    def test_addition(self):
-        assert compose_adv(AdvLossParts(l_g=0.5, l_d=1.0, l_c1=0.25, l_c2=0.1)) == 1.75
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            compose_adv(AdvLossParts(float("nan"), 0.0, 0.0, 0.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ from dcp.tensor import (
     EvaluationError,
     ShapeError,
     Tensor,
-    activation,
     grad_check,
     linear,
     matmul,
@@ -66,11 +65,11 @@ class TestMatmul:
 
 class TestActivations:
     def test_relu_definition(self):
-        out = activation("relu", Tensor([[-2.0, 3.0]]))
+        out = Tensor([[-2.0, 3.0]]).relu()
         np.testing.assert_array_equal(out.values, [[0.0, 3.0]])
 
     def test_sigmoid_at_zero(self):
-        assert activation("sigmoid", Tensor([[0.0]])).item() == 0.5
+        assert Tensor([[0.0]]).sigmoid().item() == 0.5
 
     def test_sigmoid_gradient_at_zero(self):
         report = grad_check(lambda x: x.sigmoid().sum(), Tensor([[0.0]]), h=1e-6)
@@ -86,10 +85,6 @@ class TestActivations:
     def test_log_domain_error_reports_index(self):
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
             Tensor([[1.0, -3.0]]).log()
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activation("tanh", Tensor([[0.0]]))
 
 
 class TestSoftmaxCrossEntropy:

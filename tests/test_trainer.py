@@ -461,20 +461,14 @@ class TestEvaluate:
 
 class TestPseudoPrecision:
     def test_all_correct(self):
-        batch = PseudoLabelBatch(
-            indices=np.array([0, 2]), labels=np.array([1, 0]),
-            dist_adv=np.zeros(2), dist_clu=np.zeros(2),
-        )
+        batch = PseudoLabelBatch(indices=np.array([0, 2]), labels=np.array([1, 0]))
         assert pseudo_precision(batch, [1, 9, 0]) == 1.0
 
     def test_empty_is_absent(self):
         assert pseudo_precision(PseudoLabelBatch.empty(), [0, 1]) is None
 
     def test_three_of_four(self):
-        batch = PseudoLabelBatch(
-            indices=np.array([0, 1, 2, 3]), labels=np.array([0, 0, 1, 1]),
-            dist_adv=np.zeros(4), dist_clu=np.zeros(4),
-        )
+        batch = PseudoLabelBatch(indices=np.array([0, 1, 2, 3]), labels=np.array([0, 0, 1, 1]))
         assert pseudo_precision(batch, [0, 0, 1, 0]) == 0.75
 
 
@@ -495,15 +489,16 @@ class TestCheckpoint:
                 assert np.array_equal(a.values, b.values)
         assert loaded.config == ckpt.config
         assert loaded.t == ckpt.t
-        assert np.array_equal(
-            loaded.banks["adv"].centroids.values, ckpt.banks["adv"].centroids.values
-        )
+        assert set(json.loads(path.read_text())) == {
+            "format", "config", "t", "k", "d_in", "networks"
+        }
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"format": "dcp-checkpoint-v0"}))
-        with pytest.raises(CheckpointVersionError):
-            Checkpoint.load(path)
+        for tag in ("dcp-checkpoint-v0", "dcp-checkpoint-v1"):
+            path.write_text(json.dumps({"format": tag}))
+            with pytest.raises(CheckpointVersionError, match=tag):
+                Checkpoint.load(path)
 
 
 class TestMetricsCsv:
@@ -568,10 +563,10 @@ class TestMainObjectiveGradient:
         pseudo[selected.indices] = selected.labels
         union = np.concatenate([ys, pseudo])
         bank_adv = cent.update_centroids_ema(
-            banks[0], cent.compute_centroids(vstack([fs_adv, ft_adv]), union, k, cfg.ema_momentum)
+            banks[0], cent.compute_centroids(vstack([fs_adv, ft_adv]), union, k), cfg.ema_momentum
         )
         bank_clu = cent.update_centroids_ema(
-            banks[1], cent.compute_centroids(vstack([fs_clu, ft_clu]), union, k, cfg.ema_momentum)
+            banks[1], cent.compute_centroids(vstack([fs_clu, ft_clu]), union, k), cfg.ema_momentum
         )
         pick = Tensor(np.eye(xt.rows)[selected.indices])
         terms = {
