@@ -8,7 +8,6 @@ thresholds, feed the centroids.
 """
 
 from .centroids import (
-    CentroidBank,
     DegenerateGeometryError,
     centroid_centroid_matrix,
     centroid_sample_matrix,
@@ -35,7 +34,6 @@ from .losses import (
 from .networks import BranchOutputs, Mlp, MlpSpec, Params, branch_outputs, forward, init_params
 from .pseudo_label import (
     PseudoLabelBatch,
-    ThresholdState,
     kmeans_assign,
     select_high_confidence,
     tau_adv,

@@ -32,8 +32,9 @@ class SchemaError(ValueError):
 class LabeledDataset:
     """Feature matrix with integer labels; -1 marks an unknown label.
 
-    ``y`` on a target dataset exists for evaluation only; training code must
-    go through :meth:`training_labels`, which hides it.
+    ``y`` on a target dataset exists for evaluation only: training reads the
+    source's ``y`` and reaches target labels only through :meth:`eval_labels`,
+    to measure accuracy and pseudo-label precision.
     """
 
     X: np.ndarray
@@ -65,12 +66,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         known = self.y[self.y >= 0]
         return int(known.max()) + 1 if known.size else 0
-
-    def training_labels(self) -> np.ndarray:
-        """Labels as training is allowed to see them: hidden for targets."""
-        if self.domain_tag == TARGET:
-            return np.full(self.n, -1, dtype=np.int64)
-        return self.y.copy()
 
     def eval_labels(self) -> np.ndarray:
         """True labels, for evaluation and measurement harnesses only."""

@@ -12,7 +12,7 @@ trains the two classifiers as a source label does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -22,12 +22,7 @@ from . import centroids as cent
 from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, MlpSpec, Params, branch_outputs
-from .pseudo_label import (
-    PseudoLabelBatch,
-    ThresholdState,
-    kmeans_assign,
-    select_high_confidence,
-)
+from .pseudo_label import PseudoLabelBatch, kmeans_assign, select_high_confidence, tau_adv, tau_clu
 from .tensor import Tensor, matmul, vstack
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
@@ -203,13 +198,10 @@ class TrainState:
     d_in: int
     networks: dict[str, Mlp]
     velocity: dict[str, list[np.ndarray]]
-    threshold: ThresholdState = field(default_factory=ThresholdState)
-    bank_adv: cent.CentroidBank | None = None
-    bank_clu: cent.CentroidBank | None = None
-
-    @property
-    def t(self) -> int:
-        return self.threshold.iteration
+    t: int = 0
+    # (K x d_f) centroids of each branch, detached; None before the first step
+    bank_adv: Tensor | None = None
+    bank_clu: Tensor | None = None
 
 
 def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
@@ -337,14 +329,13 @@ def train_step(
     # (c) double-threshold screening against the previous iteration's banks
     if cfg.use_pseudo_labels and state.bank_adv is not None and state.bank_clu is not None:
         selected = select_high_confidence(
-            ft_adv,
-            ft_clu,
+            ft_adv.values,
+            ft_clu.values,
             y_adv_target,
             y_clu_target,
-            state.bank_adv,
-            state.bank_clu,
-            state.threshold,
-            k,
+            state.bank_adv.values,
+            state.bank_clu.values,
+            state.t,
         )
     else:
         selected = PseudoLabelBatch.empty()
@@ -361,12 +352,12 @@ def train_step(
         fresh_clu = cent.compute_centroids(vstack([fs_clu, ft_clu]), union_labels, k)
         bank_adv_step = (
             cent.update_centroids_ema(state.bank_adv, fresh_adv, cfg.ema_momentum)
-            if state.bank_adv
+            if state.bank_adv is not None
             else fresh_adv
         )
         bank_clu_step = (
             cent.update_centroids_ema(state.bank_clu, fresh_clu, cfg.ema_momentum)
-            if state.bank_clu
+            if state.bank_clu is not None
             else fresh_clu
         )
         m_cc_adv = cent.centroid_centroid_matrix(bank_adv_step)
@@ -438,8 +429,8 @@ def train_step(
         l_cc=None if alignment_skipped else l_cc_tensor.item(),
         l_cs=None if alignment_skipped else l_cs_tensor.item(),
         l_pl=None if l_pl is None else l_pl.item(),
-        tau_adv=state.threshold.tau_adv,
-        tau_clu=state.threshold.tau_clu,
+        tau_adv=tau_adv(state.t),
+        tau_clu=tau_clu(state.t),
         n_selected=len(selected),
         pseudo_precision=(
             pseudo_precision(selected, target_batch_true_labels)
@@ -450,7 +441,7 @@ def train_step(
     if bank_adv_step is not None:
         state.bank_adv = bank_adv_step.detached()
         state.bank_clu = bank_clu_step.detached()
-    state.threshold = state.threshold.advanced()
+    state.t += 1
     info = StepInfo(
         selected=selected,
         y_adv_target=y_adv_target,
@@ -464,44 +455,27 @@ def train_step(
 # -- epoch sampling -----------------------------------------------------------
 
 
-class _ClassStratifiedSampler:
-    """Cycles through per-class shuffled pools so every class is in every batch."""
+class _CycleSampler:
+    """Cycles through shuffled index pools, an equal share of each per batch.
 
-    def __init__(self, labels: np.ndarray, k: int, batch_size: int, rng: np.random.Generator):
+    A pool is reshuffled whenever it runs short: with one pool per class,
+    every class is in every batch; with one pool, batches walk shuffled epochs.
+    """
+
+    def __init__(self, pools: list[np.ndarray], batch_size: int, rng: np.random.Generator):
         self._rng = rng
-        self._pools = [np.flatnonzero(labels == cls) for cls in range(k)]
-        for cls, pool in enumerate(self._pools):
-            if pool.size == 0:
-                raise ValueError(f"source dataset has no samples of class {cls}")
-        self._queues: list[list[int]] = [[] for _ in range(k)]
-        base, extra = divmod(batch_size, k)
-        self._per_class = [base + (1 if cls < extra else 0) for cls in range(k)]
+        self._pools = pools
+        self._queues: list[list[int]] = [[] for _ in pools]
+        base, extra = divmod(batch_size, len(pools))
+        self._per_pool = [base + (1 if i < extra else 0) for i in range(len(pools))]
 
     def next_batch(self) -> np.ndarray:
         chosen: list[int] = []
-        for cls, want in enumerate(self._per_class):
-            queue = self._queues[cls]
+        for pool, queue, want in zip(self._pools, self._queues, self._per_pool):
             while len(queue) < want:
-                queue.extend(self._rng.permutation(self._pools[cls]).tolist())
+                queue.extend(self._rng.permutation(pool).tolist())
             chosen.extend(queue[:want])
             del queue[:want]
-        return np.array(chosen, dtype=np.int64)
-
-
-class _CycleSampler:
-    """Shuffled epochs over all indices, refilled when exhausted."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self._rng = rng
-        self._n = n
-        self._batch_size = batch_size
-        self._queue: list[int] = []
-
-    def next_batch(self) -> np.ndarray:
-        while len(self._queue) < self._batch_size:
-            self._queue.extend(self._rng.permutation(self._n).tolist())
-        chosen = self._queue[: self._batch_size]
-        del self._queue[: self._batch_size]
         return np.array(chosen, dtype=np.int64)
 
 
@@ -544,8 +518,12 @@ def train(
     target_labeled = bool((target_eval_labels >= 0).all())
     state = init_state(config, k=k, d_in=source.d)
     rng = np.random.default_rng(config.data_seed)
-    source_sampler = _ClassStratifiedSampler(source.y, k, config.batch_size, rng)
-    target_sampler = _CycleSampler(target.n, config.batch_size, rng)
+    source_pools = [np.flatnonzero(source.y == cls) for cls in range(k)]
+    for cls, pool in enumerate(source_pools):
+        if pool.size == 0:
+            raise ValueError(f"source dataset has no samples of class {cls}")
+    source_sampler = _CycleSampler(source_pools, config.batch_size, rng)
+    target_sampler = _CycleSampler([np.arange(target.n)], config.batch_size, rng)
 
     records: list[MetricsRecord] = []
     for t in range(config.iterations):
@@ -594,10 +572,14 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
     labels = dataset.eval_labels()
     if (labels < 0).any():
         raise UnlabeledDatasetError("dataset has unknown labels; evaluation needs ground truth")
+    k = checkpoint.k
+    if (labels >= k).any():
+        raise ValueError(
+            f"label {labels[labels >= k][0]} is outside [0, {k}): the checkpoint has {k} classes"
+        )
     out = branch_outputs(
         checkpoint.networks["adv_extractor"], checkpoint.networks["adv_head"], Tensor(dataset.X)
     )
-    k = checkpoint.k
     confusion = np.zeros((k, k), dtype=np.int64)
     for true, pred in zip(labels, out.predicted_labels):
         confusion[true, pred] += 1
@@ -664,13 +646,20 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("checkpoint file is not a JSON object")
         tag = payload.get("format")
         if tag != CHECKPOINT_FORMAT:
             raise CheckpointVersionError(
                 f"unsupported checkpoint format {tag!r}; expected {CHECKPOINT_FORMAT!r}"
             )
+        _require_keys(payload, ("config", "t", "k", "d_in", "networks"), "checkpoint")
+        _require_keys(payload["networks"], NETWORK_NAMES, "checkpoint networks")
 
-        def decode_net(data: dict) -> Mlp:
+        def decode_net(name: str, data: dict) -> Mlp:
+            _require_keys(
+                data, ("layer_widths", "output_activation", "weights", "biases"), f"network {name!r}"
+            )
             spec = MlpSpec(tuple(data["layer_widths"]), data["output_activation"])
             params = Params(
                 weights=[Tensor(np.array(w), requires_grad=True) for w in data["weights"]],
@@ -683,5 +672,13 @@ class Checkpoint:
             t=payload["t"],
             k=payload["k"],
             d_in=payload["d_in"],
-            networks={name: decode_net(data) for name, data in payload["networks"].items()},
+            networks={name: decode_net(name, data) for name, data in payload["networks"].items()},
         )
+
+
+def _require_keys(data, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing key {key!r}")

@@ -13,13 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .centroids import (
-    CentroidBank,
-    centroid_centroid_matrix,
-    centroid_sample_matrix,
-    loss_cc,
-    loss_cs,
-)
+from .centroids import centroid_centroid_matrix, centroid_sample_matrix, loss_cc, loss_cs
 from .losses import discriminator_loss, generator_loss, source_classification_loss
 from .tensor import Tensor, grad_check
 
@@ -52,19 +46,15 @@ def _build_l_c1(rng, d_f, k, n_b) -> list[Instance]:
     return [(lambda x: source_classification_loss(x, labels), logits)]
 
 
-def _bank(x: Tensor) -> CentroidBank:
-    return CentroidBank(x, np.ones(x.rows, dtype=np.int64))
-
-
 def _build_l_cc(rng, d_f, k, n_b) -> list[Instance]:
     c1 = Tensor(rng.normal(size=(k, d_f)))
     c2 = Tensor(rng.normal(size=(k, d_f)))
 
     def wrt_first(x):
-        return loss_cc(centroid_centroid_matrix(_bank(x)), centroid_centroid_matrix(_bank(c2)))
+        return loss_cc(centroid_centroid_matrix(x), centroid_centroid_matrix(c2))
 
     def wrt_second(x):
-        return loss_cc(centroid_centroid_matrix(_bank(c1)), centroid_centroid_matrix(_bank(x)))
+        return loss_cc(centroid_centroid_matrix(c1), centroid_centroid_matrix(x))
 
     return [(wrt_first, c1), (wrt_second, c2)]
 
@@ -76,14 +66,10 @@ def _build_l_cs(rng, d_f, k, n_b) -> list[Instance]:
     f2 = Tensor(rng.normal(size=(n_b, d_f)))
 
     def wrt_centroids(x):
-        return loss_cs(
-            centroid_sample_matrix(_bank(x), f1), centroid_sample_matrix(_bank(c2), f2)
-        )
+        return loss_cs(centroid_sample_matrix(x, f1), centroid_sample_matrix(c2, f2))
 
     def wrt_features(x):
-        return loss_cs(
-            centroid_sample_matrix(_bank(c1), x), centroid_sample_matrix(_bank(c2), f2)
-        )
+        return loss_cs(centroid_sample_matrix(c1, x), centroid_sample_matrix(c2, f2))
 
     return [(wrt_centroids, c1), (wrt_features, f1)]
 

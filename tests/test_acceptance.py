@@ -21,7 +21,6 @@ import pytest
 
 from dcp import cli
 from dcp.centroids import (
-    CentroidBank,
     centroid_centroid_matrix,
     centroid_sample_matrix,
     compute_centroids,
@@ -30,7 +29,6 @@ from dcp.centroids import (
 )
 from dcp.datasets import ShiftSpec, gen_blobs
 from dcp.pseudo_label import (
-    ThresholdState,
     kmeans_assign,
     per_class_quota,
     select_high_confidence,
@@ -158,7 +156,7 @@ def test_criterion_3_oracle_equivalence():
             members = features[labels == cls]
             if len(members):
                 mean = sum(members[i] for i in range(len(members))) / len(members)
-                worst_centroid = max(worst_centroid, np.abs(bank.centroids.values[cls] - mean).max())
+                worst_centroid = max(worst_centroid, np.abs(bank.values[cls] - mean).max())
 
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 3))
@@ -206,8 +204,8 @@ def test_criterion_4_loss_identities():
 
     pts = rng.normal(size=(4, 3))
     samples = rng.normal(size=(6, 3))
-    bank1 = CentroidBank(Tensor(pts), np.ones(4, dtype=np.int64))
-    bank10 = CentroidBank(Tensor(pts * 10.0), np.ones(4, dtype=np.int64))
+    bank1 = Tensor(pts)
+    bank10 = Tensor(pts * 10.0)
     cc_gap = np.abs(
         centroid_centroid_matrix(bank1).values - centroid_centroid_matrix(bank10).values
     ).max()
@@ -306,12 +304,15 @@ def test_criterion_8_selection_contract():
         d_f = 3
         y_adv = rng.integers(0, k, size=n_b)
         y_clu = rng.integers(0, k, size=n_b)
-        bank_adv = CentroidBank(Tensor(rng.normal(size=(k, d_f))), rng.integers(0, 3, size=k))
-        bank_clu = CentroidBank(Tensor(rng.normal(size=(k, d_f))), rng.integers(0, 3, size=k))
-        state = ThresholdState(t)
+        # each bank is followed by an unused draw, kept so that every trial
+        # fuzzes a fixed set of inputs
+        bank_adv = rng.normal(size=(k, d_f))
+        rng.integers(0, 3, size=k)
+        bank_clu = rng.normal(size=(k, d_f))
+        rng.integers(0, 3, size=k)
         out = select_high_confidence(
             rng.normal(size=(n_b, d_f)), rng.normal(size=(n_b, d_f)),
-            y_adv, y_clu, bank_adv, bank_clu, state, k,
+            y_adv, y_clu, bank_adv, bank_clu, t,
         )
         agreement = y_adv == y_clu
         if len(out) and not agreement[out.indices].all():
@@ -320,10 +321,7 @@ def test_criterion_8_selection_contract():
         if len(out) and not np.array_equal(out.labels, y_adv[out.indices]):
             violations += 1
             continue
-        quota = min(
-            per_class_quota(state.tau_adv, n_b, k),
-            per_class_quota(state.tau_clu, n_b, k),
-        )
+        quota = min(per_class_quota(tau_adv(t), n_b, k), per_class_quota(tau_clu(t), n_b, k))
         counts = np.bincount(out.labels, minlength=k) if len(out) else np.zeros(k, dtype=int)
         if (counts > quota).any():
             violations += 1

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcp.centroids import (
-    CentroidBank,
     DegenerateGeometryError,
     centroid_centroid_matrix,
     centroid_sample_matrix,
@@ -18,49 +17,46 @@ from dcp.tensor import ShapeError, Tensor, grad_check, matmul
 
 def centroid_oracle(features, labels, k):
     out = np.zeros((k, features.shape[1]))
-    counts = np.zeros(k, dtype=int)
     for cls in range(k):
         members = [features[i] for i in range(len(labels)) if labels[i] == cls]
-        counts[cls] = len(members)
-        if members:
-            acc = np.zeros(features.shape[1])
-            for row in members:
-                acc += row
-            out[cls] = acc / len(members)
-    return out, counts
+        acc = np.zeros(features.shape[1])
+        for row in members:
+            acc += row
+        out[cls] = acc / len(members)
+    return out
 
 
 class TestComputeCentroids:
     def test_arithmetic_mean(self):
-        # K=2 because banks require at least two classes; class 1 is empty.
-        bank = compute_centroids(Tensor([[1.0, 1.0], [3.0, 3.0]]), [0, 0], k=2)
-        np.testing.assert_allclose(bank.centroids.values[0], [2.0, 2.0])
-        assert bank.counts[1] == 0
+        bank = compute_centroids(Tensor([[1.0, 1.0], [3.0, 3.0], [7.0, 9.0]]), [0, 0, 1], k=2)
+        np.testing.assert_allclose(bank.values[0], [2.0, 2.0])
+        np.testing.assert_allclose(bank.values[1], [7.0, 9.0])
 
     def test_singleton_class_equals_sample(self):
         bank = compute_centroids(Tensor([[1.0, 5.0], [2.0, 6.0]]), [0, 1], k=2)
-        np.testing.assert_allclose(bank.centroids.values, [[1.0, 5.0], [2.0, 6.0]])
+        np.testing.assert_allclose(bank.values, [[1.0, 5.0], [2.0, 6.0]])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(50, 4))
         labels = rng.integers(-1, 3, size=50)
-        if (labels == -1).all():
-            labels[0] = 0
         bank = compute_centroids(Tensor(features), labels, k=3)
-        expected, counts = centroid_oracle(features, labels, 3)
-        assert np.abs(bank.centroids.values - expected).max() <= 1e-12
-        assert np.array_equal(bank.counts, counts)
+        expected = centroid_oracle(features, labels, 3)
+        assert np.abs(bank.values - expected).max() <= 1e-12
 
     def test_all_unlabeled_rejected(self):
         with pytest.raises(ValueError, match="unlabeled"):
             compute_centroids(Tensor(np.ones((3, 2))), [-1, -1, -1], k=2)
 
+    def test_class_without_labeled_row_rejected(self):
+        with pytest.raises(ValueError, match="class 1 has no labeled row"):
+            compute_centroids(Tensor(np.ones((3, 2))), [0, 0, -1], k=2)
+
     def test_gradient_flows_to_features(self):
         features = Tensor(np.random.default_rng(0).normal(size=(6, 3)), requires_grad=True)
         bank = compute_centroids(features, [0, 0, 1, 1, 1, -1], k=2)
-        bank.centroids.sum().backward()
+        bank.sum().backward()
         # unlabeled row receives no gradient; labeled rows get 1/count
         np.testing.assert_allclose(features.grad[5], np.zeros(3))
         np.testing.assert_allclose(features.grad[0], np.full(3, 0.5))
@@ -68,86 +64,75 @@ class TestComputeCentroids:
 
 
 class TestEmaUpdate:
-    def _bank(self, values, counts):
-        return CentroidBank(Tensor(values), np.array(counts))
-
     def test_formula(self):
-        bank = self._bank([[2.0, 2.0], [0.0, 0.0]], [1, 1])
-        fresh = self._bank([[4.0, 4.0], [1.0, 1.0]], [1, 1])
+        bank = Tensor([[2.0, 2.0], [0.0, 0.0]])
+        fresh = Tensor([[4.0, 4.0], [1.0, 1.0]])
         out = update_centroids_ema(bank, fresh, theta=0.7)
-        np.testing.assert_allclose(out.centroids.values[0], [2.6, 2.6])
+        np.testing.assert_allclose(out.values[0], [2.6, 2.6])
 
     def test_theta_zero_takes_fresh(self):
-        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
-        fresh = self._bank([[4.0, 4.0], [1.0, 1.0]], [1, 1])
+        bank = Tensor([[2.0, 2.0], [5.0, 5.0]])
+        fresh = Tensor([[4.0, 4.0], [1.0, 1.0]])
         out = update_centroids_ema(bank, fresh, theta=0.0)
-        np.testing.assert_array_equal(out.centroids.values, fresh.centroids.values)
-
-    def test_empty_fresh_class_unchanged(self):
-        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
-        fresh = self._bank([[4.0, 4.0], [0.0, 0.0]], [1, 0])
-        out = update_centroids_ema(bank, fresh, theta=0.7)
-        np.testing.assert_array_equal(out.centroids.values[1], [5.0, 5.0])
-
-    def test_counts_accumulate(self):
-        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [3, 1])
-        fresh = self._bank([[4.0, 4.0], [0.0, 0.0]], [2, 0])
-        out = update_centroids_ema(bank, fresh, theta=0.7)
-        assert np.array_equal(out.counts, [5, 1])
+        np.testing.assert_array_equal(out.values, fresh.values)
 
     def test_shape_mismatch(self):
-        bank = self._bank([[2.0, 2.0], [5.0, 5.0]], [1, 1])
-        fresh = CentroidBank(Tensor(np.ones((3, 2))), np.ones(3, dtype=int))
+        bank = Tensor([[2.0, 2.0], [5.0, 5.0]])
+        fresh = Tensor(np.ones((3, 2)))
         with pytest.raises(ShapeError):
             update_centroids_ema(bank, fresh, theta=0.7)
 
 
 class TestDistanceMatrices:
     def test_two_centroids_relativize_to_unit(self):
-        bank = CentroidBank(Tensor([[0.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
+        bank = Tensor([[0.0, 0.0], [2.0, 0.0]])
         out = centroid_centroid_matrix(bank)
         np.testing.assert_allclose(out.values, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(4, 3))
-        a = centroid_centroid_matrix(CentroidBank(Tensor(pts), np.ones(4, dtype=int)))
-        b = centroid_centroid_matrix(CentroidBank(Tensor(pts * 10.0), np.ones(4, dtype=int)))
+        a = centroid_centroid_matrix(Tensor(pts))
+        b = centroid_centroid_matrix(Tensor(pts * 10.0))
         assert np.abs(a.values - b.values).max() <= 1e-12
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(4)
-        bank = CentroidBank(Tensor(rng.normal(size=(5, 2))), np.ones(5, dtype=int))
+        bank = Tensor(rng.normal(size=(5, 2)))
         out = centroid_centroid_matrix(bank).values
         np.testing.assert_array_equal(np.diag(out), np.zeros(5))
         np.testing.assert_allclose(out, out.T)
 
+    def test_single_class_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            centroid_centroid_matrix(Tensor([[1.0, 2.0]]))
+
     def test_identical_centroids_degenerate(self):
-        bank = CentroidBank(Tensor(np.ones((3, 2))), np.ones(3, dtype=int))
+        bank = Tensor(np.ones((3, 2)))
         with pytest.raises(DegenerateGeometryError):
             centroid_centroid_matrix(bank)
 
     def test_centroid_sample_hand_case(self):
-        # Banks need K >= 2; park the second centroid far away and check row 0.
-        bank = CentroidBank(Tensor([[0.0, 0.0], [3.0, 4.0]]), np.array([1, 1]))
+        # Park the second centroid far away and check row 0.
+        bank = Tensor([[0.0, 0.0], [3.0, 4.0]])
         out = centroid_sample_matrix(bank, Tensor([[3.0, 4.0], [3.0, 4.0]]))
         raw = np.array([[5.0, 5.0], [0.0, 0.0]])
         np.testing.assert_allclose(out.values, raw / raw.mean())
         np.testing.assert_allclose(out.values[0], [2.0, 2.0])
 
     def test_sample_on_centroid_contributes_zero(self):
-        bank = CentroidBank(Tensor([[0.0, 0.0], [1.0, 1.0]]), np.array([1, 1]))
+        bank = Tensor([[0.0, 0.0], [1.0, 1.0]])
         out = centroid_sample_matrix(bank, Tensor([[0.0, 0.0]]))
         assert out.values[0, 0] == 0.0
 
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(5)
-        bank = CentroidBank(Tensor(rng.normal(size=(3, 4))), np.ones(3, dtype=int))
+        bank = Tensor(rng.normal(size=(3, 4)))
         out = centroid_sample_matrix(bank, Tensor(rng.normal(size=(7, 4))))
         assert (out.values >= 0).all()
 
     def test_degenerate_samples(self):
-        bank = CentroidBank(Tensor(np.zeros((2, 2))), np.array([1, 1]))
+        bank = Tensor(np.zeros((2, 2)))
         with pytest.raises(DegenerateGeometryError):
             centroid_sample_matrix(bank, Tensor(np.zeros((3, 2))))
 

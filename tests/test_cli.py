@@ -238,6 +238,32 @@ class TestEval:
         )
         assert_usage_error(code, capsys, "unknown labels")
 
+    def test_label_outside_classes_is_usage_error(self, trained, blob_files, tmp_path, capsys):
+        data = relabeled_copy(blob_files / "target.csv", tmp_path / "label5.csv", 5)
+        code = run_cli(
+            ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--data", str(data),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, "label 5 is outside [0, 3)")
+
+    @pytest.mark.parametrize(
+        "payload,fragment",
+        [
+            ({"format": "dcp-checkpoint-v2"}, "checkpoint is missing key 'config'"),
+            (["dcp-checkpoint-v2"], "checkpoint file is not a JSON object"),
+        ],
+    )
+    def test_malformed_checkpoint_is_usage_error(
+        self, blob_files, tmp_path, capsys, payload, fragment
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = run_cli(
+            ["eval", "--checkpoint", str(bad), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, fragment)
+
 
 class TestGradcheckCommand:
     def test_fresh_build_all_pass(self, tmp_path, capsys):

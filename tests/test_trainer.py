@@ -252,8 +252,7 @@ class TestTrainStep:
             return (
                 [p.values.copy() for net in state.networks.values() for p in net.params.tensors()],
                 [v.copy() for vel in state.velocity.values() for v in vel],
-                [bank.centroids.values.copy() for bank in (state.bank_adv, state.bank_clu)],
-                [bank.counts.copy() for bank in (state.bank_adv, state.bank_clu)],
+                [bank.values.copy() for bank in (state.bank_adv, state.bank_clu)],
             )
 
         before, t_before = snapshot(), state.t
@@ -498,6 +497,24 @@ class TestCheckpoint:
         for tag in ("dcp-checkpoint-v0", "dcp-checkpoint-v1"):
             path.write_text(json.dumps({"format": tag}))
             with pytest.raises(CheckpointVersionError, match=tag):
+                Checkpoint.load(path)
+
+    def test_malformed_networks_rejected(self, tmp_path):
+        src, tgt = tiny_datasets()
+        ckpt, _ = train(tiny_config(iterations=1), src, tgt)
+        path = tmp_path / "ckpt.json"
+        ckpt.save(path)
+        saved = json.loads(path.read_text())
+        breakages = [
+            (lambda nets: nets["adv_head"].pop("weights"), "network 'adv_head' is missing key 'weights'"),
+            (lambda nets: nets.pop("clu_head"), "checkpoint networks is missing key 'clu_head'"),
+            (lambda nets: nets.update(adv_head=5), "network 'adv_head' is not a JSON object"),
+        ]
+        for breakage, message in breakages:
+            payload = copy.deepcopy(saved)
+            breakage(payload["networks"])
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=message):
                 Checkpoint.load(path)
 
 
