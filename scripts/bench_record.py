@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Record the benchmark's numbers for one commit in ``BENCH_<label>.json``.
+
+    python3 scripts/bench_record.py --label pr6
+    python3 scripts/bench_record.py --label pr5 --checkout /path/to/parent/checkout
+
+Runs ``perfbench/run.py`` of the checkout (default: the repository this
+script sits in): ``--trace 0`` on seeds 0-9 of every workload that
+``BENCHMARK.json`` declares, then ``--trace 1`` on seed 0. Every number in
+the file comes from perfbench's stdout: the median and IQR over seeds of each
+end-to-end metric, the per-layer metrics of the traced run, the quality
+report lines, each seed's metrics-trace hash, and the environment line with
+the BLAS thread count. The commit is the checkout's git HEAD. The file is
+written at the root of the repository this script sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(10)
+
+
+def parse_run(stdout: str) -> dict:
+    """The parts of one perfbench run's stdout that the record keeps."""
+    lines = stdout.strip().splitlines()
+    run = {"result": json.loads(lines[-1]), "quality": {}}
+    for line in lines[:-1]:
+        head, _, rest = line.partition(" ")
+        if head == "env":
+            run["env"] = json.loads(rest)
+        elif head == "metrics_trace_sha256":
+            run["metrics_trace_sha256"] = rest
+        elif head == "quality":
+            name, value = rest.split()[:2]
+            run["quality"][name] = None if value == "None" else float(value)
+        elif head == "fail_frac":
+            run["fail_frac"] = float(rest.split()[0])
+    return run
+
+
+def summarize(runs: dict[int, dict]) -> dict:
+    """Median and IQR over seeds of every end-to-end metric, plus per-seed lines."""
+    metrics: dict[str, dict] = {}
+    for seed, run in runs.items():
+        for name, m in run["result"]["metrics"].items():
+            entry = metrics.setdefault(name, {"unit": m["unit"], "values": {}})
+            entry["values"][seed] = m["value"]
+    for entry in metrics.values():
+        q1, median, q3 = np.percentile(list(entry["values"].values()), [25, 50, 75])
+        entry.update(median=float(median), iqr=float(q3 - q1))
+    return {
+        "end_to_end": metrics,
+        "correct_runs": sum(run["result"]["correct"] for run in runs.values()),
+        "runs": len(runs),
+        "quality": {seed: run["quality"] for seed, run in runs.items()},
+        "fail_frac": {seed: run.get("fail_frac") for seed, run in runs.items()},
+        "metrics_trace_sha256": {seed: run.get("metrics_trace_sha256") for seed, run in runs.items()},
+    }
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [
+        sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    run = parse_run(proc.stdout)
+    status = "correct" if run["result"]["correct"] else "NOT correct"
+    print(f"{workload} seed={seed} trace={trace}: {status}", file=sys.stderr, flush=True)
+    return run
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description="Record perfbench results in BENCH_<label>.json.")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    seconds = spec["run_seconds"]
+    checkout = args.checkout.resolve()
+    commit = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+    workloads = {}
+    env = None
+    for w in spec["workloads"]:
+        name = w["name"]
+        runs = {seed: run_perfbench(checkout, name, seed, seconds, 0) for seed in SEEDS}
+        traced = run_perfbench(checkout, name, 0, seconds, 1)
+        env = env or runs[0]["env"]
+        workloads[name] = summarize(runs)
+        workloads[name]["per_layer_seed0"] = traced["result"]["metrics"]
+        workloads[name]["traced_correct"] = traced["result"]["correct"]
+
+    record = {
+        "label": args.label,
+        "commit": commit,
+        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "environment": env,
+        "blas_threads": env["blas"]["threads"],
+        "workloads": workloads,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

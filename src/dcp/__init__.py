@@ -50,6 +50,7 @@ from .tensor import (
     pairwise_euclidean,
     softmax_cross_entropy,
     vstack,
+    weighted_sum,
 )
 from .trainer import (
     Checkpoint,

@@ -6,13 +6,17 @@ is a constant-weight matrix product, so gradients flow from the losses all the
 way back to the features that produced the centroids; the clustering branch is
 a learned regularizer, not a frozen teacher. A centroid bank is a plain
 (K x d_f) Tensor, one row per class.
+
+Each formula here is one graph node: the EMA blend, the relativization of a
+``pairwise_euclidean`` distance matrix, the discrepancy of two matrices. Their
+operations run in a fixed order, on which the pinned metrics traces depend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, matmul, pairwise_euclidean
+from .tensor import SQRT_SHIFT, ShapeError, Tensor, matmul, pairwise_euclidean
 
 # Shift under the square root of both alignment losses; keeps their gradients
 # finite when the two matrices coincide.
@@ -56,8 +60,26 @@ def update_centroids_ema(bank: Tensor, fresh: Tensor, theta: float) -> Tensor:
     if bank.shape != fresh.shape:
         raise ShapeError(f"bank shape {bank.shape} does not match fresh {fresh.shape}")
     blend = 1.0 - theta
+
+    def bw(g: np.ndarray) -> None:
+        fresh._accumulate(g * blend)
+
     # 1 - blend, not theta: the two can differ in the last bit
-    return fresh * blend + Tensor(bank.values * (1.0 - blend))
+    return Tensor._node(fresh.values * blend + bank.values * (1.0 - blend), (fresh,), bw)
+
+
+def _relativize(dists: Tensor, scale: float, degenerate: str) -> Tensor:
+    """``dists`` over ``scale`` times its entry sum; raises ``degenerate`` if that is zero."""
+    d = dists.values
+    norm = np.array([[d.sum()]]) * scale
+    if norm[0, 0] == 0.0:
+        raise DegenerateGeometryError(degenerate)
+
+    def bw(g: np.ndarray) -> None:
+        g_norm = (-g * d / (norm * norm)).sum(axis=0, keepdims=True).sum(axis=1, keepdims=True)
+        dists._accumulate(g / norm + g_norm[0, 0] * scale)
+
+    return Tensor._node(d / norm, (dists,), bw)
 
 
 def centroid_centroid_matrix(centroids: Tensor) -> Tensor:
@@ -69,12 +91,12 @@ def centroid_centroid_matrix(centroids: Tensor) -> Tensor:
     k = centroids.rows
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
-    dists = pairwise_euclidean(centroids, centroids)
     # The diagonal is exactly zero, so the full sum is the off-diagonal sum.
-    mean_off_diagonal = dists.sum() * (1.0 / (k * k - k))
-    if mean_off_diagonal.item() == 0.0:
-        raise DegenerateGeometryError("all centroids coincide; relative distances undefined")
-    return dists / mean_off_diagonal
+    return _relativize(
+        pairwise_euclidean(centroids, centroids),
+        1.0 / (k * k - k),
+        "all centroids coincide; relative distances undefined",
+    )
 
 
 def centroid_sample_matrix(centroids: Tensor, features: Tensor) -> Tensor:
@@ -83,20 +105,27 @@ def centroid_sample_matrix(centroids: Tensor, features: Tensor) -> Tensor:
         raise ShapeError(
             f"features have {features.cols} columns, centroids have {centroids.cols}"
         )
-    dists = pairwise_euclidean(centroids, features)
-    mean_entry = dists.mean()
-    if mean_entry.item() == 0.0:
-        raise DegenerateGeometryError(
-            "every sample coincides with every centroid; relative distances undefined"
-        )
-    return dists / mean_entry
+    return _relativize(
+        pairwise_euclidean(centroids, features),
+        1.0 / (centroids.rows * features.rows),
+        "every sample coincides with every centroid; relative distances undefined",
+    )
 
 
 def _matrix_discrepancy(m_cluster: Tensor, m_adv: Tensor, scale: float) -> Tensor:
     if m_cluster.shape != m_adv.shape:
         raise ShapeError(f"matrix shapes differ: {m_cluster.shape} vs {m_adv.shape}")
-    diff = m_adv - m_cluster
-    return ((diff * diff).sum() + LOSS_EPS).sqrt() * scale
+    diff = m_adv.values - m_cluster.values
+    shifted = np.array([[(diff * diff).sum()]]) + LOSS_EPS
+
+    def bw(g: np.ndarray) -> None:
+        g_shifted = g * scale / (2.0 * np.sqrt(shifted + SQRT_SHIFT))
+        half = g_shifted[0, 0] * diff
+        g_diff = half + half
+        m_adv._accumulate(g_diff)
+        m_cluster._accumulate(-g_diff)
+
+    return Tensor._node(np.sqrt(shifted) * scale, (m_adv, m_cluster), bw)
 
 
 def loss_cc(m_cluster: Tensor, m_adv: Tensor) -> Tensor:

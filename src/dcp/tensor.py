@@ -12,14 +12,17 @@ rule refers to its own output node and a graph holds no reference cycle: it
 is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
-Broadcasting is deliberately minimal: a full matrix may combine with a row
-vector (1 x n), a column vector (m x 1), a 1 x 1 scalar tensor, or a plain
-Python float. Anything else raises :class:`ShapeError`.
+There is no elementwise arithmetic: the node types are the fused layer
+:func:`linear`, ``sigmoid``, :func:`matmul`, :func:`vstack`,
+:func:`softmax_cross_entropy`, :func:`pairwise_euclidean` and
+:func:`weighted_sum`. Each loss term is one node, built through
+:meth:`Tensor._node` in the module that states its formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,127 +188,6 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    # -- elementwise arithmetic -------------------------------------------
-
-    def _scalar_shift(self, c: float) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g)
-
-        return Tensor._node(self.values + c, (self,), bw)
-
-    def _scalar_scale(self, c: float) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g * c)
-
-        return Tensor._node(self.values * c, (self,), bw)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if isinstance(other, float):
-            return self._scalar_shift(other)
-        _check_broadcast(self, other, "+")
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(_reduce_to(g, self.shape))
-            other._accumulate(_reduce_to(g, other.shape))
-
-        return Tensor._node(self.values + other.values, (self, other), bw)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if isinstance(other, float):
-            return self._scalar_shift(-other)
-        _check_broadcast(self, other, "-")
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(_reduce_to(g, self.shape))
-            other._accumulate(_reduce_to(-g, other.shape))
-
-        return Tensor._node(self.values - other.values, (self, other), bw)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, float):
-            return other.__sub__(self)
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(-g)
-
-        return Tensor._node(other - self.values, (self,), bw)
-
-    def __neg__(self):
-        return self._scalar_scale(-1.0)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if isinstance(other, float):
-            return self._scalar_scale(other)
-        _check_broadcast(self, other, "*")
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(_reduce_to(g * other.values, self.shape))
-            other._accumulate(_reduce_to(g * self.values, other.shape))
-
-        return Tensor._node(self.values * other.values, (self, other), bw)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if isinstance(other, float):
-            return self._scalar_scale(1.0 / other)
-        _check_broadcast(self, other, "/")
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(_reduce_to(g / other.values, self.shape))
-            other._accumulate(
-                _reduce_to(-g * self.values / (other.values * other.values), other.shape)
-            )
-
-        return Tensor._node(self.values / other.values, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, float):
-            return other.__truediv__(self)
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(-g * other / (self.values * self.values))
-
-        return Tensor._node(other / self.values, (self,), bw)
-
-    # -- shape ops ----------------------------------------------------------
-
-    @property
-    def T(self) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g.T)
-
-        return Tensor._node(self.values.T, (self,), bw)
-
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(np.full(self.shape, g[0, 0]))
-
-        return Tensor._node(np.array([[self.values.sum()]]), (self,), bw)
-
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.values.size)
-
-    # -- elementwise nonlinearities ------------------------------------------
-
-    def relu(self) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g * (self.values > 0.0))
-
-        return Tensor._node(np.maximum(self.values, 0.0), (self,), bw)
-
     def sigmoid(self) -> "Tensor":
         s = sigmoid_values(self.values)
 
@@ -313,74 +195,6 @@ class Tensor:
             self._accumulate(g * s * (1.0 - s))
 
         return Tensor._node(s, (self,), bw)
-
-    def log(self) -> "Tensor":
-        bad = np.argwhere(self.values <= 0.0)
-        if bad.size:
-            i, j = bad[0]
-            raise DomainError(
-                f"log needs strictly positive entries; entry ({i}, {j}) is {self.values[i, j]}"
-            )
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g / self.values)
-
-        return Tensor._node(np.log(self.values), (self,), bw)
-
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root; gradient stabilized by ``SQRT_SHIFT``.
-
-        Callers whose argument can be exactly zero should add the shift to the
-        argument themselves so the forward value reflects it too.
-        """
-        bad = np.argwhere(self.values < 0.0)
-        if bad.size:
-            i, j = bad[0]
-            raise DomainError(
-                f"sqrt needs nonnegative entries; entry ({i}, {j}) is {self.values[i, j]}"
-            )
-        root = np.sqrt(self.values)
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g / (2.0 * np.sqrt(self.values + SQRT_SHIFT)))
-
-        return Tensor._node(root, (self,), bw)
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        """Clip values into [lo, hi]; gradient passes only where unclipped."""
-        def bw(g: np.ndarray) -> None:
-            mask = (self.values >= lo) & (self.values <= hi)
-            self._accumulate(g * mask)
-
-        return Tensor._node(np.clip(self.values, lo, hi), (self,), bw)
-
-
-def _coerce(other):
-    if isinstance(other, Tensor):
-        return other
-    if isinstance(other, (int, float, np.integer, np.floating)):
-        return float(other)
-    raise TypeError(f"cannot combine Tensor with {type(other).__name__}")
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"shape mismatch for '{op}': {a.shape} vs {b.shape}") from None
-    if out_shape != a.shape and out_shape != b.shape:
-        raise ShapeError(
-            f"only row/column/scalar broadcasting is supported for '{op}': {a.shape} vs {b.shape}"
-        )
-
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    g = grad
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
 
 
 # -- free-standing primitives ---------------------------------------------
@@ -503,6 +317,31 @@ def vstack(tensors: Sequence[Tensor]) -> Tensor:
             offset += t.rows
 
     return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` over 1 x 1 terms.
+
+    Neighbouring terms with one weight are added before they are scaled, so
+    ``[a, b, c], [1, w, w]`` gives ``a + w * (b + c)``, as in ``alpha * (L_CC
+    + L_CS)``. Each term's gradient is the output's times its weight.
+    """
+    terms = tuple(terms)
+    weights = tuple(float(w) for w in weights)
+    shapes = [t.shape for t in terms]
+    if not terms or len(terms) != len(weights) or set(shapes) != {(1, 1)}:
+        raise ShapeError(f"weighted_sum needs 1x1 terms, one weight each; got {shapes}, {weights}")
+    total = None
+    for w, run in groupby(zip(terms, weights), key=lambda term_weight: term_weight[1]):
+        run_values = [t.values for t, _ in run]
+        part = sum(run_values[1:], run_values[0]) * w
+        total = part if total is None else total + part
+
+    def bw(g: np.ndarray) -> None:
+        for t, w in zip(terms, weights):
+            t._accumulate(g * w)
+
+    return Tensor._node(total, terms, bw)
 
 
 # -- finite-difference verification ----------------------------------------

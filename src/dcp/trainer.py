@@ -23,7 +23,7 @@ from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, MlpSpec, Params, branch_outputs
 from .pseudo_label import PseudoLabelBatch, kmeans_assign, select_high_confidence, tau_adv, tau_clu
-from .tensor import Tensor, matmul, vstack
+from .tensor import Tensor, matmul, vstack, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
 
@@ -385,19 +385,21 @@ def train_step(
     l_c1 = losses.source_classification_loss(adv_head(fs_adv), ys)
     l_c2 = losses.source_classification_loss(clu_head(fs_clu), ys)
     l_g = losses.generator_loss(disc(ft_adv))
-    total = l_c1 + l_c2 + l_g
+    terms = [l_c1, l_c2, l_g]
     l_pl = None
     if len(selected):
         # accepted pseudo-labels train both classifiers; a constant selection
         # matrix picks their rows out of the target batch
         pick = Tensor(np.eye(n_target)[selected.indices])
-        l_pl = losses.source_classification_loss(matmul(pick, logits_t_adv), selected.labels)
-        l_pl = l_pl + losses.source_classification_loss(
-            clu_head(matmul(pick, ft_clu)), selected.labels
-        )
-        total = total + l_pl
+        ce_adv = losses.source_classification_loss(matmul(pick, logits_t_adv), selected.labels)
+        ce_clu = losses.source_classification_loss(clu_head(matmul(pick, ft_clu)), selected.labels)
+        l_pl = weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
+        terms.append(l_pl)
+    weights = [1.0] * len(terms)
     if not alignment_skipped and cfg.alpha > 0.0:
-        total = total + (l_cc_tensor + l_cs_tensor) * cfg.alpha
+        terms += [l_cc_tensor, l_cs_tensor]
+        weights += [cfg.alpha, cfg.alpha]
+    total = weighted_sum(terms, weights)
     try:
         _check_finite(
             state,
@@ -661,18 +663,32 @@ class Checkpoint:
                 data, ("layer_widths", "output_activation", "weights", "biases"), f"network {name!r}"
             )
             spec = MlpSpec(tuple(data["layer_widths"]), data["output_activation"])
-            params = Params(
-                weights=[Tensor(np.array(w), requires_grad=True) for w in data["weights"]],
-                biases=[Tensor(np.array(b), requires_grad=True) for b in data["biases"]],
-            )
-            return Mlp(spec=spec, params=params)
+            weights = [Tensor(np.array(w), requires_grad=True) for w in data["weights"]]
+            biases = [Tensor(np.array(b), requires_grad=True) for b in data["biases"]]
+            widths = spec.layer_widths
+            expected = [((out, into), (out, 1)) for into, out in zip(widths[:-1], widths[1:])]
+            shapes = [(w.shape, b.shape) for w, b in zip(weights, biases)]
+            if len(weights) != len(biases) or shapes != expected:
+                raise ValueError(
+                    f"network {name!r}: weight and bias shapes do not match layer widths {widths}"
+                )
+            return Mlp(spec=spec, params=Params(weights=weights, biases=biases))
 
+        networks = {name: decode_net(name, data) for name, data in payload["networks"].items()}
+        widths = {
+            "k": {name: networks[name].spec.d_out for name in ("adv_head", "clu_head")},
+            "d_in": {name: networks[name].spec.d_in for name in ("adv_extractor", "clu_extractor")},
+        }
+        for key, found in widths.items():
+            for name, width in found.items():
+                if width != payload[key]:
+                    raise ValueError(f"checkpoint {key}={payload[key]} but {name!r} has width {width}")
         return cls(
             config=TrainConfig.from_dict(payload["config"]),
             t=payload["t"],
             k=payload["k"],
             d_in=payload["d_in"],
-            networks={name: decode_net(name, data) for name, data in payload["networks"].items()},
+            networks=networks,
         )
 
 

@@ -101,6 +101,8 @@ def run_gradcheck(
     builders: dict[str, Builder] | None = None,
 ) -> list[GradCheckRow]:
     """One row per loss with the worst relative error over all seeded instances."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}: no instance would be checked")
     builders = LOSS_BUILDERS if builders is None else builders
     rows = []
     for name, builder in builders.items():

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import contract
+
 from dcp.centroids import (
+    LOSS_EPS,
     DegenerateGeometryError,
     centroid_centroid_matrix,
     centroid_sample_matrix,
@@ -12,7 +15,7 @@ from dcp.centroids import (
     loss_cs,
     update_centroids_ema,
 )
-from dcp.tensor import ShapeError, Tensor, grad_check, matmul
+from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, grad_check, linear, matmul, weighted_sum
 
 
 def centroid_oracle(features, labels, k):
@@ -24,6 +27,54 @@ def centroid_oracle(features, labels, k):
             acc += row
         out[cls] = acc / len(members)
     return out
+
+
+def pairwise_chain(a, b):
+    """``pairwise_euclidean`` (a node that stays) in numpy, and its backward."""
+    diff = a[:, None, :] - b[None, :, :]
+    sq = np.einsum("ijd,ijd->ij", diff, diff)
+
+    def backward(g):
+        w = g / np.sqrt(sq + SQRT_SHIFT)
+        return w.sum(axis=1, keepdims=True) * a - w @ b, w.sum(axis=0)[:, None] * b - w.T @ a
+
+    return np.sqrt(sq), backward
+
+
+def relativize_chain(a, b, scale, upstream):
+    """The deleted chain ``d / (d.sum() * scale)`` over ``d = pairwise_euclidean(a, b)``.
+
+    Returns its value and the gradients of ``a`` and ``b`` for ``upstream``.
+    """
+    d, pairwise_backward = pairwise_chain(a, b)
+    norm = np.array([[d.sum()]]) * scale
+    # division: the dividend's gradient, and the divisor's reduced to 1 x 1
+    g_d = upstream / norm
+    g_norm = -upstream * d / (norm * norm)
+    if g_norm.shape[0] != 1:
+        g_norm = g_norm.sum(axis=0, keepdims=True)
+    if g_norm.shape[1] != 1:
+        g_norm = g_norm.sum(axis=1, keepdims=True)
+    # the scale, then the sum, which hands every entry the same gradient
+    g_d = g_d + np.full(d.shape, (g_norm * scale)[0, 0])
+    return (d / norm, *pairwise_backward(g_d))
+
+
+def discrepancy_chain(m_cluster, m_adv, scale, upstream):
+    """The deleted chain ``((diff * diff).sum() + LOSS_EPS).sqrt() * scale``.
+
+    ``diff = m_adv - m_cluster``. Returns its value and the gradients of
+    ``m_cluster`` and ``m_adv``.
+    """
+    diff = m_adv - m_cluster
+    sq = diff * diff
+    shifted = np.array([[sq.sum()]]) + LOSS_EPS
+    g_root = np.full((1, 1), upstream) * scale
+    g_shifted = g_root / (2.0 * np.sqrt(shifted + SQRT_SHIFT))
+    g_sq = np.full(sq.shape, g_shifted[0, 0])
+    g_diff = g_sq * diff
+    g_diff = g_diff + g_sq * diff  # diff is both factors of the product
+    return np.sqrt(shifted) * scale, -g_diff, g_diff
 
 
 class TestComputeCentroids:
@@ -56,7 +107,7 @@ class TestComputeCentroids:
     def test_gradient_flows_to_features(self):
         features = Tensor(np.random.default_rng(0).normal(size=(6, 3)), requires_grad=True)
         bank = compute_centroids(features, [0, 0, 1, 1, 1, -1], k=2)
-        bank.sum().backward()
+        contract(bank, 1.0).backward()
         # unlabeled row receives no gradient; labeled rows get 1/count
         np.testing.assert_allclose(features.grad[5], np.zeros(3))
         np.testing.assert_allclose(features.grad[0], np.full(3, 0.5))
@@ -81,6 +132,30 @@ class TestEmaUpdate:
         fresh = Tensor(np.ones((3, 2)))
         with pytest.raises(ShapeError):
             update_centroids_ema(bank, fresh, theta=0.7)
+
+    def test_gradient_reaches_fresh_side_only(self):
+        rng = np.random.default_rng(6)
+        bank = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        weights = rng.normal(size=(3, 4))
+        report = grad_check(
+            lambda x: contract(update_centroids_ema(bank, x, theta=0.7), weights),
+            Tensor(rng.normal(size=(3, 4))),
+        )
+        assert report.max_rel_error < 1e-6
+        contract(update_centroids_ema(bank, Tensor(np.ones((3, 4))), theta=0.7), weights).backward()
+        assert bank.grad is None
+
+    @pytest.mark.parametrize("theta", [0.7, 0.3])
+    def test_bit_identical_to_deleted_chain(self, theta):
+        # fresh * (1 - theta) + Tensor(bank * (1 - (1 - theta)))
+        rng = np.random.default_rng(7)
+        bank, fresh, upstream = (rng.normal(size=(3, 4)) for _ in range(3))
+        t_fresh = Tensor(fresh, requires_grad=True)
+        out = update_centroids_ema(Tensor(bank), t_fresh, theta)
+        contract(out, upstream).backward()
+        blend = 1.0 - theta
+        assert np.array_equal(out.values, fresh * blend + bank * (1.0 - blend))
+        assert np.array_equal(t_fresh.grad, upstream * blend)
 
 
 class TestDistanceMatrices:
@@ -136,6 +211,51 @@ class TestDistanceMatrices:
         with pytest.raises(DegenerateGeometryError):
             centroid_sample_matrix(bank, Tensor(np.zeros((3, 2))))
 
+    def test_cc_gradient_through_shared_argument(self):
+        # pairwise_euclidean(c, c): both of its operands are the centroids
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=(4, 4))
+        report = grad_check(
+            lambda c: contract(centroid_centroid_matrix(c), weights), Tensor(rng.normal(size=(4, 3)))
+        )
+        assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("wrt", ["centroids", "features"])
+    def test_cs_gradient_matches_finite_differences(self, wrt):
+        rng = np.random.default_rng(9)
+        operands = {"centroids": rng.normal(size=(3, 2)), "features": rng.normal(size=(5, 2))}
+        weights = rng.normal(size=(3, 5))
+
+        def f(probe):
+            args = {name: Tensor(v) for name, v in operands.items()}
+            args[wrt] = probe
+            return contract(centroid_sample_matrix(args["centroids"], args["features"]), weights)
+
+        report = grad_check(f, Tensor(operands[wrt]))
+        assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cc_bit_identical_to_deleted_chain(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        c, upstream = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+        t_c = Tensor(c, requires_grad=True)
+        out = centroid_centroid_matrix(t_c)
+        contract(out, upstream).backward()
+        value, g_a, g_b = relativize_chain(c, c, 1.0 / (3 * 3 - 3), upstream)
+        assert np.array_equal(out.values, value)
+        assert np.array_equal(t_c.grad, g_a + g_b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cs_bit_identical_to_deleted_chain(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        c, f, upstream = rng.normal(size=(3, 4)), rng.normal(size=(7, 4)), rng.normal(size=(3, 7))
+        t_c, t_f = Tensor(c, requires_grad=True), Tensor(f, requires_grad=True)
+        out = centroid_sample_matrix(t_c, t_f)
+        contract(out, upstream).backward()
+        value, g_c, g_f = relativize_chain(c, f, 1.0 / (3 * 7), upstream)
+        for fused, expected in zip([out.values, t_c.grad, t_f.grad], [value, g_c, g_f]):
+            assert np.array_equal(fused, expected)
+
 
 class TestAlignmentLosses:
     def test_equal_matrices_near_zero(self):
@@ -177,6 +297,25 @@ class TestAlignmentLosses:
         report = grad_check(lambda m: loss_cs(m, other), Tensor(rng.normal(size=(2, 5))))
         assert report.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("loss", [loss_cc, loss_cs])
+    def test_gradient_wrt_adversarial_matrix(self, loss):
+        rng = np.random.default_rng(4)
+        m_cluster = Tensor(rng.normal(size=(3, 3)))
+        report = grad_check(lambda m: loss(m_cluster, m), Tensor(rng.normal(size=(3, 3))))
+        assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("loss,shape", [(loss_cc, (3, 3)), (loss_cs, (3, 7))])
+    @pytest.mark.parametrize("upstream", [1.0, 0.1])
+    def test_bit_identical_to_deleted_chain(self, loss, shape, upstream):
+        rng = np.random.default_rng(5)
+        m_cluster, m_adv = rng.normal(size=shape), rng.normal(size=shape)
+        t_cluster, t_adv = Tensor(m_cluster, requires_grad=True), Tensor(m_adv, requires_grad=True)
+        out = loss(t_cluster, t_adv)
+        weighted_sum([out], [upstream]).backward()
+        chain = discrepancy_chain(m_cluster, m_adv, 1.0 / (shape[0] * shape[1]), upstream)
+        for fused, expected in zip([out.values, t_cluster.grad, t_adv.grad], chain):
+            assert np.array_equal(fused, expected)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(2, 5))
     def test_permutation_invariance(self, seed, k):
@@ -197,9 +336,10 @@ class TestEndToEndGradient:
         x = Tensor(rng.normal(size=(n_b, d_in)))
         labels = np.array([0, 1, 0, 1, 0, 1])
         w_other = Tensor(rng.normal(size=(d_in, d_f)))
+        zero_bias = Tensor(np.zeros((d_f, 1)))
 
         def alignment(w):
-            feats = matmul(x, w).relu()
+            feats = linear(x, w, zero_bias, relu=True)
             feats_other = matmul(x, w_other).sigmoid()
             bank = compute_centroids(feats, labels, k)
             bank_other = compute_centroids(feats_other, labels, k)
@@ -208,7 +348,7 @@ class TestEndToEndGradient:
                 centroid_sample_matrix(bank_other, feats_other),
                 centroid_sample_matrix(bank, feats),
             )
-            return (cc + cs) * 0.1
+            return weighted_sum([cc, cs], [0.1, 0.1])
 
-        report = grad_check(alignment, Tensor(rng.normal(size=(d_in, d_f))), h=1e-6)
+        report = grad_check(alignment, Tensor(rng.normal(size=(d_f, d_in))), h=1e-6)
         assert report.max_rel_error < 1e-4

@@ -265,6 +265,34 @@ class TestEval:
         assert_usage_error(code, capsys, fragment)
 
 
+    @pytest.mark.parametrize(
+        "key,value,fragment",
+        [
+            ("k", 2, "checkpoint k=2 but 'adv_head' has width 3"),
+            ("d_in", 3, "checkpoint d_in=3 but 'adv_extractor' has width 2"),
+        ],
+    )
+    def test_edited_shape_field_is_usage_error(
+        self, trained, blob_files, tmp_path, capsys, key, value, fragment
+    ):
+        # with k edited to 2 the 3-output head still predicts class 2, which
+        # used to end in an IndexError on data holding classes 0 and 1 only
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        lines = (blob_files / "target.csv").read_text().splitlines()
+        two_classes = tmp_path / "two_classes.csv"
+        two_classes.write_text(
+            "\n".join([lines[0]] + [r for r in lines[1:] if r.split(",")[-2] in ("0", "1")]) + "\n"
+        )
+        code = run_cli(
+            ["eval", "--checkpoint", str(edited), "--data", str(two_classes),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, fragment)
+
+
 class TestGradcheckCommand:
     def test_fresh_build_all_pass(self, tmp_path, capsys):
         code = run_cli(["gradcheck", "--seeds", "2", "--out-dir", str(tmp_path)])
@@ -278,6 +306,13 @@ class TestGradcheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "loss,max_rel_error,threshold,status"
         assert all(len(line.split(",")) == 4 for line in lines)
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seed_is_usage_error(self, seeds, capsys):
+        # zero seeds would check no instance and print PASS for every loss
+        code = run_cli(["gradcheck", "--seeds", seeds])
+        assert_usage_error(code, capsys, "n_seeds must be at least 1")
+        assert "PASS" not in capsys.readouterr().out
 
     def test_injected_sign_flip_fails(self, monkeypatch, capsys):
         def sign_flip(x):

@@ -10,7 +10,44 @@ from dcp.losses import (
     generator_loss,
     source_classification_loss,
 )
-from dcp.tensor import DomainError, Tensor, grad_check, softmax_cross_entropy
+from dcp.tensor import DomainError, Tensor, grad_check, softmax_cross_entropy, weighted_sum
+
+# Verdicts on both sides of the clamp, so the chains' masks are exercised.
+EDGE_VERDICTS = [[0.0], [CLAMP_EPS / 2], [0.3], [0.5], [0.9], [1.0 - CLAMP_EPS / 2], [1.0]]
+
+
+def _clamp_chain(v):
+    """The deleted ``clamp`` node: clipped values and its gradient mask."""
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    return np.clip(v, lo, hi), (v >= lo) & (v <= hi)
+
+
+def _mean_log_backward(g_mean, x):
+    """Backward of ``x.log().mean()`` (log, sum, scale) for upstream ``g_mean``."""
+    g_sum = g_mean * (1.0 / x.size)
+    return np.full(x.shape, g_sum[0, 0]) / x
+
+
+def discriminator_chain(vs, vt, upstream):
+    """-(ds.log().mean() + (1.0 - dt).log().mean()) and its input gradients, in numpy."""
+    ds, mask_s = _clamp_chain(vs)
+    dt, mask_t = _clamp_chain(vt)
+    complement = 1.0 - dt
+    mean_s = np.array([[np.log(ds).sum()]]) * (1.0 / ds.size)
+    mean_t = np.array([[np.log(complement).sum()]]) * (1.0 / complement.size)
+    loss = (mean_s + mean_t) * -1.0
+    g_sum = np.full((1, 1), upstream) * -1.0  # negation, then the add passes g on
+    g_s = _mean_log_backward(g_sum, ds) * mask_s
+    g_t = -_mean_log_backward(g_sum, complement) * mask_t  # rsub negates
+    return loss, g_s, g_t
+
+
+def generator_chain(vt, upstream):
+    """-dt.log().mean() and its input gradient, in numpy."""
+    dt, mask = _clamp_chain(vt)
+    mean = np.array([[np.log(dt).sum()]]) * (1.0 / dt.size)
+    g_mean = np.full((1, 1), upstream) * -1.0
+    return mean * -1.0, _mean_log_backward(g_mean, dt) * mask
 
 
 class TestDiscriminatorLoss:
@@ -38,6 +75,25 @@ class TestDiscriminatorLoss:
         )
         assert report.max_rel_error < 1e-4
 
+    def test_gradient_wrt_target_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        ds = Tensor(rng.uniform(0.05, 0.95, size=(5, 1)))
+        report = grad_check(
+            lambda x: discriminator_loss(ds, x), Tensor(rng.uniform(0.05, 0.95, size=(6, 1)))
+        )
+        assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    def test_bit_identical_to_deleted_chain(self, upstream):
+        vs = np.array(EDGE_VERDICTS)
+        vt = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, 1))
+        ds, dt = Tensor(vs, requires_grad=True), Tensor(vt, requires_grad=True)
+        loss = discriminator_loss(ds, dt)
+        weighted_sum([loss], [upstream]).backward()
+        chain = discriminator_chain(vs, vt, upstream)
+        for fused, expected in zip([loss.values, ds.grad, dt.grad], chain):
+            assert np.array_equal(fused, expected)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             discriminator_loss(Tensor([[1.2]]), Tensor([[0.5]]))
@@ -63,6 +119,16 @@ class TestGeneratorLoss:
         rng = np.random.default_rng(1)
         report = grad_check(generator_loss, Tensor(rng.uniform(0.05, 0.95, size=(6, 1))))
         assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    def test_bit_identical_to_deleted_chain(self, upstream):
+        vt = np.array(EDGE_VERDICTS)
+        dt = Tensor(vt, requires_grad=True)
+        loss = generator_loss(dt)
+        weighted_sum([loss], [upstream]).backward()
+        chain = generator_chain(vt, upstream)
+        for fused, expected in zip([loss.values, dt.grad], chain):
+            assert np.array_equal(fused, expected)
 
 
 class TestOpposingPulls:

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts the README points to: each runs and prints its summary."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,47 @@ def test_script_runs_and_prints_summary(script, args, summary):
     )
     assert result.returncode == 0, result.stderr
     assert summary in result.stdout
+
+
+def _perfbench_stdout(seed, train_s, correct=True):
+    """The shape of one ``perfbench/run.py --trace 0`` stdout."""
+    result = {
+        "correct": correct,
+        "attempted": 3,
+        "failed": 0 if correct else 1,
+        "metrics": {"train_s": {"value": train_s, "unit": "s"}},
+    }
+    return "\n".join(
+        [
+            f"perfbench workload=blobs seed={seed} seconds=55 trace=0",
+            'env {"blas": {"threads": 2}, "python": "3.11"}',
+            "cycles untraced=3 traced=0 iterations_timed=4500",
+            f"metrics_trace_sha256 hash{seed}",
+            f"metric train_s {train_s!r} s",
+            f"quality target_acc 0.95 fraction (seed {seed}; reported, not gated)",
+            "quality pseudo_precision_t200 None fraction",
+            "fail_frac 0.0 fraction (0 of 3 operations)",
+            json.dumps(result),
+        ]
+    )
+
+
+def test_bench_record_summarizes_perfbench_stdout():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    runs = {
+        seed: bench_record.parse_run(_perfbench_stdout(seed, t, correct=seed != 2))
+        for seed, t in enumerate([6.0, 5.0, 7.0, 9.0])
+    }
+    assert runs[0]["env"]["blas"]["threads"] == 2
+    assert runs[0]["quality"] == {"target_acc": 0.95, "pseudo_precision_t200": None}
+    summary = bench_record.summarize(runs)
+    train_s = summary["end_to_end"]["train_s"]
+    assert train_s["median"] == 6.5 and train_s["iqr"] == 7.5 - 5.75
+    assert train_s["values"] == {0: 6.0, 1: 5.0, 2: 7.0, 3: 9.0}
+    assert summary["correct_runs"] == 3 and summary["runs"] == 4
+    assert summary["metrics_trace_sha256"][3] == "hash3"
+    assert summary["fail_frac"][0] == 0.0

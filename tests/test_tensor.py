@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from graph_helpers import contract
 
+from dcp.centroids import centroid_sample_matrix
+from dcp.losses import generator_loss
 from dcp.tensor import (
-    DomainError,
     EvaluationError,
     ShapeError,
     Tensor,
@@ -12,7 +14,13 @@ from dcp.tensor import (
     pairwise_euclidean,
     softmax_cross_entropy,
     vstack,
+    weighted_sum,
 )
+
+
+def squared_norm(x: Tensor) -> Tensor:
+    """sum(x * x) of a 1 x n row, as ``linear`` with x as input and weight."""
+    return linear(x, x, Tensor([[0.0]]))
 
 
 def matmul_oracle(a, b):
@@ -65,26 +73,22 @@ class TestMatmul:
 
 class TestActivations:
     def test_relu_definition(self):
-        out = Tensor([[-2.0, 3.0]]).relu()
+        out = linear(Tensor([[-2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros((2, 1))), relu=True)
         np.testing.assert_array_equal(out.values, [[0.0, 3.0]])
 
     def test_sigmoid_at_zero(self):
         assert Tensor([[0.0]]).sigmoid().item() == 0.5
 
     def test_sigmoid_gradient_at_zero(self):
-        report = grad_check(lambda x: x.sigmoid().sum(), Tensor([[0.0]]), h=1e-6)
+        report = grad_check(lambda x: x.sigmoid(), Tensor([[0.0]]), h=1e-6)
         x = Tensor([[0.0]], requires_grad=True)
-        x.sigmoid().sum().backward()
+        x.sigmoid().backward()
         assert abs(x.grad[0, 0] - 0.25) < 1e-8
         assert report.max_rel_error < 1e-8
 
     def test_sigmoid_extreme_inputs_finite(self):
         out = Tensor([[-800.0, 800.0]]).sigmoid()
         assert np.isfinite(out.values).all()
-
-    def test_log_domain_error_reports_index(self):
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            Tensor([[1.0, -3.0]]).log()
 
 
 class TestSoftmaxCrossEntropy:
@@ -138,15 +142,14 @@ class TestPairwiseEuclidean:
 
     def test_gradient_finite_at_coincident_points(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = pairwise_euclidean(a, Tensor([[1.0, 2.0]])).sum()
-        out.backward()
+        pairwise_euclidean(a, Tensor([[1.0, 2.0]])).backward()
         assert np.isfinite(a.grad).all()
 
 
 class TestBackward:
     def test_quadratic(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        (x * x).sum().backward()
+        squared_norm(x).backward()
         np.testing.assert_allclose(x.grad, [[2.0, 4.0]])
 
     def test_constant_loss_is_noop(self):
@@ -160,7 +163,7 @@ class TestBackward:
 
     def test_accumulation_across_calls(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        loss = (x * x).sum()
+        loss = squared_norm(x)
         loss.backward()
         loss.backward()
         np.testing.assert_allclose(x.grad, [[4.0, 8.0]])
@@ -169,16 +172,17 @@ class TestBackward:
 
     def test_shared_subexpression_counted_twice(self):
         x = Tensor([[3.0]], requires_grad=True)
-        y = x + x
+        y = weighted_sum([x, x], [1.0, 1.0])
         y.backward()
         np.testing.assert_allclose(x.grad, [[2.0]])
 
     def test_relu_matmul_chain_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(3, 3)))
+        zero = Tensor(np.zeros((3, 1)))
 
         def f(x):
-            return matmul(x, w).relu().sum()
+            return contract(linear(x, w, zero, relu=True), 1.0)
 
         report = grad_check(f, Tensor(rng.normal(size=(2, 3))), h=1e-6)
         assert report.max_rel_error < 1e-6
@@ -191,50 +195,68 @@ class TestCompositionGradients:
         m = int(rng.integers(1, 8))
         n = int(rng.integers(1, 8))
         p = int(rng.integers(1, 8))
-        w = Tensor(rng.normal(size=(n, p)))
-        bias = Tensor(rng.normal(size=(1, p)))
+        w = Tensor(rng.normal(size=(p, n)))
+        bias = Tensor(rng.normal(size=(p, 1)))
         anchors = Tensor(rng.normal(size=(3, p)) + 3.0)
+        spread = rng.normal(size=(3, m))
+        labels = rng.integers(0, p, size=m)
 
         def f(x):
-            h = (matmul(x, w) + bias).sigmoid()
-            d = pairwise_euclidean(h, anchors)
-            scale = d.mean() + 1.0
-            return ((x * x).sum() + 2.0).sqrt() + (d / scale).sum() + matmul(x, w).relu().mean()
+            h = linear(x, w, bias).sigmoid()
+            relative = centroid_sample_matrix(anchors, h)
+            stacked = vstack([x, matmul(Tensor(spread), x)])
+            return weighted_sum(
+                [
+                    contract(relative, spread),
+                    softmax_cross_entropy(linear(x, w, bias, relu=True), labels),
+                    contract(pairwise_euclidean(stacked, Tensor(np.zeros((1, n)))), 1.0),
+                ],
+                [1.0, 0.5, 0.25],
+            )
 
         report = grad_check(f, Tensor(rng.normal(size=(m, n))), h=1e-6)
         assert report.max_rel_error < 1e-4
 
     def test_division_and_log_gradients(self):
+        # the log of the generator loss and the division of a relativized
+        # matrix, composed
         rng = np.random.default_rng(11)
+        anchors = Tensor(rng.normal(size=(2, 3)))
+        weights = rng.normal(size=(2, 3))
 
         def f(x):
-            y = (x * x + 1.0).log()
-            return (y / y.sum()).sum() + (3.0 / (x * x + 2.0)).sum()
+            relative = centroid_sample_matrix(anchors, x)
+            return weighted_sum(
+                [generator_loss(x.sigmoid()), contract(relative, weights)], [1.0, 1.0]
+            )
 
         report = grad_check(f, Tensor(rng.normal(size=(3, 3))))
         assert report.max_rel_error < 1e-4
 
 
 class TestBroadcasting:
+    """The broadcasts the remaining nodes make: a layer's bias, a relativizing divisor."""
+
     def test_row_vector_add(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) + Tensor([[10.0, 20.0]])
+        bias = Tensor([[10.0], [20.0]])
+        out = linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(np.eye(2)), bias)
         np.testing.assert_array_equal(out.values, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_col_vector_add_gradient_reduces(self):
         b = Tensor([[1.0], [2.0]], requires_grad=True)
-        (Tensor(np.ones((2, 3))) + b).sum().backward()
+        contract(linear(Tensor(np.ones((3, 2))), Tensor(np.zeros((2, 2))), b), 1.0).backward()
         np.testing.assert_allclose(b.grad, [[3.0], [3.0]])
 
     def test_cross_broadcast_rejected(self):
         with pytest.raises(ShapeError):
-            Tensor(np.ones((2, 1))) + Tensor(np.ones((1, 3)))
+            weighted_sum([Tensor(np.ones((2, 1))), Tensor(np.ones((1, 3)))], [1.0, 1.0])
 
     def test_scalar_tensor_division(self):
-        a = Tensor([[2.0, 4.0]], requires_grad=True)
-        s = a.sum()
-        (a / s).sum().backward()
-        # d/da_i sum(a/sum(a)) = 0 for all i
-        np.testing.assert_allclose(a.grad, [[0.0, 0.0]], atol=1e-15)
+        # distances 2 and 4 from the origin, divided by their mean: the
+        # entries sum to 2 wherever the points are
+        a = Tensor([[2.0, 0.0], [4.0, 0.0]], requires_grad=True)
+        contract(centroid_sample_matrix(Tensor([[0.0, 0.0]]), a), 1.0).backward()
+        np.testing.assert_allclose(a.grad, [[0.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 class TestVstackAndTranspose:
@@ -243,14 +265,9 @@ class TestVstackAndTranspose:
         b = Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)
         out = vstack([a, b])
         np.testing.assert_array_equal(out.values, [[1, 2], [3, 4], [5, 6]])
-        (out * out).sum().backward()
+        contract(out, 2.0 * out.values).backward()  # d/d out of sum(out * out)
         np.testing.assert_allclose(a.grad, [[2.0, 4.0]])
         np.testing.assert_allclose(b.grad, [[6.0, 8.0], [10.0, 12.0]])
-
-    def test_transpose_gradient(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        (a.T * Tensor([[1.0, 0.0], [0.0, 0.0]])).sum().backward()
-        np.testing.assert_allclose(a.grad, [[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestLinear:
@@ -270,25 +287,33 @@ class TestLinear:
         def f(probe):
             args = {name: Tensor(v) for name, v in operands.items()}
             args[wrt] = probe
-            return (linear(args["x"], args["w"], args["b"], relu=relu) * Tensor(weights)).sum()
+            return contract(linear(args["x"], args["w"], args["b"], relu=relu), weights)
 
         report = grad_check(f, Tensor(operands[wrt]))
         assert report.max_rel_error < 1e-6
 
+    @staticmethod
+    def _transpose_matmul_add_chain(x, w, b, weights, relu):
+        """The chain ``linear`` replaced, (matmul(x, w.T) + b.T).relu(), then
+        (out * weights).sum(), as numpy: its value and the gradients of x, w, b."""
+        w_t = np.ascontiguousarray(w.T)  # the T nodes stored contiguous copies
+        b_t = np.ascontiguousarray(b.T)
+        pre = x @ w_t + b_t
+        out = np.maximum(pre, 0.0) if relu else pre
+        g = np.full(out.shape, 1.0) * weights  # sum, then product
+        if relu:
+            g = g * (pre > 0.0)
+        g_b_t = g.sum(axis=0, keepdims=True)  # broadcast add reduces to b.T's shape
+        return out, g @ w_t.T, (x.T @ g).T, g_b_t.T
+
     @pytest.mark.parametrize("relu", [False, True])
     def test_bit_identical_to_transpose_matmul_add_chain(self, relu):
         x, w, b, weights = self._operands(seed=1)
-        results = []
-        for fused in (True, False):
-            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
-            if fused:
-                out = linear(tx, tw, tb, relu=relu)
-            else:
-                out = matmul(tx, tw.T) + tb.T
-                out = out.relu() if relu else out
-            (out * Tensor(weights)).sum().backward()
-            results.append([out.values, tx.grad, tw.grad, tb.grad])
-        for fused_value, chain_value in zip(*results):
+        tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        out = linear(tx, tw, tb, relu=relu)
+        contract(out, weights).backward()
+        chain = self._transpose_matmul_add_chain(x, w, b, weights, relu)
+        for fused_value, chain_value in zip([out.values, tx.grad, tw.grad, tb.grad], chain):
             assert np.array_equal(fused_value, chain_value)
 
     def test_shape_errors(self):
@@ -299,15 +324,83 @@ class TestLinear:
             linear(Tensor(x), Tensor(w), Tensor(b.T))
 
 
+class TestWeightedSum:
+    # the deleted chains: L_PL = a + b, and the main objective
+    # l_c1 + l_c2 + l_g + l_pl + (l_cc + l_cs) * alpha
+    @staticmethod
+    def _objective_chain(values, alpha):
+        c1, c2, g, pl, cc, cs = (np.array([[v]]) for v in values)
+        total = ((c1 + c2) + g) + pl + (cc + cs) * alpha
+        upstream = np.full((1, 1), 1.0)
+        return total, [upstream] * 4 + [upstream * alpha] * 2
+
+    def _fused(self, values, weights):
+        terms = [Tensor([[v]], requires_grad=True) for v in values]
+        out = weighted_sum(terms, weights)
+        out.backward()
+        return out.values, [t.grad for t in terms]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.37])
+    def test_bit_identical_to_objective_chain(self, alpha):
+        values = np.random.default_rng(0).uniform(0.0, 3.0, size=6)
+        total, grads = self._fused(values, [1.0] * 4 + [alpha] * 2)
+        chain_total, chain_grads = self._objective_chain(values, alpha)
+        assert np.array_equal(total, chain_total)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, chain_grads))
+
+    def test_alpha_one_is_one_run(self):
+        # with every weight equal the six terms are one run, added left to
+        # right; the gradients are still the chain's
+        values = np.random.default_rng(1).uniform(0.0, 3.0, size=6)
+        total, grads = self._fused(values, [1.0] * 6)
+        _, chain_grads = self._objective_chain(values, 1.0)
+        left_to_right = values[0]
+        for v in values[1:]:
+            left_to_right = left_to_right + v
+        assert np.array_equal(total, [[left_to_right]])
+        assert all(np.array_equal(a, b) for a, b in zip(grads, chain_grads))
+
+    def test_bit_identical_to_pseudo_label_sum(self):
+        a, b = np.random.default_rng(2).uniform(0.0, 3.0, size=2)
+        total, grads = self._fused([a, b], [1.0, 1.0])
+        assert np.array_equal(total, np.array([[a]]) + np.array([[b]]))
+        assert all(np.array_equal(g, [[1.0]]) for g in grads)
+
+    @pytest.mark.parametrize("wrt", range(3))
+    def test_gradient_matches_finite_differences(self, wrt):
+        rng = np.random.default_rng(3)
+        logits = [rng.normal(size=(4, 3)) for _ in range(3)]
+        labels = rng.integers(0, 3, size=4)
+
+        def f(probe):
+            inputs = [Tensor(v) for v in logits]
+            inputs[wrt] = probe
+            terms = [softmax_cross_entropy(x, labels) for x in inputs]
+            return weighted_sum(terms, [1.0, 0.3, 0.3])
+
+        report = grad_check(f, Tensor(logits[wrt]))
+        assert report.max_rel_error < 1e-6
+
+    def test_shared_term_counted_per_weight(self):
+        x = Tensor([[2.0]], requires_grad=True)
+        weighted_sum([x, x], [1.0, 0.5]).backward()
+        assert x.grad[0, 0] == 1.5
+
+    def test_rejects_mismatched_weights(self):
+        with pytest.raises(ShapeError):
+            weighted_sum([Tensor([[1.0]])], [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            weighted_sum([], [])
+
+
 class TestGradCheck:
     def test_quadratic_is_tight(self):
-        report = grad_check(lambda x: (x * x).sum(), Tensor([[1.0, 2.0]]), h=1e-6)
+        report = grad_check(squared_norm, Tensor([[1.0, 2.0]]), h=1e-6)
         assert report.max_rel_error < 1e-8
 
     def test_non_finite_value_raises(self):
         def f(x):
-            with np.errstate(divide="ignore"):
-                return (1.0 / (x - 0.5)).sum()
+            return weighted_sum([x], [np.inf])
 
         with pytest.raises(EvaluationError):
             grad_check(f, Tensor([[0.5]]))
@@ -321,7 +414,7 @@ class TestGradCheck:
                 x._accumulate(g * flip)
 
             out = Tensor._node(x.values.copy(), (x,), bw)
-            return (out * out).sum()
+            return squared_norm(out)
 
         report = grad_check(f, Tensor([[1.0, 2.0]]))
         assert report.worst_index == (0, 1)

@@ -11,7 +11,7 @@ from dcp import losses
 from dcp.datasets import ShiftSpec, gen_blobs
 from dcp.networks import Mlp, MlpSpec, Params
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
-from dcp.tensor import Tensor, grad_check, matmul, vstack
+from dcp.tensor import Tensor, grad_check, linear, matmul, vstack, weighted_sum
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
     METRICS_FIELDS,
@@ -102,7 +102,7 @@ class TestSgdMomentum:
 
     def test_apply_updates_tensor_and_zeroes_grad(self):
         t = Tensor([[1.0, 1.0]], requires_grad=True)
-        (t * t).sum().backward()
+        linear(t, t, Tensor([[0.0]])).backward()  # t @ t.T: the gradient is 2t
         velocity = [np.zeros(t.shape)]
         apply_sgd_update([t], velocity, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(t.values, [[0.8, 0.8]])
@@ -257,7 +257,9 @@ class TestTrainStep:
 
         before, t_before = snapshot(), state.t
         real = getattr(losses, poisoned)
-        monkeypatch.setattr(losses, poisoned, lambda *args: real(*args) * float("nan"))
+        monkeypatch.setattr(
+            losses, poisoned, lambda *args: weighted_sum([real(*args)], [float("nan")])
+        )
         with pytest.raises(NumericsError, match=f"iteration {t_before}: {loss_name} is nan"):
             train_step(state, src_b, tgt_b, tgt_y)
         assert state.t == t_before
@@ -267,6 +269,37 @@ class TestTrainStep:
         assert all(
             p.grad is None for net in state.networks.values() for p in net.params.tensors()
         )
+
+    def test_one_graph_node_per_layer_and_loss_term(self, monkeypatch):
+        # default config, in a step with accepted pseudo-labels and live
+        # alignment: 21 layer nodes (12 linear in the extractors and heads,
+        # 6 linear + 3 sigmoid in three discriminator passes); 6 for vstack,
+        # the centroid matmul and the EMA blend of each branch; 8 for the
+        # four relativized distance matrices; 2 alignment losses; l_d, l_g,
+        # l_c1, l_c2; 2 pick matmuls, 2 cross entropies and 1 sum for L_PL;
+        # 1 weighted sum for the objective
+        src, tgt = tiny_datasets(n_per_class=40)
+        state = init_state(TrainConfig(), k=3, d_in=2)
+        rng = np.random.default_rng(0)
+        real_node = Tensor.__dict__["_node"].__func__
+        built = []
+
+        def counted(cls, *args):
+            built.append(1)
+            return real_node(cls, *args)
+
+        monkeypatch.setattr(Tensor, "_node", classmethod(counted))
+        for _ in range(10):
+            src_idx = np.concatenate([rng.choice(np.flatnonzero(src.y == c), 12) for c in range(3)])
+            tgt_idx = rng.choice(tgt.n, size=36, replace=False)
+            built.clear()
+            live_banks = state.bank_adv is not None
+            record, info = train_step(state, (src.X[src_idx], src.y[src_idx]), tgt.X[tgt_idx])
+            if live_banks and len(info.selected) and not info.alignment_skipped:
+                break
+        else:
+            pytest.fail("no step selected pseudo-labels with live centroid banks")
+        assert len(built) == 47
 
     def test_steps_leave_no_cyclic_garbage(self):
         # graphs hold no reference cycles, so reference counting frees them
@@ -590,11 +623,16 @@ class TestMainObjectiveGradient:
             "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
             "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
             "l_g": losses.generator_loss(disc(ft_adv)),
-            "l_pl": losses.source_classification_loss(
-                matmul(pick, nets["adv_head"](ft_adv)), selected.labels
-            )
-            + losses.source_classification_loss(
-                nets["clu_head"](matmul(pick, ft_clu)), selected.labels
+            "l_pl": weighted_sum(
+                [
+                    losses.source_classification_loss(
+                        matmul(pick, nets["adv_head"](ft_adv)), selected.labels
+                    ),
+                    losses.source_classification_loss(
+                        nets["clu_head"](matmul(pick, ft_clu)), selected.labels
+                    ),
+                ],
+                [1.0, 1.0],
             ),
             "l_cc": cent.loss_cc(
                 cent.centroid_centroid_matrix(bank_clu), cent.centroid_centroid_matrix(bank_adv)
@@ -604,8 +642,8 @@ class TestMainObjectiveGradient:
                 cent.centroid_sample_matrix(bank_adv, ft_adv),
             ),
         }
-        total = terms["l_c1"] + terms["l_c2"] + terms["l_g"] + terms["l_pl"]
-        return total + (terms["l_cc"] + terms["l_cs"]) * cfg.alpha, terms
+        total = weighted_sum(list(terms.values()), [1.0] * 4 + [cfg.alpha] * 2)
+        return total, terms
 
     def test_matches_finite_differences(self):
         src, tgt = tiny_datasets()
