@@ -10,22 +10,30 @@ script sits in): ``--trace 0`` on seeds 0-9 of every workload that
 the file comes from perfbench's stdout: the median and IQR over seeds of each
 end-to-end metric, the per-layer metrics of the traced run, the quality
 report lines, each seed's metrics-trace hash, and the environment line with
-the BLAS thread count. The commit is the checkout's git HEAD. The file is
-written at the root of the repository this script sits in.
+the BLAS thread count. The commit is the checkout's git HEAD. The file also
+holds the median wall time, over three runs, of ``dcp train`` and ``dcp eval``
+at their defaults on the blob pair that ``dcp gen-data`` writes by default,
+each run a fresh interpreter on the checkout's sources. The file is written
+at the root of the repository this script sits in.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(10)
+CLI_RUNS = 3
 
 
 def parse_run(stdout: str) -> dict:
@@ -78,6 +86,41 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     return run
 
 
+def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
+    """Wall seconds of ``dcp train`` and ``dcp eval`` on a ``dcp gen-data`` pair.
+
+    ``CLI_RUNS`` runs of each; ``iterations`` shortens training (default: the
+    CLI's own). Every command runs the checkout's ``src/`` in a new process.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+    def dcp(*args: str) -> float:
+        start = perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "dcp.cli", *args],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        )
+        return perf_counter() - start
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data, run = Path(tmp, "data"), Path(tmp, "run")
+        dcp("gen-data", "--out-dir", str(data))
+        train_args = ["train", "--source", str(data / "source.csv"),
+                      "--target", str(data / "target.csv"), "--out-dir", str(run)]
+        if iterations is not None:
+            train_args += ["--iters", str(iterations)]
+        eval_args = ["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(data / "target.csv"), "--out-dir", str(run)]
+        times: dict[str, list[float]] = {"train_s": [], "eval_s": []}
+        for _ in range(CLI_RUNS):
+            times["train_s"].append(dcp(*train_args))
+            times["eval_s"].append(dcp(*eval_args))
+    return {
+        name: {"unit": "s", "values": values, "median": statistics.median(values)}
+        for name, values in times.items()
+    }
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description="Record perfbench results in BENCH_<label>.json.")
@@ -101,6 +144,10 @@ def main(argv=None) -> int:
         workloads[name]["per_layer_seed0"] = traced["result"]["metrics"]
         workloads[name]["traced_correct"] = traced["result"]["correct"]
 
+    cli = cli_wall_times(checkout)
+    print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f}",
+          file=sys.stderr, flush=True)
+
     record = {
         "label": args.label,
         "commit": commit,
@@ -109,6 +156,7 @@ def main(argv=None) -> int:
         "environment": env,
         "blas_threads": env["blas"]["threads"],
         "workloads": workloads,
+        "cli_wall": cli,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

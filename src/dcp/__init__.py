@@ -45,6 +45,7 @@ from .tensor import (
     GradCheckReport,
     ShapeError,
     Tensor,
+    gather_rows,
     grad_check,
     matmul,
     pairwise_euclidean,

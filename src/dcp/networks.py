@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, linear, linear_values, sigmoid_values
+from .tensor import ShapeError, Tensor, linear_values, sigmoid_values
 
 OUTPUT_ACTIVATIONS = ("none", "sigmoid")
 
@@ -83,14 +83,54 @@ def init_params(spec: MlpSpec, seed: int) -> Params:
 
 
 def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Run the batch (rows = samples) through every layer, one graph node each."""
+    """Run the batch (rows = samples) through every layer as one graph node.
+
+    The node's parents are ``(x, W1, b1, W2, b2, ...)``. Its backward walks the
+    layers in reverse with the per-layer rules (sigmoid, relu mask, then the
+    input, weight and bias gradients of each layer, in that order), and
+    computes only the gradients some parent can take.
+    """
     if x.cols != spec.d_in:
         raise ShapeError(f"input has {x.cols} columns, spec expects {spec.d_in}")
-    h = x
+    layers = tuple(zip(params.weights, params.biases))
     last = spec.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = linear(h, w, b, relu=i < last)
-    return h.sigmoid() if spec.output_activation == "sigmoid" else h
+    if len(layers) != spec.n_layers:
+        raise ShapeError(f"{len(layers)} weight-bias pairs for {spec.n_layers} layers")
+    acts = [x.values]  # the input, then each layer's output
+    parents = [x]
+    # layer i passes a gradient down when x or a parameter below it takes one
+    takes_input_grad = [x.requires_grad]
+    for i, (w, b) in enumerate(layers):
+        if w.cols != acts[-1].shape[1] or b.shape != (w.rows, 1):
+            raise ShapeError(
+                f"layer {i}: weight {w.shape} and bias {b.shape} do not fit "
+                f"{acts[-1].shape[1]} inputs"
+            )
+        acts.append(linear_values(acts[-1], w.values, b.values, relu=i < last))
+        parents += (w, b)
+        takes_input_grad.append(takes_input_grad[-1] or w.requires_grad or b.requires_grad)
+    sigmoid = spec.output_activation == "sigmoid"
+    out = sigmoid_values(acts[-1]) if sigmoid else acts[-1]
+
+    def bw(g: np.ndarray) -> None:
+        if sigmoid:
+            g = g * out * (1.0 - out)
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            if i < last:
+                g = g * (acts[i + 1] > 0.0)
+            g_in = g @ w.values if takes_input_grad[i] else None
+            if i == 0 and g_in is not None:
+                x._accumulate(g_in)
+            if w.requires_grad:
+                w._accumulate((acts[i].T @ g).T)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0, keepdims=True).T)
+            if g_in is None:
+                return
+            g = g_in
+
+    return Tensor._node(out, tuple(parents), bw)
 
 
 def _forward_values(params: Params, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
@@ -117,6 +157,14 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return forward(self.params, self.spec, x)
+
+    def detached(self) -> "Mlp":
+        """This network on constant parameters that share its values: frozen."""
+        params = Params(
+            weights=[w.detached() for w in self.params.weights],
+            biases=[b.detached() for b in self.params.biases],
+        )
+        return Mlp(spec=self.spec, params=params)
 
 
 @dataclass

@@ -12,11 +12,12 @@ rule refers to its own output node and a graph holds no reference cycle: it
 is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
-There is no elementwise arithmetic: the node types are the fused layer
-:func:`linear`, ``sigmoid``, :func:`matmul`, :func:`vstack`,
-:func:`softmax_cross_entropy`, :func:`pairwise_euclidean` and
-:func:`weighted_sum`. Each loss term is one node, built through
-:meth:`Tensor._node` in the module that states its formula.
+There is no elementwise arithmetic: the node types here are :func:`matmul`,
+:func:`gather_rows`, :func:`vstack`, :func:`softmax_cross_entropy`,
+:func:`pairwise_euclidean` and :func:`weighted_sum`. A whole network call is
+one node (``networks.forward``, on the layer kernels :func:`linear_values`
+and :func:`sigmoid_values`), and so is each loss term; both are built through
+:meth:`Tensor._node` in the module that states their formula.
 """
 
 from __future__ import annotations
@@ -123,8 +124,14 @@ class Tensor:
         return float(self.values[0, 0])
 
     def detached(self) -> "Tensor":
-        """A constant copy of this tensor, cut off from the graph."""
-        return Tensor(self.values)
+        """A constant tensor over the same frozen values, cut off from the graph."""
+        out = Tensor.__new__(Tensor)
+        out.values = self.values
+        out.grad = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward_fn = None
+        return out
 
     def update_values(self, values: np.ndarray) -> None:
         """Swap in a new same-shape matrix.
@@ -144,8 +151,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros(self.values.shape)
-        self.grad += delta
+            # a copy: ``delta`` may be a view of another node's gradient
+            self.grad = delta.copy()
+        else:
+            self.grad += delta
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -164,15 +173,17 @@ class Tensor:
             raise ShapeError(f"backward() needs a scalar (1x1) loss, got {self.shape}")
         if not self.requires_grad:
             return  # constant loss: no differentiable ancestors, nothing to do
+        # Only nodes with a backward rule are ordered: a leaf has nothing to
+        # run, and leaving it out does not change the order of the others.
         order: list[Tensor] = []
         seen: set[int] = {id(self)}
-        stack: list[tuple[Tensor, int]] = [(self, 0)]
+        stack: list[tuple[Tensor, int]] = [(self, 0)] if self._backward_fn is not None else []
         while stack:
             node, idx = stack[-1]
             if idx < len(node._parents):
                 stack[-1] = (node, idx + 1)
                 parent = node._parents[idx]
-                if parent.requires_grad and id(parent) not in seen:
+                if parent._backward_fn is not None and id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append((parent, 0))
             else:
@@ -181,20 +192,10 @@ class Tensor:
         # Derived nodes get a fresh gradient each pass; leaves keep accumulating
         # across passes until explicitly zeroed.
         for node in order:
-            if node._parents:
-                node.grad = None
+            node.grad = None
         self._accumulate(np.ones((1, 1)))
         for node in reversed(order):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-
-    def sigmoid(self) -> "Tensor":
-        s = sigmoid_values(self.values)
-
-        def bw(g: np.ndarray) -> None:
-            self._accumulate(g * s * (1.0 - s))
-
-        return Tensor._node(s, (self,), bw)
+            node._backward_fn(node.grad)
 
 
 # -- free-standing primitives ---------------------------------------------
@@ -209,36 +210,14 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
 def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """``x @ w.T + b.T``, then relu if asked, on plain arrays.
 
-    ``w`` is (out x in) and ``b`` is (out x 1). This is the forward of
-    :func:`linear` and of the graph-free forward in ``networks``, so both give
-    the same bits. The product takes a contiguous copy of ``w.T``: BLAS may
-    round a strided operand differently, and the pinned metrics traces were
-    recorded with this layout.
+    ``w`` is (out x in) and ``b`` is (out x 1). This is the layer of the graph
+    node and of the graph-free forward in ``networks``, so both give the same
+    bits. The product takes a contiguous copy of ``w.T``: BLAS may round a
+    strided operand differently, and the pinned metrics traces were recorded
+    with this layout.
     """
     h = x @ np.ascontiguousarray(w.T) + b.T
     return np.maximum(h, 0.0) if relu else h
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """One fully connected layer as one graph node: ``x @ w.T + b.T``, optional relu.
-
-    ``x`` is (rows x in), ``w`` is (out x in) and ``b`` is (out x 1).
-    """
-    if x.cols != w.cols:
-        raise ShapeError(f"linear input has {x.cols} columns, weight expects {w.cols}")
-    if b.shape != (w.rows, 1):
-        raise ShapeError(f"bias must be ({w.rows}, 1) for weight {w.shape}, got {b.shape}")
-    h = linear_values(x.values, w.values, b.values, relu)
-
-    def bw(g: np.ndarray) -> None:
-        if relu:
-            g = g * (h > 0.0)
-        if x.requires_grad:
-            x._accumulate(g @ w.values)
-        w._accumulate((x.values.T @ g).T)
-        b._accumulate(g.sum(axis=0, keepdims=True).T)
-
-    return Tensor._node(h, (x, w, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -251,6 +230,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(a.values.T @ g)
 
     return Tensor._node(a.values @ b.values, (a, b), bw)
+
+
+def gather_rows(t: Tensor, indices) -> Tensor:
+    """The rows of ``t`` at ``indices``, which must be strictly increasing.
+
+    A selection mask's ``np.flatnonzero`` gives such indices. Because no row
+    repeats, the gradient is the upstream rows added into zeros at
+    ``indices``; every other row gets zero.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if indices.size and (indices[0] < 0 or indices[-1] >= t.rows):
+        raise IndexError(f"rows {indices[0]}..{indices[-1]} out of range [0, {t.rows})")
+    if (indices[1:] <= indices[:-1]).any():
+        raise ValueError("gather_rows needs strictly increasing row indices")
+
+    def bw(g: np.ndarray) -> None:
+        scattered = np.zeros(t.shape)
+        scattered[indices] += g
+        t._accumulate(scattered)
+
+    return Tensor._node(t.values[indices], (t,), bw)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -23,7 +23,7 @@ from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, MlpSpec, Params, branch_outputs
 from .pseudo_label import PseudoLabelBatch, kmeans_assign, select_high_confidence, tau_adv, tau_clu
-from .tensor import Tensor, matmul, vstack, weighted_sum
+from .tensor import Tensor, gather_rows, vstack, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
 
@@ -252,13 +252,6 @@ def pseudo_precision(selected: PseudoLabelBatch, true_labels) -> float | None:
     return float((selected.labels == true_labels[selected.indices]).mean())
 
 
-def _all_params(state: TrainState, names: tuple[str, ...]) -> list[Tensor]:
-    out: list[Tensor] = []
-    for name in names:
-        out.extend(state.networks[name].params.tensors())
-    return out
-
-
 def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
     cfg = state.config
     for name in names:
@@ -381,18 +374,22 @@ def train_step(
     l_d.backward()
     _update_networks(state, ("discriminator",))
 
-    # (f) main update: classifiers, generator, and alignment; D frozen
+    # (f) main update: classifiers, generator, and alignment. D is frozen:
+    # l_g reaches it through constant parameters, so no D gradient is computed
     l_c1 = losses.source_classification_loss(adv_head(fs_adv), ys)
     l_c2 = losses.source_classification_loss(clu_head(fs_clu), ys)
-    l_g = losses.generator_loss(disc(ft_adv))
+    l_g = losses.generator_loss(disc.detached()(ft_adv))
     terms = [l_c1, l_c2, l_g]
     l_pl = None
     if len(selected):
-        # accepted pseudo-labels train both classifiers; a constant selection
-        # matrix picks their rows out of the target batch
-        pick = Tensor(np.eye(n_target)[selected.indices])
-        ce_adv = losses.source_classification_loss(matmul(pick, logits_t_adv), selected.labels)
-        ce_clu = losses.source_classification_loss(clu_head(matmul(pick, ft_clu)), selected.labels)
+        # accepted pseudo-labels train both classifiers on their rows of the
+        # target batch
+        ce_adv = losses.source_classification_loss(
+            gather_rows(logits_t_adv, selected.indices), selected.labels
+        )
+        ce_clu = losses.source_classification_loss(
+            clu_head(gather_rows(ft_clu, selected.indices)), selected.labels
+        )
         l_pl = weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
         terms.append(l_pl)
     weights = [1.0] * len(terms)
@@ -418,8 +415,6 @@ def train_step(
         raise
     total.backward()
     _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
-    for p in _all_params(state, NETWORK_NAMES):
-        p.zero_grad()
 
     # (g) advance the iteration counter and persist detached banks
     record = MetricsRecord(
@@ -662,6 +657,11 @@ class Checkpoint:
             _require_keys(
                 data, ("layer_widths", "output_activation", "weights", "biases"), f"network {name!r}"
             )
+            for key in ("layer_widths", "weights", "biases"):
+                if not isinstance(data[key], list):
+                    raise ValueError(f"network {name!r}: {key} is not a JSON list")
+            if not all(isinstance(w, int) for w in data["layer_widths"]):
+                raise ValueError(f"network {name!r}: layer_widths holds a non-integer")
             spec = MlpSpec(tuple(data["layer_widths"]), data["output_activation"])
             weights = [Tensor(np.array(w), requires_grad=True) for w in data["weights"]]
             biases = [Tensor(np.array(b), requires_grad=True) for b in data["biases"]]

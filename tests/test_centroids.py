@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_helpers import contract
+from graph_helpers import contract, network
 
 from dcp.centroids import (
     LOSS_EPS,
@@ -15,7 +15,7 @@ from dcp.centroids import (
     loss_cs,
     update_centroids_ema,
 )
-from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, grad_check, linear, matmul, weighted_sum
+from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, grad_check, weighted_sum
 
 
 def centroid_oracle(features, labels, k):
@@ -335,12 +335,13 @@ class TestEndToEndGradient:
         n_b, d_in, d_f, k = 6, 3, 4, 2
         x = Tensor(rng.normal(size=(n_b, d_in)))
         labels = np.array([0, 1, 0, 1, 0, 1])
-        w_other = Tensor(rng.normal(size=(d_in, d_f)))
+        w_other = Tensor(rng.normal(size=(d_in, d_f)).T)
         zero_bias = Tensor(np.zeros((d_f, 1)))
+        identity = Tensor(np.eye(d_f))
 
         def alignment(w):
-            feats = linear(x, w, zero_bias, relu=True)
-            feats_other = matmul(x, w_other).sigmoid()
+            feats = network(x, [w, identity], [zero_bias, zero_bias])  # relu(x @ w.T)
+            feats_other = network(x, [w_other], [zero_bias], "sigmoid")
             bank = compute_centroids(feats, labels, k)
             bank_other = compute_centroids(feats_other, labels, k)
             cc = loss_cc(centroid_centroid_matrix(bank_other), centroid_centroid_matrix(bank))

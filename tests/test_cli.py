@@ -293,6 +293,33 @@ class TestEval:
         assert_usage_error(code, capsys, fragment)
 
 
+    @pytest.mark.parametrize(
+        "key,value,fragment",
+        [
+            ("layer_widths", 5, "layer_widths is not a JSON list"),
+            ("layer_widths", None, "layer_widths is not a JSON list"),
+            ("weights", 5, "weights is not a JSON list"),
+            ("weights", None, "weights is not a JSON list"),
+            ("biases", 5, "biases is not a JSON list"),
+            ("biases", None, "biases is not a JSON list"),
+            ("layer_widths", [None, 3], "layer_widths holds a non-integer"),
+        ],
+    )
+    def test_network_field_of_wrong_type_is_usage_error(
+        self, trained, blob_files, tmp_path, capsys, key, value, fragment
+    ):
+        # these used to end in a TypeError traceback and exit 1
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["networks"]["adv_head"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        code = run_cli(
+            ["eval", "--checkpoint", str(edited), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, f"network 'adv_head': {fragment}")
+
+
 class TestGradcheckCommand:
     def test_fresh_build_all_pass(self, tmp_path, capsys):
         code = run_cli(["gradcheck", "--seeds", "2", "--out-dir", str(tmp_path)])

@@ -71,3 +71,17 @@ def test_bench_record_summarizes_perfbench_stdout():
     assert summary["correct_runs"] == 3 and summary["runs"] == 4
     assert summary["metrics_trace_sha256"][3] == "hash3"
     assert summary["fail_frac"][0] == 0.0
+
+
+def test_bench_record_times_the_cli_train_and_eval():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    times = bench_record.cli_wall_times(SCRIPTS.parent, iterations=3)
+    assert set(times) == {"train_s", "eval_s"}
+    for entry in times.values():
+        assert len(entry["values"]) == bench_record.CLI_RUNS == 3
+        assert all(t > 0.0 for t in entry["values"])
+        assert entry["median"] == sorted(entry["values"])[1]

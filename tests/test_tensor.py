@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from graph_helpers import contract
+from graph_helpers import contract, network, sigmoid
 
 from dcp.centroids import centroid_sample_matrix
 from dcp.losses import generator_loss
+from dcp.networks import MlpSpec, Params, forward
 from dcp.tensor import (
     EvaluationError,
     ShapeError,
     Tensor,
+    gather_rows,
     grad_check,
-    linear,
     matmul,
     pairwise_euclidean,
     softmax_cross_entropy,
@@ -19,8 +20,15 @@ from dcp.tensor import (
 
 
 def squared_norm(x: Tensor) -> Tensor:
-    """sum(x * x) of a 1 x n row, as ``linear`` with x as input and weight."""
-    return linear(x, x, Tensor([[0.0]]))
+    """sum(x * x) of a 1 x n row, as a one-layer network with x as input and weight."""
+    return network(x, [x], [Tensor([[0.0]])])
+
+
+def relu_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w.T + b.T): a relu hidden layer followed by an identity layer."""
+    out_width = w.rows
+    identity = Tensor(np.eye(out_width))
+    return network(x, [w, identity], [b, Tensor(np.zeros((out_width, 1)))])
 
 
 def matmul_oracle(a, b):
@@ -73,21 +81,21 @@ class TestMatmul:
 
 class TestActivations:
     def test_relu_definition(self):
-        out = linear(Tensor([[-2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros((2, 1))), relu=True)
+        out = relu_layer(Tensor([[-2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros((2, 1))))
         np.testing.assert_array_equal(out.values, [[0.0, 3.0]])
 
     def test_sigmoid_at_zero(self):
-        assert Tensor([[0.0]]).sigmoid().item() == 0.5
+        assert sigmoid(Tensor([[0.0]])).item() == 0.5
 
     def test_sigmoid_gradient_at_zero(self):
-        report = grad_check(lambda x: x.sigmoid(), Tensor([[0.0]]), h=1e-6)
+        report = grad_check(sigmoid, Tensor([[0.0]]), h=1e-6)
         x = Tensor([[0.0]], requires_grad=True)
-        x.sigmoid().backward()
+        sigmoid(x).backward()
         assert abs(x.grad[0, 0] - 0.25) < 1e-8
         assert report.max_rel_error < 1e-8
 
     def test_sigmoid_extreme_inputs_finite(self):
-        out = Tensor([[-800.0, 800.0]]).sigmoid()
+        out = sigmoid(Tensor([[-800.0, 800.0]]))
         assert np.isfinite(out.values).all()
 
 
@@ -182,7 +190,7 @@ class TestBackward:
         zero = Tensor(np.zeros((3, 1)))
 
         def f(x):
-            return contract(linear(x, w, zero, relu=True), 1.0)
+            return contract(relu_layer(x, w, zero), 1.0)
 
         report = grad_check(f, Tensor(rng.normal(size=(2, 3))), h=1e-6)
         assert report.max_rel_error < 1e-6
@@ -202,13 +210,13 @@ class TestCompositionGradients:
         labels = rng.integers(0, p, size=m)
 
         def f(x):
-            h = linear(x, w, bias).sigmoid()
+            h = network(x, [w], [bias], "sigmoid")
             relative = centroid_sample_matrix(anchors, h)
             stacked = vstack([x, matmul(Tensor(spread), x)])
             return weighted_sum(
                 [
                     contract(relative, spread),
-                    softmax_cross_entropy(linear(x, w, bias, relu=True), labels),
+                    softmax_cross_entropy(relu_layer(x, w, bias), labels),
                     contract(pairwise_euclidean(stacked, Tensor(np.zeros((1, n)))), 1.0),
                 ],
                 [1.0, 0.5, 0.25],
@@ -227,7 +235,7 @@ class TestCompositionGradients:
         def f(x):
             relative = centroid_sample_matrix(anchors, x)
             return weighted_sum(
-                [generator_loss(x.sigmoid()), contract(relative, weights)], [1.0, 1.0]
+                [generator_loss(sigmoid(x)), contract(relative, weights)], [1.0, 1.0]
             )
 
         report = grad_check(f, Tensor(rng.normal(size=(3, 3))))
@@ -239,12 +247,12 @@ class TestBroadcasting:
 
     def test_row_vector_add(self):
         bias = Tensor([[10.0], [20.0]])
-        out = linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(np.eye(2)), bias)
+        out = network(Tensor([[1.0, 2.0], [3.0, 4.0]]), [Tensor(np.eye(2))], [bias])
         np.testing.assert_array_equal(out.values, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_col_vector_add_gradient_reduces(self):
         b = Tensor([[1.0], [2.0]], requires_grad=True)
-        contract(linear(Tensor(np.ones((3, 2))), Tensor(np.zeros((2, 2))), b), 1.0).backward()
+        contract(network(Tensor(np.ones((3, 2))), [Tensor(np.zeros((2, 2)))], [b]), 1.0).backward()
         np.testing.assert_allclose(b.grad, [[3.0], [3.0]])
 
     def test_cross_broadcast_rejected(self):
@@ -269,14 +277,67 @@ class TestVstackAndTranspose:
         np.testing.assert_allclose(a.grad, [[2.0, 4.0]])
         np.testing.assert_allclose(b.grad, [[6.0, 8.0], [10.0, 12.0]])
 
+    def test_first_gradient_is_a_copy_of_its_slice(self):
+        # each row of the stack hands a slice of its gradient to the same
+        # tensor: the first must be stored as a copy, or adding the second
+        # would write into the stack's own gradient
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        out = vstack([a, a])
+        upstream = np.array([[1.0, 2.0], [10.0, 20.0]])
+        contract(out, upstream).backward()
+        np.testing.assert_array_equal(a.grad, [[11.0, 22.0]])
+        np.testing.assert_array_equal(out.grad, upstream)
+        assert not np.shares_memory(a.grad, out.grad)
+
+
+class TestGatherRows:
+    def test_values_and_gradient_scatter_into_selected_rows(self):
+        t = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        out = gather_rows(t, [0, 2])
+        np.testing.assert_array_equal(out.values, [[0, 1], [4, 5]])
+        contract(out, np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
+        np.testing.assert_array_equal(t.grad, [[1, 2], [0, 0], [3, 4], [0, 0]])
+
+    def test_bit_identical_to_pick_matmul(self):
+        # the chain it replaced: a constant 0/1 matrix of identity rows times t
+        rng = np.random.default_rng(0)
+        values, upstream = rng.normal(size=(6, 3)), rng.normal(size=(3, 3))
+        idx = np.array([1, 4, 5])
+        grads = []
+        for pick in (lambda t: gather_rows(t, idx), lambda t: matmul(Tensor(np.eye(6)[idx]), t)):
+            t = Tensor(values, requires_grad=True)
+            out = pick(t)
+            contract(out, upstream).backward()
+            grads.append((out.values, t.grad))
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match="out of range"):
+            gather_rows(Tensor(np.ones((3, 2))), [0, 3])
+        with pytest.raises(IndexError, match="out of range"):
+            gather_rows(Tensor(np.ones((3, 2))), [-1, 0])
+
+    @pytest.mark.parametrize("idx", [[2, 0], [1, 1]])
+    def test_unsorted_or_repeated_rows_rejected(self, idx):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gather_rows(Tensor(np.ones((3, 2))), idx)
+
 
 class TestLinear:
+    """The layer kernel ``linear_values`` through the network node: one layer,
+    or a relu layer followed by an identity layer."""
+
     def _operands(self, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=(4, 1))
         return x, w, b, rng.normal(size=(5, 4))
+
+    @staticmethod
+    def _layer(x, w, b, relu):
+        return relu_layer(x, w, b) if relu else network(x, [w], [b])
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("wrt", ["x", "w", "b"])
@@ -287,14 +348,14 @@ class TestLinear:
         def f(probe):
             args = {name: Tensor(v) for name, v in operands.items()}
             args[wrt] = probe
-            return contract(linear(args["x"], args["w"], args["b"], relu=relu), weights)
+            return contract(self._layer(args["x"], args["w"], args["b"], relu), weights)
 
         report = grad_check(f, Tensor(operands[wrt]))
         assert report.max_rel_error < 1e-6
 
     @staticmethod
     def _transpose_matmul_add_chain(x, w, b, weights, relu):
-        """The chain ``linear`` replaced, (matmul(x, w.T) + b.T).relu(), then
+        """The chain the layer replaced, (matmul(x, w.T) + b.T).relu(), then
         (out * weights).sum(), as numpy: its value and the gradients of x, w, b."""
         w_t = np.ascontiguousarray(w.T)  # the T nodes stored contiguous copies
         b_t = np.ascontiguousarray(b.T)
@@ -310,7 +371,7 @@ class TestLinear:
     def test_bit_identical_to_transpose_matmul_add_chain(self, relu):
         x, w, b, weights = self._operands(seed=1)
         tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
-        out = linear(tx, tw, tb, relu=relu)
+        out = self._layer(tx, tw, tb, relu)
         contract(out, weights).backward()
         chain = self._transpose_matmul_add_chain(x, w, b, weights, relu)
         for fused_value, chain_value in zip([out.values, tx.grad, tw.grad, tb.grad], chain):
@@ -318,10 +379,19 @@ class TestLinear:
 
     def test_shape_errors(self):
         x, w, b, _ = self._operands()
+
+        def layer(x, weights, biases):
+            params = Params([Tensor(v) for v in weights], [Tensor(v) for v in biases])
+            return forward(params, MlpSpec((3, 4)), Tensor(x))
+
         with pytest.raises(ShapeError, match="columns"):
-            linear(Tensor(x), Tensor(w.T), Tensor(b))
-        with pytest.raises(ShapeError, match="bias"):
-            linear(Tensor(x), Tensor(w), Tensor(b.T))
+            layer(np.ones((5, 4)), [w], [b])
+        with pytest.raises(ShapeError, match="do not fit 3 inputs"):
+            layer(x, [w.T], [b])
+        with pytest.raises(ShapeError, match="do not fit 3 inputs"):
+            layer(x, [w], [b.T])
+        with pytest.raises(ShapeError, match="2 weight-bias pairs for 1 layers"):
+            layer(x, [w, w], [b, b])
 
 
 class TestWeightedSum:
@@ -440,3 +510,12 @@ class TestDeterminismAndImmutability:
         t = Tensor(src)
         src[0, 0] = 5.0
         assert t.values[0, 0] == 1.0
+
+    def test_detached_shares_values_and_is_constant(self):
+        t = Tensor([[1.0, 2.0]], requires_grad=True)
+        d = t.detached()
+        assert d.values is t.values
+        assert not d.requires_grad
+        weighted_sum([squared_norm(d), squared_norm(t)], [1.0, 1.0]).backward()
+        assert d.grad is None
+        np.testing.assert_array_equal(t.grad, [[2.0, 4.0]])

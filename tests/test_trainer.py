@@ -5,13 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from graph_helpers import network
 
 from dcp import centroids as cent
 from dcp import losses
 from dcp.datasets import ShiftSpec, gen_blobs
 from dcp.networks import Mlp, MlpSpec, Params
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
-from dcp.tensor import Tensor, grad_check, linear, matmul, vstack, weighted_sum
+from dcp.tensor import Tensor, gather_rows, grad_check, vstack, weighted_sum
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
     METRICS_FIELDS,
@@ -102,7 +103,7 @@ class TestSgdMomentum:
 
     def test_apply_updates_tensor_and_zeroes_grad(self):
         t = Tensor([[1.0, 1.0]], requires_grad=True)
-        linear(t, t, Tensor([[0.0]])).backward()  # t @ t.T: the gradient is 2t
+        network(t, [t], [Tensor([[0.0]])]).backward()  # t @ t.T: the gradient is 2t
         velocity = [np.zeros(t.shape)]
         apply_sgd_update([t], velocity, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(t.values, [[0.8, 0.8]])
@@ -272,12 +273,12 @@ class TestTrainStep:
 
     def test_one_graph_node_per_layer_and_loss_term(self, monkeypatch):
         # default config, in a step with accepted pseudo-labels and live
-        # alignment: 21 layer nodes (12 linear in the extractors and heads,
-        # 6 linear + 3 sigmoid in three discriminator passes); 6 for vstack,
-        # the centroid matmul and the EMA blend of each branch; 8 for the
-        # four relativized distance matrices; 2 alignment losses; l_d, l_g,
-        # l_c1, l_c2; 2 pick matmuls, 2 cross entropies and 1 sum for L_PL;
-        # 1 weighted sum for the objective
+        # alignment: 11 network calls (4 extractor, 4 head and 3
+        # discriminator passes); 6 for vstack, the centroid matmul and the
+        # EMA blend of each branch; 8 for the four relativized distance
+        # matrices; 2 alignment losses; l_d, l_g, l_c1, l_c2; 2 row gathers,
+        # 2 cross entropies and 1 sum for L_PL; 1 weighted sum for the
+        # objective
         src, tgt = tiny_datasets(n_per_class=40)
         state = init_state(TrainConfig(), k=3, d_in=2)
         rng = np.random.default_rng(0)
@@ -299,7 +300,30 @@ class TestTrainStep:
                 break
         else:
             pytest.fail("no step selected pseudo-labels with live centroid banks")
-        assert len(built) == 47
+        assert len(built) == 37
+
+    def test_main_backward_leaves_discriminator_without_gradient(self, monkeypatch):
+        # l_g reaches the discriminator through constant parameters, so the
+        # main backward computes no discriminator gradient at all
+        import dcp.trainer as trainer_module
+
+        real_update = trainer_module._update_networks
+        seen = []
+
+        def spy(state, names):
+            if "discriminator" not in names:
+                disc = state.networks["discriminator"]
+                seen.append([p.grad for p in disc.params.tensors()])
+                extractor = state.networks["adv_extractor"]
+                assert all(p.grad is not None for p in extractor.params.tensors())
+            real_update(state, names)
+
+        monkeypatch.setattr(trainer_module, "_update_networks", spy)
+        state, src_b, tgt_b, tgt_y = self._setup()
+        for _ in range(2):
+            train_step(state, src_b, tgt_b, tgt_y)
+        assert len(seen) == 2
+        assert all(grad is None for grads in seen for grad in grads)
 
     def test_steps_leave_no_cyclic_garbage(self):
         # graphs hold no reference cycles, so reference counting frees them
@@ -345,7 +369,7 @@ class TestMainPhaseIsolation:
             assert grads_present == (name == "discriminator"), name
 
     def test_discriminator_frozen_during_main_update(self):
-        """Drive (f) in isolation: zero out alpha's effect by reusing internals."""
+        """Drive (f) in isolation: l_g through the detached discriminator."""
         from dcp import losses
         from dcp.tensor import Tensor as T
 
@@ -357,14 +381,14 @@ class TestMainPhaseIsolation:
         before = [p.values.copy() for p in disc.params.tensors()]
 
         ft = adv_ext(T(tgt.X[:10]))
-        l_g = losses.generator_loss(disc(ft))
+        l_g = losses.generator_loss(disc.detached()(ft))
         l_g.backward()
-        # gradient reached D, but only the main networks get stepped
+        # the gradient reaches the extractor through D, but no D parameter
+        assert all(p.grad is not None for p in adv_ext.params.tensors())
+        assert all(p.grad is None for p in disc.params.tensors())
         from dcp.trainer import _update_networks
 
         _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
-        for p in disc.params.tensors():
-            p.zero_grad()
         after = [p.values.copy() for p in disc.params.tensors()]
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
@@ -584,8 +608,8 @@ class TestMainObjectiveGradient:
 
     L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS), built as ``train_step``
     builds it, checked with respect to every parameter of two tiny
-    extractors: through the fused layers, ``vstack``, the centroid weights,
-    the EMA blend and the pseudo-label pick matrix.
+    extractors: through the network nodes, ``vstack``, the centroid weights,
+    the EMA blend and the pseudo-label row gather.
     """
 
     def _tiny_state(self) -> TrainState:
@@ -618,18 +642,18 @@ class TestMainObjectiveGradient:
         bank_clu = cent.update_centroids_ema(
             banks[1], cent.compute_centroids(vstack([fs_clu, ft_clu]), union, k), cfg.ema_momentum
         )
-        pick = Tensor(np.eye(xt.rows)[selected.indices])
+        picked = selected.indices
         terms = {
             "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
             "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
-            "l_g": losses.generator_loss(disc(ft_adv)),
+            "l_g": losses.generator_loss(disc.detached()(ft_adv)),
             "l_pl": weighted_sum(
                 [
                     losses.source_classification_loss(
-                        matmul(pick, nets["adv_head"](ft_adv)), selected.labels
+                        gather_rows(nets["adv_head"](ft_adv), picked), selected.labels
                     ),
                     losses.source_classification_loss(
-                        nets["clu_head"](matmul(pick, ft_clu)), selected.labels
+                        nets["clu_head"](gather_rows(ft_clu, picked)), selected.labels
                     ),
                 ],
                 [1.0, 1.0],
