@@ -683,8 +683,13 @@ class Checkpoint:
             for name, width in found.items():
                 if width != payload[key]:
                     raise ValueError(f"checkpoint {key}={payload[key]} but {name!r} has width {width}")
+        _require_keys(payload["config"], (), "checkpoint config")
+        try:
+            config = TrainConfig.from_dict(payload["config"])
+        except TypeError as exc:  # a field of the wrong type, such as a string alpha
+            raise ValueError(f"checkpoint config: {exc}") from exc
         return cls(
-            config=TrainConfig.from_dict(payload["config"]),
+            config=config,
             t=payload["t"],
             k=payload["k"],
             d_in=payload["d_in"],

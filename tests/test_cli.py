@@ -319,6 +319,26 @@ class TestEval:
         )
         assert_usage_error(code, capsys, f"network 'adv_head': {fragment}")
 
+    @pytest.mark.parametrize(
+        "config,fragment",
+        [
+            (5, "checkpoint config is not a JSON object"),
+            ({"alpha": "x"}, "checkpoint config: "),
+        ],
+    )
+    def test_config_of_wrong_type_is_usage_error(
+        self, trained, blob_files, tmp_path, capsys, config, fragment
+    ):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["config"] = config
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        code = run_cli(
+            ["eval", "--checkpoint", str(edited), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, fragment)
+
 
 class TestGradcheckCommand:
     def test_fresh_build_all_pass(self, tmp_path, capsys):
