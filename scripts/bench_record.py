@@ -13,8 +13,10 @@ report lines, each seed's metrics-trace hash, and the environment line with
 the BLAS thread count. The commit is the checkout's git HEAD. The file also
 holds the median wall time, over three runs, of ``dcp train`` and ``dcp eval``
 at their defaults on the blob pair that ``dcp gen-data`` writes by default,
-each run a fresh interpreter on the checkout's sources. The file is written
-at the root of the repository this script sits in.
+each run a fresh interpreter on the checkout's sources, and the wall time
+and pass/fail counts of one run of the tier-1 test command and of one run of
+the acceptance suite alone (``tests/test_acceptance.py``). The file is
+written at the root of the repository this script sits in.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -34,6 +37,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(10)
 CLI_RUNS = 3
+# The tier-1 test command (see ROADMAP.md), without the paths it is given.
+PYTEST_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+ACCEPTANCE_TESTS = ("tests/test_acceptance.py",)
 
 
 def parse_run(stdout: str) -> dict:
@@ -121,6 +127,32 @@ def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
     }
 
 
+def pytest_wall(checkout: Path, paths=()) -> dict:
+    """Wall seconds and outcome counts of one tier-1 pytest run over ``paths``.
+
+    No paths runs the whole tier-1 suite. The run uses the checkout's ``src/``
+    in a new process, from the checkout's root; a failing test does not stop
+    the record. The counts are parsed from pytest's closing summary line,
+    such as ``1 failed, 435 passed in 130.02s``.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *PYTEST_ARGS, *paths], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    wall_s = perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    return {
+        "paths": list(paths),
+        "wall_s": wall_s,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "errors": counts.get("error", 0) + counts.get("errors", 0),
+        "exit_code": proc.returncode,
+    }
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description="Record perfbench results in BENCH_<label>.json.")
@@ -148,6 +180,11 @@ def main(argv=None) -> int:
     print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f}",
           file=sys.stderr, flush=True)
 
+    tests = {"tier1": pytest_wall(checkout), "acceptance": pytest_wall(checkout, ACCEPTANCE_TESTS)}
+    for name, run in tests.items():
+        print(f"{name} wall_s={run['wall_s']:.1f} passed={run['passed']} failed={run['failed']}",
+              file=sys.stderr, flush=True)
+
     record = {
         "label": args.label,
         "commit": commit,
@@ -157,6 +194,7 @@ def main(argv=None) -> int:
         "blas_threads": env["blas"]["threads"],
         "workloads": workloads,
         "cli_wall": cli,
+        "test_wall": tests,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -45,9 +45,8 @@ def compute_centroids(features: Tensor, labels, k: int) -> Tensor:
             f"cannot compute centroids: class {int(np.argmin(counts))} has no labeled row; "
             "unlabeled rows (-1) belong to no class"
         )
-    weights = np.zeros((k, features.rows))
-    for cls in range(k):
-        weights[cls, labels == cls] = 1.0 / counts[cls]
+    # row c is 1/count_c on class c's rows and 0 elsewhere
+    weights = (np.arange(k)[:, None] == labels) / counts[:, None]
     return matmul(Tensor(weights), features)
 
 

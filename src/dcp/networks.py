@@ -125,7 +125,7 @@ def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
             if w.requires_grad:
                 w._accumulate((acts[i].T @ g).T)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0, keepdims=True).T)
+                b._accumulate(np.add.reduce(g, axis=0, keepdims=True).T)
             if g_in is None:
                 return
             g = g_in

@@ -40,6 +40,17 @@ def per_class_quota(tau: float, n_b: int, k: int) -> int:
     return int(math.floor(tau * n_b / k))
 
 
+def class_means(x: np.ndarray, labels: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Set ``out[c]`` to the mean of the rows of ``x`` labeled ``c``, for every c counted.
+
+    ``counts`` is ``np.bincount(labels)``; a class with count 0 keeps its row
+    of ``out``. Each mean is the row sum over the count, which is how
+    ``mean(axis=0)`` computes it, so the bits are the same.
+    """
+    for cls in np.flatnonzero(counts):
+        out[cls] = np.add.reduce(x[labels == cls], axis=0) / counts[cls]
+
+
 def kmeans_assign(
     features: np.ndarray, init_centroids: np.ndarray, max_iters: int = 20
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -57,16 +68,14 @@ def kmeans_assign(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     labels = np.full(n, -1, dtype=np.int64)
+    rows = x[:, None, :]
     for _ in range(max_iters):
-        sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = sq.argmin(axis=1)
-        if np.array_equal(new_labels, labels):
+        diff = rows - centroids[None, :, :]
+        new_labels = np.add.reduce(diff * diff, axis=2).argmin(axis=1)
+        if (new_labels == labels).all():
             break
         labels = new_labels
-        for cls in range(k):
-            members = labels == cls
-            if members.any():
-                centroids[cls] = x[members].mean(axis=0)
+        class_means(x, labels, np.bincount(labels, minlength=k), centroids)
     return labels, centroids
 
 
@@ -93,13 +102,21 @@ def _distances_to_predicted_centroid(
 
 
 def _admitted(labels: np.ndarray, dists: np.ndarray, quota: int, k: int) -> np.ndarray:
-    admitted = np.zeros(labels.shape[0], dtype=bool)
+    """Per class, the ``quota`` rows nearest its centroid; ties go to the lower index.
+
+    ``labels`` must lie in [0, k). One sort ranks every class at once: rows
+    ordered by label, then distance, then index, where a row's rank within
+    its class is its position minus the count of rows in lower classes.
+    """
+    n = labels.shape[0]
+    admitted = np.zeros(n, dtype=bool)
     if quota <= 0:
         return admitted
-    for cls in range(k):
-        members = np.flatnonzero(labels == cls)
-        ranked = members[np.lexsort((members, dists[members]))]
-        admitted[ranked[:quota]] = True
+    positions = np.arange(n)
+    order = np.lexsort((positions, dists, labels))
+    counts = np.bincount(labels, minlength=k)
+    class_start = np.cumsum(counts) - counts
+    admitted[order[positions - class_start[labels[order]] < quota]] = True
     return admitted
 
 
@@ -130,6 +147,10 @@ def select_high_confidence(
     n_b = y_adv.shape[0]
     if not (features_adv.shape[0] == features_clu.shape[0] == y_clu.shape[0] == n_b):
         raise ValueError("branch outputs must cover the same target batch in the same order")
+    for name, y in (("labels_adv", y_adv), ("labels_clu", y_clu)):
+        out_of_range = (y < 0) | (y >= k)
+        if out_of_range.any():
+            raise ValueError(f"{name} holds label {y[out_of_range][0]}, outside [0, {k})")
 
     dist_adv = _distances_to_predicted_centroid(features_adv, y_adv, centroids_adv)
     dist_clu = _distances_to_predicted_centroid(features_clu, y_clu, centroids_clu)

@@ -7,6 +7,11 @@ operations applied to it and accumulates ``grad`` during
 explicitly zeroed; discriminator and main updates reuse subgraphs, so
 overwrite semantics would be wrong.
 
+Gradient ownership: a rule hands ``_accumulate`` a fresh array it never
+touches again. The first delta a tensor receives becomes its ``grad`` as is,
+with no copy, and later deltas are added into it in place; so no two tensors'
+gradients share memory, and adding into one never changes another.
+
 A node's backward rule receives the node's gradient as its argument, so no
 rule refers to its own output node and a graph holds no reference cycle: it
 is freed by reference counting as soon as the last tensor of it is dropped,
@@ -99,9 +104,14 @@ class Tensor:
             raise ShapeError(f"graph nodes must be non-empty matrices, got {arr.shape}")
         out.values = _freeze(arr)
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                requires_grad = True
+                break
+        out.requires_grad = requires_grad
         out._parents = tuple(parents)
-        out._backward_fn = backward_fn if out.requires_grad else None
+        out._backward_fn = backward_fn if requires_grad else None
         return out
 
     # -- bookkeeping ------------------------------------------------------
@@ -151,8 +161,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            # a copy: ``delta`` may be a view of another node's gradient
-            self.grad = delta.copy()
+            # kept, not copied: a rule hands _accumulate a fresh array it
+            # never touches again, so this tensor owns ``delta`` from here on
+            self.grad = delta
         else:
             self.grad += delta
 
@@ -204,7 +215,9 @@ class Tensor:
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function on a plain array."""
     # Split by sign to avoid overflow in exp for large |x|.
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
@@ -263,16 +276,18 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = logits.shape
     if labels.shape[0] != n:
         raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = labels[(labels < 0) | (labels >= k)][0]
-        raise IndexError(f"label {bad} out of range [0, {k})")
-    z = logits.values - logits.values.max(axis=1, keepdims=True)
+    out_of_range = (labels < 0) | (labels >= k)
+    if out_of_range.any():
+        raise IndexError(f"label {labels[out_of_range][0]} out of range [0, {k})")
+    v = logits.values
+    z = v - np.maximum.reduce(v, axis=1, keepdims=True)
     ez = np.exp(z)
-    sez = ez.sum(axis=1, keepdims=True)
-    log_probs = z - np.log(sez)
-    loss = -log_probs[np.arange(n), labels].mean()
-    local = ez / sez
-    local[np.arange(n), labels] -= 1.0
+    sez = np.add.reduce(ez, axis=1)
+    rows = np.arange(n)
+    # the label entries of z - log(sez), then their mean
+    loss = -(np.add.reduce(z[rows, labels] - np.log(sez)) / n)
+    local = ez / sez[:, None]
+    local[rows, labels] -= 1.0
     local /= n
 
     def bw(g: np.ndarray) -> None:
@@ -313,7 +328,8 @@ def vstack(tensors: Sequence[Tensor]) -> Tensor:
     def bw(g: np.ndarray) -> None:
         offset = 0
         for t in tensors:
-            t._accumulate(g[offset : offset + t.rows])
+            # a copy: a slice is a view of this node's gradient
+            t._accumulate(g[offset : offset + t.rows].copy())
             offset += t.rows
 
     return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)

@@ -22,7 +22,14 @@ from . import centroids as cent
 from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, MlpSpec, Params, branch_outputs
-from .pseudo_label import PseudoLabelBatch, kmeans_assign, select_high_confidence, tau_adv, tau_clu
+from .pseudo_label import (
+    PseudoLabelBatch,
+    class_means,
+    kmeans_assign,
+    select_high_confidence,
+    tau_adv,
+    tau_clu,
+)
 from .tensor import Tensor, gather_rows, vstack, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
@@ -161,30 +168,18 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
 # -- optimizer ---------------------------------------------------------------
 
 
-def sgd_momentum_step(
-    values: np.ndarray,
-    grad: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """v <- momentum * v + grad; p <- p - lr * v."""
-    if values.shape != grad.shape or values.shape != velocity.shape:
-        raise ValueError(
-            f"mismatched shapes: values {values.shape}, grad {grad.shape}, velocity {velocity.shape}"
-        )
-    new_velocity = momentum * velocity + grad
-    return values - lr * new_velocity, new_velocity
-
-
 def apply_sgd_update(
     params: list[Tensor], velocity: list[np.ndarray], lr: float, momentum: float
 ) -> None:
-    """Step every parameter tensor in place and zero its gradient."""
+    """Step every parameter tensor in place and zero its gradient.
+
+    Momentum SGD: v <- momentum * v + grad; p <- p - lr * v. A parameter
+    without a gradient takes a zero one.
+    """
     for i, p in enumerate(params):
         grad = p.grad if p.grad is not None else np.zeros(p.shape)
-        new_values, velocity[i] = sgd_momentum_step(p.values, grad, velocity[i], lr, momentum)
-        p.update_values(new_values)
+        velocity[i] = momentum * velocity[i] + grad
+        p.update_values(p.values - lr * velocity[i])
         p.zero_grad()
 
 
@@ -288,6 +283,15 @@ def train_step(
         raise ValueError(
             f"target batch has {target_batch.shape[0]} rows; clustering it needs at least k={k}"
         )
+    if ys.min() < 0:
+        raise ValueError(f"source label {ys.min()} is outside [0, {k})")
+    # per-class source counts: the missing-class check and the k-means seeds
+    counts = np.bincount(ys, minlength=k)
+    if counts.shape[0] > k:
+        raise ValueError(f"source label {counts.shape[0] - 1} is outside [0, {k})")
+    if (counts == 0).any():
+        missing = int(np.argmin(counts))
+        raise ValueError(f"source batch is missing class {missing}; use stratified sampling")
     xs = Tensor(xs_values)
     xt = Tensor(target_batch)
     n_target = xt.rows
@@ -312,11 +316,7 @@ def train_step(
     # source class mean, and the assignment would stop following the
     # target's own cluster structure.
     init_centroids = np.zeros((k, fs_clu.cols))
-    for cls in range(k):
-        members = ys == cls
-        if not members.any():
-            raise ValueError(f"source batch is missing class {cls}; use stratified sampling")
-        init_centroids[cls] = fs_clu.values[members].mean(axis=0)
+    class_means(fs_clu.values, ys, counts, init_centroids)
     y_clu_target, _ = kmeans_assign(ft_clu.values, init_centroids, max_iters=cfg.kmeans_max_iters)
 
     # (c) double-threshold screening against the previous iteration's banks

@@ -1,4 +1,4 @@
-"""Test-only graph pieces shared by the test modules."""
+"""Test-only graph pieces and reference implementations shared by the test modules."""
 
 import numpy as np
 
@@ -73,3 +73,74 @@ def layer_chain(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = linear(h, w, b, relu=i < last)
     return sigmoid_layer(h) if spec.output_activation == "sigmoid" else h
+
+
+# -- the per-class loops and kernels that whole-batch ops replaced ------------
+# Each is the earlier code, kept as a reference; tests require the code that
+# replaced it to give the same bits (np.array_equal) on randomized inputs.
+
+
+def admitted_reference(labels, dists, quota, k):
+    """Per class, the ``quota`` rows nearest its centroid, one class at a time."""
+    admitted = np.zeros(labels.shape[0], dtype=bool)
+    if quota <= 0:
+        return admitted
+    for cls in range(k):
+        members = np.flatnonzero(labels == cls)
+        ranked = members[np.lexsort((members, dists[members]))]
+        admitted[ranked[:quota]] = True
+    return admitted
+
+
+def kmeans_reference(features, init_centroids, max_iters=20):
+    """Lloyd's algorithm with a per-cluster ``mean`` update."""
+    x = np.asarray(features, dtype=np.float64)
+    centroids = np.array(init_centroids, dtype=np.float64)
+    labels = np.full(x.shape[0], -1, dtype=np.int64)
+    for _ in range(max_iters):
+        sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = sq.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cls in range(centroids.shape[0]):
+            members = labels == cls
+            if members.any():
+                centroids[cls] = x[members].mean(axis=0)
+    return labels, centroids
+
+
+def seed_centroids_reference(features, labels, k):
+    """The k-means seeds of a training step: each class's mean source feature."""
+    seeds = np.zeros((k, features.shape[1]))
+    for cls in range(k):
+        seeds[cls] = features[labels == cls].mean(axis=0)
+    return seeds
+
+
+def centroid_weights_reference(labels, k):
+    """The (K x N) weights of ``compute_centroids``: 1/count on a class's rows."""
+    counts = np.bincount(labels[labels >= 0], minlength=k)
+    weights = np.zeros((k, labels.shape[0]))
+    for cls in range(k):
+        weights[cls, labels == cls] = 1.0 / counts[cls]
+    return weights
+
+
+def sigmoid_reference(x):
+    """The logistic function with ``exp(-|x|)`` evaluated three times."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def cross_entropy_reference(logits, labels):
+    """Mean softmax cross entropy and its gradient by the logits, through ``log_probs``."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    sez = ez.sum(axis=1, keepdims=True)
+    log_probs = z - np.log(sez)
+    loss = -log_probs[np.arange(n), labels].mean()
+    local = ez / sez
+    local[np.arange(n), labels] -= 1.0
+    local /= n
+    return loss, local

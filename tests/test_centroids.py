@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_helpers import contract, network
+from graph_helpers import centroid_weights_reference, contract, network
 
 from dcp.centroids import (
     LOSS_EPS,
@@ -95,6 +95,17 @@ class TestComputeCentroids:
         bank = compute_centroids(Tensor(features), labels, k=3)
         expected = centroid_oracle(features, labels, 3)
         assert np.abs(bank.values - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weights_bit_identical_to_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k = rng.integers(2, 5)
+        # every class labeled at least once, the last exactly once
+        labels = np.concatenate([np.arange(k), rng.integers(-1, k - 1, size=rng.integers(0, 40))])
+        labels = rng.permutation(labels)
+        features = Tensor(rng.normal(size=(labels.shape[0], 3)))
+        weights = compute_centroids(features, labels, k)._parents[0].values
+        assert np.array_equal(weights, centroid_weights_reference(labels, k))
 
     def test_all_unlabeled_rejected(self):
         with pytest.raises(ValueError, match="unlabeled"):

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import admitted_reference, kmeans_reference, seed_centroids_reference
+
 from dcp.pseudo_label import (
     PseudoLabelBatch,
+    _admitted,
+    class_means,
     kmeans_assign,
     per_class_quota,
     select_high_confidence,
@@ -104,6 +108,47 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_assign(np.ones((2, 2)), np.ones((3, 2)))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_per_cluster_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, d = rng.integers(4, 40), rng.integers(2, 5), rng.integers(1, 6)
+        x = rng.normal(size=(n, d))
+        init = rng.normal(size=(k, d))
+        if seed % 3 == 0:
+            init[-1] = 100.0  # a cluster that is empty from the start
+        if seed % 3 == 1:
+            x = np.round(x)  # duplicate rows: tied distances
+        for max_iters in (1, 2, 20):
+            labels, centroids = kmeans_assign(x, init, max_iters=max_iters)
+            ref_labels, ref_centroids = kmeans_reference(x, init, max_iters=max_iters)
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(centroids, ref_centroids)
+
+    def test_cluster_that_empties_keeps_its_last_centroid_like_the_loop(self):
+        # cluster 0 takes {3, 7} and moves to 5; then 3 and 7 both leave it
+        x = np.array([[8.0], [3.0], [9.0], [7.0], [2.0]])
+        init = np.array([[4.0], [11.0], [1.0]])
+        labels, centroids = kmeans_assign(x, init)
+        ref_labels, ref_centroids = kmeans_reference(x, init)
+        assert not (labels == 0).any() and centroids[0, 0] == 5.0
+        assert np.array_equal(labels, ref_labels) and np.array_equal(centroids, ref_centroids)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_class_means_bit_identical_to_mean_per_class(self, seed):
+        rng = np.random.default_rng(seed)
+        k = rng.integers(2, 5)
+        # every class present, one of them with a single member
+        labels = np.concatenate([np.arange(k), rng.integers(1, k, size=rng.integers(0, 30))])
+        x = rng.normal(scale=10.0, size=(labels.shape[0], 64))
+        out = np.zeros((k, 64))
+        class_means(x, labels, np.bincount(labels, minlength=k), out)
+        assert np.array_equal(out, seed_centroids_reference(x, labels, k))
+
+    def test_class_means_leaves_uncounted_rows(self):
+        out = np.full((3, 1), 7.0)
+        class_means(np.array([[1.0], [3.0]]), np.array([0, 0]), np.array([2, 0, 0]), out)
+        np.testing.assert_array_equal(out, [[2.0], [7.0], [7.0]])
+
 
 class TestSelection:
     def test_cold_start_quota_zero_selects_nothing(self):
@@ -154,8 +199,43 @@ class TestSelection:
                 feats, feats, labels, labels, np.zeros((2, 1)), np.zeros((3, 1)), 1000
             )
 
+    @pytest.mark.parametrize("branch", ["labels_adv", "labels_clu"])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_outside_class_range_rejected(self, branch, bad):
+        feats = np.zeros((4, 1))
+        bank = np.array([[0.0], [1.0]])
+        labels = {"labels_adv": np.array([0, 1, 0, 1]), "labels_clu": np.array([0, 1, 0, 1])}
+        labels[branch] = np.array([0, 1, bad, 1])
+        with pytest.raises(ValueError, match=f"{branch} holds label {bad}, outside \\[0, 2\\)"):
+            select_high_confidence(
+                feats, feats, labels["labels_adv"], labels["labels_clu"], bank, bank, 1000
+            )
+
     def test_empty_batch_constructor(self):
         assert len(PseudoLabelBatch.empty()) == 0
+
+
+class TestAdmitted:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bit_identical_to_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(1, 40), rng.integers(2, 6)
+        labels = rng.integers(0, k, size=n)
+        # few distinct distances, so ties are common
+        dists = rng.integers(0, 4, size=n).astype(np.float64)
+        if seed % 2:
+            dists += rng.normal(size=n)
+        for quota in range(0, n + 2):
+            assert np.array_equal(
+                _admitted(labels, dists, quota, k), admitted_reference(labels, dists, quota, k)
+            )
+
+    def test_single_member_and_absent_classes(self):
+        labels = np.array([2, 0, 0, 0])  # class 1 absent, class 2 one member
+        dists = np.array([5.0, 1.0, 1.0, 0.5])
+        expected = admitted_reference(labels, dists, 2, 3)
+        assert np.array_equal(_admitted(labels, dists, 2, 3), expected)
+        assert list(np.flatnonzero(expected)) == [0, 1, 3]
 
 
 @settings(max_examples=300, deadline=None)

@@ -85,3 +85,22 @@ def test_bench_record_times_the_cli_train_and_eval():
         assert len(entry["values"]) == bench_record.CLI_RUNS == 3
         assert all(t > 0.0 for t in entry["values"])
         assert entry["median"] == sorted(entry["values"])[1]
+
+
+def test_bench_record_times_and_counts_a_pytest_run(tmp_path):
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    (tmp_path / "test_tiny.py").write_text(
+        "def test_passes():\n    pass\n\n\n"
+        "def test_also_passes():\n    pass\n\n\n"
+        "def test_fails():\n    assert False\n",
+        encoding="utf-8",
+    )
+    run = bench_record.pytest_wall(tmp_path, ["test_tiny.py"])
+    assert run["paths"] == ["test_tiny.py"]
+    assert (run["passed"], run["failed"], run["errors"]) == (2, 1, 0)
+    assert run["exit_code"] == 1
+    assert run["wall_s"] > 0.0

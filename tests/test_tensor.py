@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from graph_helpers import contract, network, sigmoid
+from graph_helpers import (
+    contract,
+    cross_entropy_reference,
+    network,
+    sigmoid,
+    sigmoid_reference,
+)
 
 from dcp.centroids import centroid_sample_matrix
 from dcp.losses import generator_loss
@@ -13,6 +19,7 @@ from dcp.tensor import (
     grad_check,
     matmul,
     pairwise_euclidean,
+    sigmoid_values,
     softmax_cross_entropy,
     vstack,
     weighted_sum,
@@ -98,6 +105,13 @@ class TestActivations:
         out = sigmoid(Tensor([[-800.0, 800.0]]))
         assert np.isfinite(out.values).all()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sigmoid_bit_identical_to_three_exp_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=10.0 ** rng.integers(0, 4), size=(7, 5))
+        x[0, :] = [0.0, -0.0, 800.0, -800.0, -40.0]  # zero and saturated entries
+        assert np.array_equal(sigmoid_values(x), sigmoid_reference(x))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_two_classes(self):
@@ -114,8 +128,23 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(loss.item())
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            softmax_cross_entropy(Tensor([[0.0, 0.0]]), [2])
+        for label in (2, -1):
+            with pytest.raises(IndexError, match=f"label {label} out of range"):
+                softmax_cross_entropy(Tensor([[0.0, 0.0], [0.0, 0.0]]), [0, label])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_log_probs_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(1, 40), rng.integers(2, 6)
+        logits = rng.normal(scale=10.0 ** rng.integers(0, 4), size=(n, k))
+        logits[0] = 1e3 * np.sign(logits[0])  # a saturated row
+        labels = rng.integers(0, k, size=n)
+        x = Tensor(logits, requires_grad=True)
+        loss = softmax_cross_entropy(x, labels)
+        loss.backward()
+        expected_loss, expected_grad = cross_entropy_reference(logits, labels)
+        assert np.array_equal(loss.values, [[expected_loss]])
+        assert np.array_equal(x.grad, expected_grad)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):
@@ -279,7 +308,7 @@ class TestVstackAndTranspose:
 
     def test_first_gradient_is_a_copy_of_its_slice(self):
         # each row of the stack hands a slice of its gradient to the same
-        # tensor: the first must be stored as a copy, or adding the second
+        # tensor: vstack must hand over copies, or adding the second slice
         # would write into the stack's own gradient
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         out = vstack([a, a])
@@ -288,6 +317,48 @@ class TestVstackAndTranspose:
         np.testing.assert_array_equal(a.grad, [[11.0, 22.0]])
         np.testing.assert_array_equal(out.grad, upstream)
         assert not np.shares_memory(a.grad, out.grad)
+
+
+class TestGradientOwnership:
+    """A rule hands ``_accumulate`` a fresh array: gradients never alias."""
+
+    def test_no_two_gradients_share_memory_and_none_changes_after_its_rule(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        stacked = vstack([a, b])
+        dists = pairwise_euclidean(c, c)  # one tensor as both parents
+        # ``a`` and ``c`` have a second consumer whose rule runs after the
+        # stack's and the distances': it adds into their gradients in place
+        loss = weighted_sum(
+            [
+                contract(a, rng.normal(size=a.shape)),
+                contract(c, rng.normal(size=c.shape)),
+                contract(stacked, rng.normal(size=stacked.shape)),
+                contract(dists, rng.normal(size=dists.shape)),
+            ],
+            [1.0, 1.0, 1.0, 1.0],
+        )
+        # snapshot each node's gradient as its rule receives it
+        seen = {}
+        nodes = [stacked, dists, loss, *loss._parents]
+        for node in nodes:
+            rule = node._backward_fn
+
+            def snapshot(g, node=node, rule=rule):
+                seen[id(node)] = g.copy()
+                rule(g)
+
+            node._backward_fn = snapshot
+        loss.backward()
+        assert set(seen) == {id(node) for node in nodes}
+        for node in nodes:
+            assert np.array_equal(node.grad, seen[id(node)])
+        tensors = [a, b, c, *nodes]
+        for i, t in enumerate(tensors):
+            for u in tensors[i + 1 :]:
+                assert not np.shares_memory(t.grad, u.grad)
 
 
 class TestGatherRows:

@@ -27,7 +27,6 @@ from dcp.trainer import (
     evaluate,
     init_state,
     pseudo_precision,
-    sgd_momentum_step,
     train,
     train_step,
     write_metrics_csv,
@@ -78,27 +77,39 @@ class TestTrainConfig:
             TrainConfig.from_dict({"learning_rate": 0.1})
 
 
+def _sgd_step(values, grad, velocity, lr, momentum):
+    """One ``apply_sgd_update`` of a parameter holding ``values`` and ``grad``."""
+    p = Tensor(values, requires_grad=True)
+    p.grad = None if grad is None else np.array(grad, dtype=np.float64)
+    velocities = [np.array(velocity, dtype=np.float64)]
+    apply_sgd_update([p], velocities, lr, momentum)
+    assert p.grad is None
+    return p.values, velocities[0]
+
+
 class TestSgdMomentum:
     def test_vanilla_when_momentum_zero(self):
         p = np.array([[1.0, 2.0]])
         g = np.array([[0.5, -0.5]])
-        new_p, new_v = sgd_momentum_step(p, g, np.zeros_like(p), lr=0.1, momentum=0.0)
+        new_p, new_v = _sgd_step(p, g, np.zeros_like(p), lr=0.1, momentum=0.0)
         np.testing.assert_allclose(new_p, p - 0.1 * g)
         np.testing.assert_allclose(new_v, g)
 
     def test_zero_grad_zero_velocity_is_fixed_point(self):
         p = np.array([[3.0]])
-        new_p, new_v = sgd_momentum_step(p, np.zeros_like(p), np.zeros_like(p), 0.1, 0.5)
-        np.testing.assert_array_equal(new_p, p)
-        np.testing.assert_array_equal(new_v, np.zeros_like(p))
+        # a parameter without a gradient steps as if it were zero
+        for grad in (np.zeros_like(p), None):
+            new_p, new_v = _sgd_step(p, grad, np.zeros_like(p), 0.1, 0.5)
+            np.testing.assert_array_equal(new_p, p)
+            np.testing.assert_array_equal(new_v, np.zeros_like(p))
 
     def test_two_steps_constant_grad_unrolls(self):
         p = np.array([[0.0]])
         g = np.array([[1.0]])
         v = np.zeros_like(p)
         lr = 0.1
-        p1, v = sgd_momentum_step(p, g, v, lr, momentum=0.5)
-        p2, v = sgd_momentum_step(p1, g, v, lr, momentum=0.5)
+        p1, v = _sgd_step(p, g, v, lr, momentum=0.5)
+        p2, v = _sgd_step(p1, g, v, lr, momentum=0.5)
         np.testing.assert_allclose(p2, -lr * g * (1.0 + 1.5))
 
     def test_apply_updates_tensor_and_zeroes_grad(self):
@@ -128,6 +139,21 @@ class TestTrainStep:
         assert record.T == 0
         assert state.t == 1
         assert state.bank_adv is not None
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_source_label_outside_class_range_rejected(self, bad):
+        state, (xs, ys), tgt_b, tgt_y = self._setup()
+        ys = ys.copy()
+        ys[0] = bad
+        with pytest.raises(ValueError, match=f"source label {bad} is outside"):
+            train_step(state, (xs, ys), tgt_b, tgt_y)
+        assert state.t == 0
+
+    def test_source_batch_missing_a_class_rejected(self):
+        state, (xs, ys), tgt_b, tgt_y = self._setup()
+        keep = ys != 1
+        with pytest.raises(ValueError, match="missing class 1"):
+            train_step(state, (xs[keep], ys[keep]), tgt_b, tgt_y)
 
     def test_second_step_can_select(self):
         state, src_b, tgt_b, tgt_y = self._setup()
