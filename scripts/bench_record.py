@@ -13,7 +13,8 @@ report lines, each seed's metrics-trace hash, and the environment line with
 the BLAS thread count. The commit is the checkout's git HEAD. The file also
 holds the median wall time, over three runs, of ``dcp train`` and ``dcp eval``
 at their defaults on the blob pair that ``dcp gen-data`` writes by default,
-each run a fresh interpreter on the checkout's sources, and the wall time
+each run a fresh interpreter on the checkout's sources, the size of the
+checkpoint that ``dcp train`` wrote, and the wall time
 and pass/fail counts of one run of the tier-1 test command and of one run of
 the acceptance suite alone (``tests/test_acceptance.py``). The file is
 written at the root of the repository this script sits in.
@@ -97,6 +98,7 @@ def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
 
     ``CLI_RUNS`` runs of each; ``iterations`` shortens training (default: the
     CLI's own). Every command runs the checkout's ``src/`` in a new process.
+    ``checkpoint_bytes`` is the size of the checkpoint each training run wrote.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
 
@@ -118,13 +120,17 @@ def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
         eval_args = ["eval", "--checkpoint", str(run / "checkpoint.json"),
                      "--data", str(data / "target.csv"), "--out-dir", str(run)]
         times: dict[str, list[float]] = {"train_s": [], "eval_s": []}
+        sizes = []
         for _ in range(CLI_RUNS):
             times["train_s"].append(dcp(*train_args))
+            sizes.append((run / "checkpoint.json").stat().st_size)
             times["eval_s"].append(dcp(*eval_args))
-    return {
+    record = {
         name: {"unit": "s", "values": values, "median": statistics.median(values)}
         for name, values in times.items()
     }
+    record["checkpoint_bytes"] = {"unit": "B", "values": sizes, "median": statistics.median(sizes)}
+    return record
 
 
 def pytest_wall(checkout: Path, paths=()) -> dict:
@@ -177,8 +183,8 @@ def main(argv=None) -> int:
         workloads[name]["traced_correct"] = traced["result"]["correct"]
 
     cli = cli_wall_times(checkout)
-    print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f}",
-          file=sys.stderr, flush=True)
+    print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f} "
+          f"checkpoint_bytes={cli['checkpoint_bytes']['median']}", file=sys.stderr, flush=True)
 
     tests = {"tier1": pytest_wall(checkout), "acceptance": pytest_wall(checkout, ACCEPTANCE_TESTS)}
     for name, run in tests.items():

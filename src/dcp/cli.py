@@ -5,8 +5,9 @@ config, or a malformed or out-of-range input file), 3 numeric failure during
 training, 4 checkpoint version mismatch. A gradcheck failure also exits 1.
 Every training run writes exactly one manifest describing the config and
 dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
-trained networks plus the config, iteration count, class count and input
-dimension; it has no optimizer or centroid state, so runs are not resumable.
+weights and biases of the two networks that eval reads, the adversarial
+extractor and head; it has no clustering branch, discriminator, optimizer or
+centroid state, so runs are not resumable.
 """
 
 from __future__ import annotations

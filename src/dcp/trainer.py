@@ -32,14 +32,12 @@ from .pseudo_label import (
 )
 from .tensor import Tensor, gather_rows, vstack, weighted_sum
 
-CHECKPOINT_FORMAT = "dcp-checkpoint-v2"
+CHECKPOINT_FORMAT = "dcp-checkpoint-v3"
 
 # Desk-scale architecture: smallest shapes where the adversarial game and the
 # centroid geometry are observable on 2-D synthetic data.
 FEATURE_DIM = 64
 DISC_HIDDEN = 32
-
-NETWORK_NAMES = ("adv_extractor", "adv_head", "clu_extractor", "clu_head", "discriminator")
 
 
 class NumericsError(RuntimeError):
@@ -62,6 +60,15 @@ class CheckpointVersionError(ValueError):
     """The checkpoint file carries an unsupported format tag."""
 
 
+# Keyed by each TrainConfig field's annotation, a string here since annotations
+# are postponed: the types a value may have, and how an error names them.
+_FIELD_KINDS = {
+    "bool": (bool, "a bool"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; defaults follow the digit-scale settings."""
@@ -81,6 +88,12 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted, what = _FIELD_KINDS[f.type]
+            # bool is an int subclass: it passes only where the field is a bool
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, accepted):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.lr <= 0:
@@ -190,7 +203,6 @@ def apply_sgd_update(
 class TrainState:
     config: TrainConfig
     k: int
-    d_in: int
     networks: dict[str, Mlp]
     velocity: dict[str, list[np.ndarray]]
     t: int = 0
@@ -221,7 +233,7 @@ def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
         name: [np.zeros(p.shape) for p in net.params.tensors()]
         for name, net in networks.items()
     }
-    return TrainState(config=config, k=k, d_in=d_in, networks=networks, velocity=velocity)
+    return TrainState(config=config, k=k, networks=networks, velocity=velocity)
 
 
 @dataclass
@@ -539,7 +551,7 @@ def train(
         records.append(record)
         if on_step is not None:
             on_step(state, record, info)
-    return Checkpoint.from_state(state), records
+    return Checkpoint(state.networks["adv_extractor"], state.networks["adv_head"]), records
 
 
 def _dataset_accuracy(state: TrainState, x: np.ndarray, y: np.ndarray) -> float:
@@ -574,12 +586,8 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
         raise ValueError(
             f"label {labels[labels >= k][0]} is outside [0, {k}): the checkpoint has {k} classes"
         )
-    out = branch_outputs(
-        checkpoint.networks["adv_extractor"], checkpoint.networks["adv_head"], Tensor(dataset.X)
-    )
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for true, pred in zip(labels, out.predicted_labels):
-        confusion[true, pred] += 1
+    out = branch_outputs(checkpoint.adv_extractor, checkpoint.adv_head, Tensor(dataset.X))
+    confusion = np.bincount(labels * k + out.predicted_labels, minlength=k * k).reshape(k, k)
     row_totals = confusion.sum(axis=1)
     per_class = np.divide(
         np.diag(confusion),
@@ -599,45 +607,29 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
 
 @dataclass
 class Checkpoint:
-    """The trained networks plus the config and shape that produced them.
+    """The adversarial branch, extractor then head: the networks ``evaluate`` reads.
 
-    Enough to reproduce forward passes; optimizer velocity and centroid banks
-    are not kept, so a run cannot be resumed from a checkpoint.
+    Layer widths are the weight shapes, and the class count is the head's
+    output width. Both networks are relu in hidden layers and linear at the
+    output. The clustering branch, the discriminator, optimizer velocity and
+    centroid banks are not kept, so a run cannot be resumed from a checkpoint.
     """
 
-    config: TrainConfig
-    t: int
-    k: int
-    d_in: int
-    networks: dict[str, Mlp]
+    adv_extractor: Mlp
+    adv_head: Mlp
 
-    @classmethod
-    def from_state(cls, state: TrainState) -> "Checkpoint":
-        return cls(
-            config=state.config,
-            t=state.t,
-            k=state.k,
-            d_in=state.d_in,
-            networks=state.networks,
-        )
+    @property
+    def k(self) -> int:
+        return self.adv_head.spec.d_out
 
     def save(self, path) -> None:
-        def encode_net(net: Mlp) -> dict:
-            return {
-                "layer_widths": list(net.spec.layer_widths),
-                "output_activation": net.spec.output_activation,
-                "weights": [w.values.tolist() for w in net.params.weights],
-                "biases": [b.values.tolist() for b in net.params.biases],
+        payload = {"format": CHECKPOINT_FORMAT}
+        for f in fields(self):
+            params = getattr(self, f.name).params
+            payload[f.name] = {
+                "weights": [w.values.tolist() for w in params.weights],
+                "biases": [b.values.tolist() for b in params.biases],
             }
-
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "config": self.config.to_dict(),
-            "t": self.t,
-            "k": self.k,
-            "d_in": self.d_in,
-            "networks": {name: encode_net(net) for name, net in self.networks.items()},
-        }
         Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
     @classmethod
@@ -650,51 +642,42 @@ class Checkpoint:
             raise CheckpointVersionError(
                 f"unsupported checkpoint format {tag!r}; expected {CHECKPOINT_FORMAT!r}"
             )
-        _require_keys(payload, ("config", "t", "k", "d_in", "networks"), "checkpoint")
-        _require_keys(payload["networks"], NETWORK_NAMES, "checkpoint networks")
-
-        def decode_net(name: str, data: dict) -> Mlp:
-            _require_keys(
-                data, ("layer_widths", "output_activation", "weights", "biases"), f"network {name!r}"
+        names = tuple(f.name for f in fields(cls))
+        _require_keys(payload, names, "checkpoint")
+        extractor, head = (_decode_network(name, payload[name]) for name in names)
+        if extractor.spec.d_out != head.spec.d_in:
+            raise ValueError(
+                f"'adv_extractor' gives {extractor.spec.d_out} features "
+                f"but 'adv_head' takes {head.spec.d_in}"
             )
-            for key in ("layer_widths", "weights", "biases"):
-                if not isinstance(data[key], list):
-                    raise ValueError(f"network {name!r}: {key} is not a JSON list")
-            if not all(isinstance(w, int) for w in data["layer_widths"]):
-                raise ValueError(f"network {name!r}: layer_widths holds a non-integer")
-            spec = MlpSpec(tuple(data["layer_widths"]), data["output_activation"])
-            weights = [Tensor(np.array(w), requires_grad=True) for w in data["weights"]]
-            biases = [Tensor(np.array(b), requires_grad=True) for b in data["biases"]]
-            widths = spec.layer_widths
-            expected = [((out, into), (out, 1)) for into, out in zip(widths[:-1], widths[1:])]
-            shapes = [(w.shape, b.shape) for w, b in zip(weights, biases)]
-            if len(weights) != len(biases) or shapes != expected:
-                raise ValueError(
-                    f"network {name!r}: weight and bias shapes do not match layer widths {widths}"
-                )
-            return Mlp(spec=spec, params=Params(weights=weights, biases=biases))
+        return cls(extractor, head)
 
-        networks = {name: decode_net(name, data) for name, data in payload["networks"].items()}
-        widths = {
-            "k": {name: networks[name].spec.d_out for name in ("adv_head", "clu_head")},
-            "d_in": {name: networks[name].spec.d_in for name in ("adv_extractor", "clu_extractor")},
-        }
-        for key, found in widths.items():
-            for name, width in found.items():
-                if width != payload[key]:
-                    raise ValueError(f"checkpoint {key}={payload[key]} but {name!r} has width {width}")
-        _require_keys(payload["config"], (), "checkpoint config")
-        try:
-            config = TrainConfig.from_dict(payload["config"])
-        except TypeError as exc:  # a field of the wrong type, such as a string alpha
-            raise ValueError(f"checkpoint config: {exc}") from exc
-        return cls(
-            config=config,
-            t=payload["t"],
-            k=payload["k"],
-            d_in=payload["d_in"],
-            networks=networks,
-        )
+
+def _decode_network(name: str, data) -> Mlp:
+    """The network that ``data`` encodes, with its layer widths read off its weights."""
+    _require_keys(data, ("weights", "biases"), f"network {name!r}")
+    for key in ("weights", "biases"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"network {name!r}: {key} is not a JSON list")
+    try:
+        weights = [Tensor(w, requires_grad=True) for w in data["weights"]]
+        biases = [Tensor(b, requires_grad=True) for b in data["biases"]]
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise ValueError(f"network {name!r}: {exc}") from exc
+    if not weights or len(weights) != len(biases):
+        raise ValueError(f"network {name!r}: {len(weights)} weights but {len(biases)} biases")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i > 0 and w.cols != weights[i - 1].rows:
+            raise ValueError(
+                f"network {name!r}: weights do not chain: weight {i} takes {w.cols} inputs "
+                f"but weight {i - 1} gives {weights[i - 1].rows}"
+            )
+        if b.shape != (w.rows, 1):
+            raise ValueError(
+                f"network {name!r}: bias {i} has shape {b.shape} but weight {i} is {w.shape}"
+            )
+    spec = MlpSpec((weights[0].cols, *(w.rows for w in weights)))
+    return Mlp(spec=spec, params=Params(weights=weights, biases=biases))
 
 
 def _require_keys(data, keys: tuple[str, ...], what: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 from dcp import cli, verify
 from dcp.datasets import load_embeddings, save_embeddings
 from dcp.tensor import Tensor
+from dcp.trainer import TrainConfig, init_state
 
 
 def run_cli(args):
@@ -20,6 +21,11 @@ def relabeled_copy(csv_path, out_path, label):
     y[0] = label
     save_embeddings(dataclasses.replace(dataset, y=y), out_path)
     return out_path
+
+
+def _drop_last_column(matrix):
+    for row in matrix:
+        row.pop()
 
 
 def assert_usage_error(code, capsys, fragment):
@@ -160,6 +166,23 @@ class TestTrain:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "override", [{"iterations": 2.5}, {"use_pseudo_labels": "no"}, {"alpha": True}]
+    )
+    def test_config_field_of_wrong_type_is_usage_error(
+        self, blob_files, tmp_path, capsys, override
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._train_args(blob_files, out, ("--config", str(cfg))))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        (name,) = override
+        assert f"{name} must be " in err and "Traceback" not in err
+        assert not (out / "checkpoint.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_exits_three_with_iteration(self, blob_files, tmp_path, capsys):
         code = run_cli(
@@ -230,6 +253,34 @@ class TestEval:
         )
         assert code == 4
 
+    def test_v2_checkpoint_exits_four(self, blob_files, tmp_path, capsys):
+        # the layout the previous format saved: five networks, the config, t, k and d_in
+        state = init_state(TrainConfig(), k=3, d_in=2)
+        v2 = {
+            "format": "dcp-checkpoint-v2",
+            "config": state.config.to_dict(),
+            "t": 0,
+            "k": 3,
+            "d_in": 2,
+            "networks": {
+                name: {
+                    "layer_widths": list(net.spec.layer_widths),
+                    "output_activation": net.spec.output_activation,
+                    "weights": [w.values.tolist() for w in net.params.weights],
+                    "biases": [b.values.tolist() for b in net.params.biases],
+                }
+                for name, net in state.networks.items()
+            },
+        }
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(v2, indent=1))
+        code = run_cli(
+            ["eval", "--checkpoint", str(old), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 4
+        assert "'dcp-checkpoint-v2'" in capsys.readouterr().err
+
     def test_unlabeled_data_is_usage_error(self, trained, blob_files, tmp_path, capsys):
         data = relabeled_copy(blob_files / "target.csv", tmp_path / "unlabeled.csv", -1)
         code = run_cli(
@@ -249,8 +300,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "payload,fragment",
         [
-            ({"format": "dcp-checkpoint-v2"}, "checkpoint is missing key 'config'"),
-            (["dcp-checkpoint-v2"], "checkpoint file is not a JSON object"),
+            ({"format": "dcp-checkpoint-v3"}, "checkpoint is missing key 'adv_extractor'"),
+            (["dcp-checkpoint-v3"], "checkpoint file is not a JSON object"),
         ],
     )
     def test_malformed_checkpoint_is_usage_error(
@@ -264,45 +315,45 @@ class TestEval:
         )
         assert_usage_error(code, capsys, fragment)
 
-
     @pytest.mark.parametrize(
-        "key,value,fragment",
+        "edit,fragment",
         [
-            ("k", 2, "checkpoint k=2 but 'adv_head' has width 3"),
-            ("d_in", 3, "checkpoint d_in=3 but 'adv_extractor' has width 2"),
+            (
+                lambda p: _drop_last_column(p["adv_extractor"]["weights"][1]),
+                "network 'adv_extractor': weights do not chain: "
+                "weight 1 takes 63 inputs but weight 0 gives 64",
+            ),
+            (
+                lambda p: p["adv_head"]["weights"][0].pop(),
+                "network 'adv_head': bias 0 has shape (3, 1) but weight 0 is (2, 64)",
+            ),
+            (
+                lambda p: _drop_last_column(p["adv_head"]["weights"][0]),
+                "'adv_extractor' gives 64 features but 'adv_head' takes 63",
+            ),
         ],
+        ids=["weights-do-not-chain", "bias-unmatched", "extractor-head-mismatch"],
     )
-    def test_edited_shape_field_is_usage_error(
-        self, trained, blob_files, tmp_path, capsys, key, value, fragment
+    def test_edited_weight_shapes_are_usage_error(
+        self, trained, blob_files, tmp_path, capsys, edit, fragment
     ):
-        # with k edited to 2 the 3-output head still predicts class 2, which
-        # used to end in an IndexError on data holding classes 0 and 1 only
         payload = json.loads((trained / "checkpoint.json").read_text())
-        payload[key] = value
+        edit(payload)
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(payload))
-        lines = (blob_files / "target.csv").read_text().splitlines()
-        two_classes = tmp_path / "two_classes.csv"
-        two_classes.write_text(
-            "\n".join([lines[0]] + [r for r in lines[1:] if r.split(",")[-2] in ("0", "1")]) + "\n"
-        )
         code = run_cli(
-            ["eval", "--checkpoint", str(edited), "--data", str(two_classes),
+            ["eval", "--checkpoint", str(edited), "--data", str(blob_files / "source.csv"),
              "--out-dir", str(tmp_path)]
         )
         assert_usage_error(code, capsys, fragment)
 
-
     @pytest.mark.parametrize(
         "key,value,fragment",
         [
-            ("layer_widths", 5, "layer_widths is not a JSON list"),
-            ("layer_widths", None, "layer_widths is not a JSON list"),
             ("weights", 5, "weights is not a JSON list"),
             ("weights", None, "weights is not a JSON list"),
             ("biases", 5, "biases is not a JSON list"),
             ("biases", None, "biases is not a JSON list"),
-            ("layer_widths", [None, 3], "layer_widths holds a non-integer"),
         ],
     )
     def test_network_field_of_wrong_type_is_usage_error(
@@ -310,7 +361,7 @@ class TestEval:
     ):
         # these used to end in a TypeError traceback and exit 1
         payload = json.loads((trained / "checkpoint.json").read_text())
-        payload["networks"]["adv_head"][key] = value
+        payload["adv_head"][key] = value
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(payload))
         code = run_cli(
@@ -318,26 +369,6 @@ class TestEval:
              "--out-dir", str(tmp_path)]
         )
         assert_usage_error(code, capsys, f"network 'adv_head': {fragment}")
-
-    @pytest.mark.parametrize(
-        "config,fragment",
-        [
-            (5, "checkpoint config is not a JSON object"),
-            ({"alpha": "x"}, "checkpoint config: "),
-        ],
-    )
-    def test_config_of_wrong_type_is_usage_error(
-        self, trained, blob_files, tmp_path, capsys, config, fragment
-    ):
-        payload = json.loads((trained / "checkpoint.json").read_text())
-        payload["config"] = config
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(payload))
-        code = run_cli(
-            ["eval", "--checkpoint", str(edited), "--data", str(blob_files / "source.csv"),
-             "--out-dir", str(tmp_path)]
-        )
-        assert_usage_error(code, capsys, fragment)
 
 
 class TestGradcheckCommand:

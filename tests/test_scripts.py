@@ -80,11 +80,15 @@ def test_bench_record_times_the_cli_train_and_eval():
     finally:
         sys.path.remove(str(SCRIPTS))
     times = bench_record.cli_wall_times(SCRIPTS.parent, iterations=3)
-    assert set(times) == {"train_s", "eval_s"}
+    assert set(times) == {"train_s", "eval_s", "checkpoint_bytes"}
     for entry in times.values():
         assert len(entry["values"]) == bench_record.CLI_RUNS == 3
         assert all(t > 0.0 for t in entry["values"])
         assert entry["median"] == sorted(entry["values"])[1]
+    # training is deterministic, so every run writes the same checkpoint
+    sizes = times["checkpoint_bytes"]
+    assert sizes["unit"] == "B" and len(set(sizes["values"])) == 1
+    assert isinstance(sizes["median"], int)
 
 
 def test_bench_record_times_and_counts_a_pytest_run(tmp_path):

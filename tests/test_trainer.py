@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,25 @@ class TestTrainConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # each used to train or crash with a TypeError instead of failing here
+            {"iterations": 2.5},
+            {"batch_size": 36.0},
+            {"adv_seed": 1.5},
+            {"use_pseudo_labels": "no"},  # truthy: it trained with pseudo-labels
+            {"alpha": True},  # ran at alpha = 1
+        ],
+    )
+    def test_field_of_wrong_type(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig(**kwargs)
+
+    def test_int_in_a_float_field(self):
+        assert TrainConfig(alpha=0, lr=1).alpha == 0
 
     def test_round_trips_through_dict(self):
         cfg = TrainConfig(alpha=0.2, adv_seed=9)
@@ -424,14 +444,9 @@ class TestTrain:
         src, tgt = tiny_datasets()
         ckpt, records = train(tiny_config(iterations=0), src, tgt)
         assert records == []
-        assert ckpt.t == 0
-        assert set(ckpt.networks) == {
-            "adv_extractor",
-            "adv_head",
-            "clu_extractor",
-            "clu_head",
-            "discriminator",
-        }
+        assert ckpt.adv_extractor.spec.layer_widths == (2, 64, 64)
+        assert ckpt.adv_head.spec.layer_widths == (64, 3)
+        assert ckpt.k == 3
 
     def test_metrics_t_column_is_contiguous(self):
         src, tgt = tiny_datasets()
@@ -523,11 +538,14 @@ class TestEvaluate:
         src, tgt = tiny_datasets()
         ckpt, _ = train(tiny_config(iterations=0), src, tgt)
         # zero the head: every row gets identical logits, argmax is always 0
-        head = ckpt.networks["adv_head"]
-        for p in head.params.tensors():
+        for p in ckpt.adv_head.params.tensors():
             p.update_values(np.zeros(p.shape))
         report = evaluate(ckpt, src)
         assert report.accuracy == pytest.approx(1.0 / 3.0)
+        # rows are true classes, columns predictions
+        counts = np.bincount(src.y, minlength=3)
+        np.testing.assert_array_equal(report.confusion, np.stack([counts, [0] * 3, [0] * 3], 1))
+        np.testing.assert_array_equal(report.per_class_accuracy, [1.0, 0.0, 0.0])
 
     def test_unlabeled_dataset_rejected(self):
         ckpt, _, tgt = self._checkpoint(iterations=2)
@@ -561,23 +579,25 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
         loaded = Checkpoint.load(path)
-        before = evaluate(ckpt, src)
-        after = evaluate(loaded, src)
-        assert before.accuracy == after.accuracy
-        for name in ckpt.networks:
-            for a, b in zip(
-                ckpt.networks[name].params.tensors(), loaded.networks[name].params.tensors()
-            ):
+        for data in (src, tgt):
+            before, after = evaluate(ckpt, data), evaluate(loaded, data)
+            assert before.accuracy == after.accuracy
+            assert np.array_equal(before.per_class_accuracy, after.per_class_accuracy)
+            assert np.array_equal(before.confusion, after.confusion)
+        pairs = ((ckpt.adv_extractor, loaded.adv_extractor), (ckpt.adv_head, loaded.adv_head))
+        for net, back in pairs:
+            assert back.spec == net.spec
+            for a, b in zip(net.params.tensors(), back.params.tensors()):
                 assert np.array_equal(a.values, b.values)
-        assert loaded.config == ckpt.config
-        assert loaded.t == ckpt.t
-        assert set(json.loads(path.read_text())) == {
-            "format", "config", "t", "k", "d_in", "networks"
-        }
+        saved = json.loads(path.read_text())
+        assert set(saved) == {"format", "adv_extractor", "adv_head"}
+        assert saved["format"] == CHECKPOINT_FORMAT == "dcp-checkpoint-v3"
+        for name in ("adv_extractor", "adv_head"):
+            assert set(saved[name]) == {"weights", "biases"}
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        for tag in ("dcp-checkpoint-v0", "dcp-checkpoint-v1"):
+        for tag in ("dcp-checkpoint-v0", "dcp-checkpoint-v1", "dcp-checkpoint-v2"):
             path.write_text(json.dumps({"format": tag}))
             with pytest.raises(CheckpointVersionError, match=tag):
                 Checkpoint.load(path)
@@ -589,15 +609,27 @@ class TestCheckpoint:
         ckpt.save(path)
         saved = json.loads(path.read_text())
         breakages = [
-            (lambda nets: nets["adv_head"].pop("weights"), "network 'adv_head' is missing key 'weights'"),
-            (lambda nets: nets.pop("clu_head"), "checkpoint networks is missing key 'clu_head'"),
-            (lambda nets: nets.update(adv_head=5), "network 'adv_head' is not a JSON object"),
+            (lambda p: p["adv_head"].pop("weights"), "network 'adv_head' is missing key 'weights'"),
+            (lambda p: p.pop("adv_head"), "checkpoint is missing key 'adv_head'"),
+            (lambda p: p.update(adv_head=5), "network 'adv_head' is not a JSON object"),
+            (
+                lambda p: p["adv_head"].update(weights=[]),
+                "network 'adv_head': 0 weights but 1 biases",
+            ),
+            (
+                lambda p: p["adv_extractor"]["biases"].pop(),
+                "network 'adv_extractor': 2 weights but 1 biases",
+            ),
+            (
+                lambda p: p["adv_head"].update(weights=[[["x"]]]),
+                "network 'adv_head': could not convert string to float",
+            ),
         ]
         for breakage, message in breakages:
             payload = copy.deepcopy(saved)
-            breakage(payload["networks"])
+            breakage(payload)
             path.write_text(json.dumps(payload))
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 Checkpoint.load(path)
 
 
@@ -650,9 +682,7 @@ class TestMainObjectiveGradient:
         velocity = {
             name: [np.zeros(p.shape) for p in net.params.tensors()] for name, net in networks.items()
         }
-        return TrainState(
-            config=tiny_config(alpha=0.5), k=3, d_in=2, networks=networks, velocity=velocity
-        )
+        return TrainState(config=tiny_config(alpha=0.5), k=3, networks=networks, velocity=velocity)
 
     @staticmethod
     def _objective(nets, disc, xs, ys, xt, selected, banks, cfg):
