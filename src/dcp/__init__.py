@@ -31,7 +31,7 @@ from .losses import (
     generator_loss,
     source_classification_loss,
 )
-from .networks import BranchOutputs, Mlp, MlpSpec, Params, branch_outputs, forward, init_params
+from .networks import Mlp, branch_outputs, forward
 from .pseudo_label import (
     PseudoLabelBatch,
     kmeans_assign,

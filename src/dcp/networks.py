@@ -1,18 +1,18 @@
 """Small fully connected networks: feature extractors, heads, discriminator.
 
-Both branches of the model use structurally identical extractors with
-independent parameters; architecture defaults live in the trainer.
+A network is its weights: each layer is a weight (out x in) and a bias
+(out x 1), and the layer widths are the weight shapes. Both branches of the
+model use structurally identical extractors with independent parameters;
+architecture defaults live in the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor, linear_values, sigmoid_values
-
-OUTPUT_ACTIVATIONS = ("none", "sigmoid")
 
 # Rows per block of the graph-free forward. At the trainer's feature width a
 # block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
@@ -21,68 +21,77 @@ OUTPUT_ACTIVATIONS = ("none", "sigmoid")
 EVAL_BLOCK_ROWS = 128
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer widths (first entry = input dim) plus the output nonlinearity.
-
-    Hidden layers are always relu; the output layer is linear or sigmoid.
-    """
-
-    layer_widths: tuple[int, ...]
-    output_activation: str = "none"
-
-    def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
-        if len(widths) < 2:
-            raise ValueError(f"need at least input and output widths, got {widths}")
-        if any(w <= 0 for w in widths):
-            raise ValueError(f"layer widths must be positive, got {widths}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(
-                f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {self.output_activation!r}"
-            )
-
-    @property
-    def d_in(self) -> int:
-        return self.layer_widths[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.layer_widths[-1]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
-
 @dataclass
-class Params:
-    """Per-layer weight (w_out x w_in) and bias (w_out x 1) tensors."""
+class Mlp:
+    """Per-layer weight and bias tensors; callable on a batch tensor.
+
+    Hidden layers are relu; the output layer is linear, or sigmoid when
+    ``sigmoid`` is set. The layer shapes are checked here and nowhere else:
+    ``Tensor.update_values`` keeps every shape, so they cannot change later.
+    """
 
     weights: list[Tensor]
     biases: list[Tensor]
+    sigmoid: bool = False
+
+    def __post_init__(self):
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ShapeError(f"{len(self.weights)} weights but {len(self.biases)} biases")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i > 0 and w.cols != self.weights[i - 1].rows:
+                raise ShapeError(
+                    f"weights do not chain: weight {i} takes {w.cols} inputs "
+                    f"but weight {i - 1} gives {self.weights[i - 1].rows}"
+                )
+            if b.shape != (w.rows, 1):
+                raise ShapeError(f"bias {i} has shape {b.shape} but weight {i} is {w.shape}")
+
+    @classmethod
+    def create(cls, widths: tuple[int, ...], seed: int, sigmoid: bool = False) -> "Mlp":
+        """Glorot-uniform weights and zero biases from a seeded generator.
+
+        ``widths`` runs from the input width to the output width. Fewer than
+        two widths give no layer and a zero width an empty weight, and both
+        raise ``ShapeError``.
+        """
+        rng = np.random.default_rng(seed)
+        weights, biases = [], []
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            bound = np.sqrt(6.0 / (w_in + w_out))
+            w = rng.uniform(-bound, bound, size=(w_out, w_in))
+            weights.append(Tensor(w, requires_grad=True))
+            biases.append(Tensor(np.zeros((w_out, 1)), requires_grad=True))
+        return cls(weights, biases, sigmoid)
+
+    @property
+    def d_in(self) -> int:
+        return self.weights[0].cols
+
+    @property
+    def d_out(self) -> int:
+        return self.weights[-1].rows
 
     def tensors(self) -> list[Tensor]:
+        """``[W1, b1, W2, b2, ...]``: the parameters in layer order."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
 
+    def __call__(self, x: Tensor) -> Tensor:
+        # ``forward`` is looked up at each call, so a wrapper installed on
+        # ``networks.forward`` (perfbench's tracer) sees every network call
+        return forward(self, x)
 
-def init_params(spec: MlpSpec, seed: int) -> Params:
-    """Glorot-uniform weights and zero biases from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for w_in, w_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        bound = np.sqrt(6.0 / (w_in + w_out))
-        weights.append(Tensor(rng.uniform(-bound, bound, size=(w_out, w_in)), requires_grad=True))
-        biases.append(Tensor(np.zeros((w_out, 1)), requires_grad=True))
-    return Params(weights=weights, biases=biases)
+    def detached(self) -> "Mlp":
+        """This network on constant parameters that share its values: frozen."""
+        return Mlp(
+            [w.detached() for w in self.weights], [b.detached() for b in self.biases], self.sigmoid
+        )
 
 
-def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
+def forward(net: Mlp, x: Tensor) -> Tensor:
     """Run the batch (rows = samples) through every layer as one graph node.
 
     The node's parents are ``(x, W1, b1, W2, b2, ...)``. Its backward walks the
@@ -90,26 +99,19 @@ def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
     input, weight and bias gradients of each layer, in that order), and
     computes only the gradients some parent can take.
     """
-    if x.cols != spec.d_in:
-        raise ShapeError(f"input has {x.cols} columns, spec expects {spec.d_in}")
-    layers = tuple(zip(params.weights, params.biases))
-    last = spec.n_layers - 1
-    if len(layers) != spec.n_layers:
-        raise ShapeError(f"{len(layers)} weight-bias pairs for {spec.n_layers} layers")
+    if x.cols != net.d_in:
+        raise ShapeError(f"input has {x.cols} columns, the network takes {net.d_in}")
+    layers = tuple(zip(net.weights, net.biases))
+    last = len(layers) - 1
     acts = [x.values]  # the input, then each layer's output
     parents = [x]
     # layer i passes a gradient down when x or a parameter below it takes one
     takes_input_grad = [x.requires_grad]
     for i, (w, b) in enumerate(layers):
-        if w.cols != acts[-1].shape[1] or b.shape != (w.rows, 1):
-            raise ShapeError(
-                f"layer {i}: weight {w.shape} and bias {b.shape} do not fit "
-                f"{acts[-1].shape[1]} inputs"
-            )
         acts.append(linear_values(acts[-1], w.values, b.values, relu=i < last))
         parents += (w, b)
         takes_input_grad.append(takes_input_grad[-1] or w.requires_grad or b.requires_grad)
-    sigmoid = spec.output_activation == "sigmoid"
+    sigmoid = net.sigmoid
     out = sigmoid_values(acts[-1]) if sigmoid else acts[-1]
 
     def bw(g: np.ndarray) -> None:
@@ -133,58 +135,26 @@ def forward(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
     return Tensor._node(out, tuple(parents), bw)
 
 
-def _forward_values(params: Params, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+def _forward_values(net: Mlp, x: np.ndarray) -> np.ndarray:
     """The same forward on a plain array, recording no graph; identical bits."""
-    if x.shape[1] != spec.d_in:
-        raise ShapeError(f"input has {x.shape[1]} columns, spec expects {spec.d_in}")
+    if x.shape[1] != net.d_in:
+        raise ShapeError(f"input has {x.shape[1]} columns, the network takes {net.d_in}")
     h = x
-    last = spec.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = linear_values(h, w.values, b.values, relu=i < last)
-    return sigmoid_values(h) if spec.output_activation == "sigmoid" else h
+    return sigmoid_values(h) if net.sigmoid else h
 
 
-@dataclass
-class Mlp:
-    """A spec bundled with its parameters; callable on a batch tensor."""
-
-    spec: MlpSpec
-    params: Params
-
-    @classmethod
-    def create(cls, spec: MlpSpec, seed: int) -> "Mlp":
-        return cls(spec=spec, params=init_params(spec, seed))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return forward(self.params, self.spec, x)
-
-    def detached(self) -> "Mlp":
-        """This network on constant parameters that share its values: frozen."""
-        params = Params(
-            weights=[w.detached() for w in self.params.weights],
-            biases=[b.detached() for b in self.params.biases],
-        )
-        return Mlp(spec=self.spec, params=params)
-
-
-@dataclass
-class BranchOutputs:
-    """Logits and the hard labels derived from them."""
-
-    logits: np.ndarray = field(repr=False)
-    predicted_labels: np.ndarray = field(repr=False)
-
-
-def branch_outputs(extractor: Mlp, head: Mlp, x: Tensor) -> BranchOutputs:
-    """Extractor then head; argmax ties break toward the lowest index.
+def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
+    """The logits of extractor then head on the rows of ``x``.
 
     Evaluation only: runs on plain arrays in blocks of ``EVAL_BLOCK_ROWS``
     rows and records no graph. Both forwards use the same kernel, so the
     logits equal the graph forward's bit for bit.
     """
-    logits = np.empty((x.rows, head.spec.d_out))
-    for lo in range(0, x.rows, EVAL_BLOCK_ROWS):
-        block = x.values[lo : lo + EVAL_BLOCK_ROWS]
-        features = _forward_values(extractor.params, extractor.spec, block)
-        logits[lo : lo + EVAL_BLOCK_ROWS] = _forward_values(head.params, head.spec, features)
-    return BranchOutputs(logits=logits, predicted_labels=logits.argmax(axis=1))
+    logits = np.empty((x.shape[0], head.d_out))
+    for lo in range(0, x.shape[0], EVAL_BLOCK_ROWS):
+        features = _forward_values(extractor, x[lo : lo + EVAL_BLOCK_ROWS])
+        logits[lo : lo + EVAL_BLOCK_ROWS] = _forward_values(head, features)
+    return logits

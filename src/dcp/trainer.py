@@ -12,6 +12,7 @@ trains the two classifiers as a source label does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -21,7 +22,7 @@ import numpy as np
 from . import centroids as cent
 from . import losses
 from .datasets import SOURCE, LabeledDataset
-from .networks import Mlp, MlpSpec, Params, branch_outputs
+from .networks import Mlp, branch_outputs
 from .pseudo_label import (
     PseudoLabelBatch,
     class_means,
@@ -94,6 +95,8 @@ class TrainConfig:
             # bool is an int subclass: it passes only where the field is a bool
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, accepted):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.lr <= 0:
@@ -123,26 +126,10 @@ class TrainConfig:
         return cls(**data)
 
 
-METRICS_FIELDS = (
-    "T",
-    "l_d",
-    "l_g",
-    "l_c1",
-    "l_c2",
-    "l_cc",
-    "l_cs",
-    "l_pl",
-    "tau_adv",
-    "tau_clu",
-    "n_selected",
-    "pseudo_precision",
-    "source_acc",
-    "target_acc",
-)
-
-
 @dataclass
 class MetricsRecord:
+    """One iteration's row of ``metrics.csv``; the fields are its columns, in order."""
+
     T: int
     l_d: float
     l_g: float
@@ -150,14 +137,14 @@ class MetricsRecord:
     l_c2: float
     l_cc: float | None
     l_cs: float | None
+    # absent (None) when no pseudo-label was accepted this iteration
+    l_pl: float | None
     tau_adv: float
     tau_clu: float
     n_selected: int
     pseudo_precision: float | None
     source_acc: float | None = None
     target_acc: float | None = None
-    # absent (None) when no pseudo-label was accepted this iteration
-    l_pl: float | None = None
 
     def csv_row(self) -> list[str]:
         row = []
@@ -170,6 +157,9 @@ class MetricsRecord:
             else:
                 row.append(repr(float(value)))
         return row
+
+
+METRICS_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def write_metrics_csv(records: list[MetricsRecord], path) -> None:
@@ -214,24 +204,15 @@ class TrainState:
 def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
-    specs = {
-        "adv_extractor": MlpSpec((d_in, FEATURE_DIM, FEATURE_DIM)),
-        "adv_head": MlpSpec((FEATURE_DIM, k)),
-        "clu_extractor": MlpSpec((d_in, FEATURE_DIM, FEATURE_DIM)),
-        "clu_head": MlpSpec((FEATURE_DIM, k)),
-        "discriminator": MlpSpec((FEATURE_DIM, DISC_HIDDEN, 1), output_activation="sigmoid"),
+    networks = {
+        "adv_extractor": Mlp.create((d_in, FEATURE_DIM, FEATURE_DIM), config.adv_seed),
+        "adv_head": Mlp.create((FEATURE_DIM, k), config.adv_seed + 1_000_003),
+        "clu_extractor": Mlp.create((d_in, FEATURE_DIM, FEATURE_DIM), config.clu_seed),
+        "clu_head": Mlp.create((FEATURE_DIM, k), config.clu_seed + 1_000_003),
+        "discriminator": Mlp.create((FEATURE_DIM, DISC_HIDDEN, 1), config.disc_seed, sigmoid=True),
     }
-    seeds = {
-        "adv_extractor": config.adv_seed,
-        "adv_head": config.adv_seed + 1_000_003,
-        "clu_extractor": config.clu_seed,
-        "clu_head": config.clu_seed + 1_000_003,
-        "discriminator": config.disc_seed,
-    }
-    networks = {name: Mlp.create(spec, seeds[name]) for name, spec in specs.items()}
     velocity = {
-        name: [np.zeros(p.shape) for p in net.params.tensors()]
-        for name, net in networks.items()
+        name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()
     }
     return TrainState(config=config, k=k, networks=networks, velocity=velocity)
 
@@ -263,7 +244,7 @@ def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
     cfg = state.config
     for name in names:
         apply_sgd_update(
-            state.networks[name].params.tensors(), state.velocity[name], cfg.lr, cfg.momentum
+            state.networks[name].tensors(), state.velocity[name], cfg.lr, cfg.momentum
         )
 
 
@@ -381,7 +362,7 @@ def train_step(
     d_target = disc(ft_adv.detached())
     l_d = losses.discriminator_loss(d_source, d_target)
     _check_finite(state, l_d=l_d.item())
-    disc_params = disc.params.tensors()
+    disc_params = disc.tensors()
     disc_before = ([p.values for p in disc_params], list(state.velocity["discriminator"]))
     l_d.backward()
     _update_networks(state, ("discriminator",))
@@ -555,8 +536,8 @@ def train(
 
 
 def _dataset_accuracy(state: TrainState, x: np.ndarray, y: np.ndarray) -> float:
-    out = branch_outputs(state.networks["adv_extractor"], state.networks["adv_head"], Tensor(x))
-    return float((out.predicted_labels == y).mean())
+    logits = branch_outputs(state.networks["adv_extractor"], state.networks["adv_head"], x)
+    return float((logits.argmax(axis=1) == y).mean())
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -586,8 +567,9 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
         raise ValueError(
             f"label {labels[labels >= k][0]} is outside [0, {k}): the checkpoint has {k} classes"
         )
-    out = branch_outputs(checkpoint.adv_extractor, checkpoint.adv_head, Tensor(dataset.X))
-    confusion = np.bincount(labels * k + out.predicted_labels, minlength=k * k).reshape(k, k)
+    logits = branch_outputs(checkpoint.adv_extractor, checkpoint.adv_head, dataset.X)
+    predicted = logits.argmax(axis=1)
+    confusion = np.bincount(labels * k + predicted, minlength=k * k).reshape(k, k)
     row_totals = confusion.sum(axis=1)
     per_class = np.divide(
         np.diag(confusion),
@@ -596,7 +578,7 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
         where=row_totals > 0,
     )
     return EvalReport(
-        accuracy=float((out.predicted_labels == labels).mean()),
+        accuracy=float((predicted == labels).mean()),
         per_class_accuracy=per_class,
         confusion=confusion,
     )
@@ -620,15 +602,15 @@ class Checkpoint:
 
     @property
     def k(self) -> int:
-        return self.adv_head.spec.d_out
+        return self.adv_head.d_out
 
     def save(self, path) -> None:
         payload = {"format": CHECKPOINT_FORMAT}
         for f in fields(self):
-            params = getattr(self, f.name).params
+            net = getattr(self, f.name)
             payload[f.name] = {
-                "weights": [w.values.tolist() for w in params.weights],
-                "biases": [b.values.tolist() for b in params.biases],
+                "weights": [w.values.tolist() for w in net.weights],
+                "biases": [b.values.tolist() for b in net.biases],
             }
         Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
@@ -645,10 +627,10 @@ class Checkpoint:
         names = tuple(f.name for f in fields(cls))
         _require_keys(payload, names, "checkpoint")
         extractor, head = (_decode_network(name, payload[name]) for name in names)
-        if extractor.spec.d_out != head.spec.d_in:
+        if extractor.d_out != head.d_in:
             raise ValueError(
-                f"'adv_extractor' gives {extractor.spec.d_out} features "
-                f"but 'adv_head' takes {head.spec.d_in}"
+                f"'adv_extractor' gives {extractor.d_out} features "
+                f"but 'adv_head' takes {head.d_in}"
             )
         return cls(extractor, head)
 
@@ -662,22 +644,15 @@ def _decode_network(name: str, data) -> Mlp:
     try:
         weights = [Tensor(w, requires_grad=True) for w in data["weights"]]
         biases = [Tensor(b, requires_grad=True) for b in data["biases"]]
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        net = Mlp(weights, biases)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects, shapes
         raise ValueError(f"network {name!r}: {exc}") from exc
-    if not weights or len(weights) != len(biases):
-        raise ValueError(f"network {name!r}: {len(weights)} weights but {len(biases)} biases")
+    # a JSON null becomes NaN in a float64 array; NaN and Infinity are valid to Python's JSON reader
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if i > 0 and w.cols != weights[i - 1].rows:
-            raise ValueError(
-                f"network {name!r}: weights do not chain: weight {i} takes {w.cols} inputs "
-                f"but weight {i - 1} gives {weights[i - 1].rows}"
-            )
-        if b.shape != (w.rows, 1):
-            raise ValueError(
-                f"network {name!r}: bias {i} has shape {b.shape} but weight {i} is {w.shape}"
-            )
-    spec = MlpSpec((weights[0].cols, *(w.rows for w in weights)))
-    return Mlp(spec=spec, params=Params(weights=weights, biases=biases))
+        for what, t in (("weight", w), ("bias", b)):
+            if not np.isfinite(t.values).all():
+                raise ValueError(f"network {name!r}: {what} {i} has a non-finite entry")
+    return net
 
 
 def _require_keys(data, keys: tuple[str, ...], what: str) -> None:

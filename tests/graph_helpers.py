@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dcp.networks import MlpSpec, Params, forward
+from dcp.networks import Mlp, forward
 from dcp.tensor import Tensor, linear_values, sigmoid_values
 
 
@@ -20,20 +20,18 @@ def contract(t: Tensor, weights) -> Tensor:
     return Tensor._node(np.array([[(t.values * w).sum()]]), (t,), bw)
 
 
-def network(x: Tensor, weights, biases, output_activation="none") -> Tensor:
+def network(x: Tensor, weights, biases, sigmoid=False) -> Tensor:
     """``networks.forward`` over the given layer tensors: one graph node.
 
     Layer widths come from the weights, each (out x in); hidden layers are relu.
     """
-    widths = (weights[0].cols,) + tuple(w.rows for w in weights)
-    spec = MlpSpec(widths, output_activation)
-    return forward(Params(weights=list(weights), biases=list(biases)), spec, x)
+    return forward(Mlp(list(weights), list(biases), sigmoid), x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """The logistic function of ``x`` as a network node: an identity layer, then sigmoid."""
     identity = Tensor(np.eye(x.cols))
-    return network(x, [identity], [Tensor(np.zeros((x.cols, 1)))], "sigmoid")
+    return network(x, [identity], [Tensor(np.zeros((x.cols, 1)))], sigmoid=True)
 
 
 # -- the per-layer chain the network node replaced ----------------------------
@@ -66,13 +64,13 @@ def sigmoid_layer(t: Tensor) -> Tensor:
     return Tensor._node(s, (t,), bw)
 
 
-def layer_chain(params: Params, spec: MlpSpec, x: Tensor) -> Tensor:
+def layer_chain(net: Mlp, x: Tensor) -> Tensor:
     """The network forward as one node per layer plus one for the sigmoid."""
     h = x
-    last = spec.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = linear(h, w, b, relu=i < last)
-    return sigmoid_layer(h) if spec.output_activation == "sigmoid" else h
+    return sigmoid_layer(h) if net.sigmoid else h
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------

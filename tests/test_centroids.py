@@ -352,7 +352,7 @@ class TestEndToEndGradient:
 
         def alignment(w):
             feats = network(x, [w, identity], [zero_bias, zero_bias])  # relu(x @ w.T)
-            feats_other = network(x, [w_other], [zero_bias], "sigmoid")
+            feats_other = network(x, [w_other], [zero_bias], sigmoid=True)
             bank = compute_centroids(feats, labels, k)
             bank_other = compute_centroids(feats_other, labels, k)
             cc = loss_cc(centroid_centroid_matrix(bank_other), centroid_centroid_matrix(bank))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -167,7 +168,9 @@ class TestTrain:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "override", [{"iterations": 2.5}, {"use_pseudo_labels": "no"}, {"alpha": True}]
+        "override",
+        # a NaN alpha (JSON NaN) trained silently as the alpha = 0 ablation
+        [{"iterations": 2.5}, {"use_pseudo_labels": "no"}, {"alpha": True}, {"alpha": np.nan}],
     )
     def test_config_field_of_wrong_type_is_usage_error(
         self, blob_files, tmp_path, capsys, override
@@ -264,10 +267,10 @@ class TestEval:
             "d_in": 2,
             "networks": {
                 name: {
-                    "layer_widths": list(net.spec.layer_widths),
-                    "output_activation": net.spec.output_activation,
-                    "weights": [w.values.tolist() for w in net.params.weights],
-                    "biases": [b.values.tolist() for b in net.params.biases],
+                    "layer_widths": [net.d_in] + [w.rows for w in net.weights],
+                    "output_activation": "sigmoid" if net.sigmoid else "none",
+                    "weights": [w.values.tolist() for w in net.weights],
+                    "biases": [b.values.tolist() for b in net.biases],
                 }
                 for name, net in state.networks.items()
             },
@@ -346,6 +349,39 @@ class TestEval:
              "--out-dir", str(tmp_path)]
         )
         assert_usage_error(code, capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "edit,fragment",
+        [
+            (
+                lambda p: setitem(p["adv_head"]["weights"][0], 1, [None] * 64),
+                "network 'adv_head': weight 0 has a non-finite entry",
+            ),
+            (
+                lambda p: setitem(p["adv_extractor"]["weights"][1][0], 5, float("nan")),
+                "network 'adv_extractor': weight 1 has a non-finite entry",
+            ),
+            (
+                lambda p: setitem(p["adv_head"]["biases"][0], 2, [float("inf")]),
+                "network 'adv_head': bias 0 has a non-finite entry",
+            ),
+        ],
+        ids=["null", "NaN", "Infinity"],
+    )
+    def test_non_finite_weights_are_usage_error(
+        self, trained, blob_files, tmp_path, capsys, edit, fragment
+    ):
+        # each used to load and predict class 0 for every row
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        edit(payload)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        code = run_cli(
+            ["eval", "--checkpoint", str(edited), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path)]
+        )
+        assert_usage_error(code, capsys, fragment)
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "key,value,fragment",

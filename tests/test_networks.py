@@ -2,107 +2,120 @@ import numpy as np
 import pytest
 from graph_helpers import contract, layer_chain
 
-from dcp.networks import Mlp, MlpSpec, Params, branch_outputs, forward, init_params
+from dcp.networks import Mlp, branch_outputs, forward
 from dcp.tensor import ShapeError, Tensor, grad_check
 
 
-class TestMlpSpec:
+def _zeros(*shapes):
+    return [Tensor(np.zeros(shape)) for shape in shapes]
+
+
+class TestMlp:
+    def test_no_layers(self):
+        with pytest.raises(ShapeError, match="0 weights but 0 biases"):
+            Mlp([], [])
+
+    def test_weight_and_bias_counts_differ(self):
+        with pytest.raises(ShapeError, match="2 weights but 1 biases"):
+            Mlp(_zeros((4, 3), (2, 4)), _zeros((4, 1)))
+
+    def test_weights_do_not_chain(self):
+        with pytest.raises(ShapeError, match="weight 1 takes 5 inputs but weight 0 gives 4"):
+            Mlp(_zeros((4, 3), (2, 5)), _zeros((4, 1), (2, 1)))
+
+    @pytest.mark.parametrize("bias_shape", [(3, 1), (1, 4), (4, 2)])
+    def test_bias_does_not_match_its_weight(self, bias_shape):
+        with pytest.raises(ShapeError, match="bias 0 has shape"):
+            Mlp(_zeros((4, 3)), _zeros(bias_shape))
+
+    def test_widths_read_off_the_weights(self):
+        net = Mlp(_zeros((4, 3), (2, 4)), _zeros((4, 1), (2, 1)))
+        assert (net.d_in, net.d_out) == (3, 2)
+        assert net.tensors() == [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
+
     def test_too_few_widths(self):
-        with pytest.raises(ValueError):
-            MlpSpec(layer_widths=(3,))
+        with pytest.raises(ShapeError, match="0 weights"):
+            Mlp.create((3,), seed=0)
 
     def test_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            MlpSpec(layer_widths=(3, 0))
-
-    def test_bad_output_activation(self):
-        with pytest.raises(ValueError):
-            MlpSpec(layer_widths=(3, 2), output_activation="tanh")
+        with pytest.raises(ShapeError, match="non-empty"):
+            Mlp.create((3, 0), seed=0)
 
 
 class TestInitParams:
+    """The initial weights and biases ``Mlp.create`` draws."""
+
     def test_deterministic_per_seed(self):
-        spec = MlpSpec(layer_widths=(4, 8, 2))
-        a = init_params(spec, seed=3)
-        b = init_params(spec, seed=3)
+        a = Mlp.create((4, 8, 2), seed=3)
+        b = Mlp.create((4, 8, 2), seed=3)
         for ta, tb in zip(a.tensors(), b.tensors()):
             assert np.array_equal(ta.values, tb.values)
 
     def test_biases_zero(self):
-        spec = MlpSpec(layer_widths=(4, 8, 2))
-        params = init_params(spec, seed=0)
-        for b in params.biases:
+        net = Mlp.create((4, 8, 2), seed=0)
+        for b in net.biases:
             assert np.array_equal(b.values, np.zeros_like(b.values))
 
     def test_different_seeds_differ(self):
-        spec = MlpSpec(layer_widths=(4, 8, 2))
-        a = init_params(spec, seed=1)
-        b = init_params(spec, seed=2)
+        a = Mlp.create((4, 8, 2), seed=1)
+        b = Mlp.create((4, 8, 2), seed=2)
         assert any(
             not np.array_equal(ta.values, tb.values)
             for ta, tb in zip(a.tensors(), b.tensors())
         )
 
     def test_glorot_bounds(self):
-        spec = MlpSpec(layer_widths=(10, 6))
-        params = init_params(spec, seed=0)
+        net = Mlp.create((10, 6), seed=0)
         bound = np.sqrt(6.0 / 16.0)
-        assert np.abs(params.weights[0].values).max() <= bound
+        assert np.abs(net.weights[0].values).max() <= bound
 
 
 class TestForward:
     def test_identity_network(self):
-        spec = MlpSpec(layer_widths=(2, 2))
-        params = Params(
+        net = Mlp(
             weights=[Tensor(np.eye(2), requires_grad=True)],
             biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
         )
         x = np.random.default_rng(0).normal(size=(5, 2))
-        out = forward(params, spec, Tensor(x))
+        out = forward(net, Tensor(x))
         np.testing.assert_allclose(out.values, x, atol=0)
 
     def test_relu_kills_negative_preactivations(self):
-        spec = MlpSpec(layer_widths=(2, 3, 2))
-        params = init_params(spec, seed=0)
-        params.biases[0] = Tensor(np.full((3, 1), -100.0), requires_grad=True)
-        out = forward(params, spec, Tensor([[0.1, -0.2]]))
+        net = Mlp.create((2, 3, 2), seed=0)
+        net = Mlp(net.weights, [Tensor(np.full((3, 1), -100.0), requires_grad=True), net.biases[1]])
+        out = forward(net, Tensor([[0.1, -0.2]]))
         # hidden layer is all zeros, so the output is exactly the final bias
-        np.testing.assert_array_equal(out.values, params.biases[1].values.T)
+        np.testing.assert_array_equal(out.values, net.biases[1].values.T)
 
     def test_batch_decomposable(self):
-        spec = MlpSpec(layer_widths=(3, 5, 2), output_activation="sigmoid")
-        mlp = Mlp.create(spec, seed=4)
+        mlp = Mlp.create((3, 5, 2), seed=4, sigmoid=True)
         x = np.random.default_rng(1).normal(size=(2, 3))
         batched = mlp(Tensor(x)).values
         rows = np.vstack([mlp(Tensor(x[i : i + 1])).values for i in range(2)])
         assert np.abs(batched - rows).max() <= 1e-12
 
     def test_shape_mismatch(self):
-        spec = MlpSpec(layer_widths=(3, 2))
         with pytest.raises(ShapeError):
-            forward(init_params(spec, 0), spec, Tensor(np.ones((4, 5))))
+            forward(Mlp.create((3, 2), 0), Tensor(np.ones((4, 5))))
 
 
-# one layer; relu hidden layers; relu hidden layers and a sigmoid output
-NODE_SPECS = [
-    MlpSpec((3, 4)),
-    MlpSpec((3, 5, 4)),
-    MlpSpec((3, 5, 4, 1), output_activation="sigmoid"),
-]
+# (widths, sigmoid): one layer; relu hidden layers; relu hidden layers and a
+# sigmoid output
+NODE_SPECS = [((3, 4), False), ((3, 5, 4), False), ((3, 5, 4, 1), True)]
 
 
 def _node_operands(spec, seed, x_grad=False, params_grad=False):
-    """x (5 rows), parameters with nonzero biases, and upstream weights for ``contract``."""
+    """x (5 rows), a network with nonzero biases, and upstream weights for ``contract``."""
+    widths, sigmoid = spec
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(5, spec.d_in)), requires_grad=x_grad)
-    params = init_params(spec, seed)
-    params = Params(
-        weights=[Tensor(w.values, requires_grad=params_grad) for w in params.weights],
-        biases=[
-            Tensor(rng.normal(size=b.shape), requires_grad=params_grad) for b in params.biases
-        ],
+    x = Tensor(rng.normal(size=(5, widths[0])), requires_grad=x_grad)
+    net = Mlp.create(widths, seed)
+    net = Mlp(
+        weights=[Tensor(w.values, requires_grad=params_grad) for w in net.weights],
+        biases=[Tensor(rng.normal(size=b.shape), requires_grad=params_grad) for b in net.biases],
+        sigmoid=sigmoid,
     )
-    return x, params, rng.normal(size=(5, spec.d_out))
+    return x, net, rng.normal(size=(5, widths[-1]))
 
 
 class TestNetworkNode:
@@ -118,12 +131,12 @@ class TestNetworkNode:
             return real_node(cls, *args)
 
         monkeypatch.setattr(Tensor, "_node", classmethod(counted))
-        x, params, _ = _node_operands(spec, seed=0, params_grad=True)
-        forward(params, spec, x)
+        x, net, _ = _node_operands(spec, seed=0, params_grad=True)
+        forward(net, x)
         assert len(built) == 1
         parents = built[0]
         assert parents[0] is x
-        assert list(parents[1:]) == params.tensors()  # (x, W1, b1, W2, b2, ...)
+        assert list(parents[1:]) == net.tensors()  # (x, W1, b1, W2, b2, ...)
 
     @pytest.mark.parametrize("spec", NODE_SPECS)
     @pytest.mark.parametrize(
@@ -132,28 +145,28 @@ class TestNetworkNode:
     def test_bit_identical_to_layer_chain(self, spec, x_grad, params_grad):
         grads = []
         for build in (forward, layer_chain):
-            x, params, upstream = _node_operands(spec, 1, x_grad, params_grad)
-            out = build(params, spec, x)
+            x, net, upstream = _node_operands(spec, 1, x_grad, params_grad)
+            out = build(net, x)
             contract(out, upstream).backward()
-            grads.append([out.values] + [t.grad for t in (x, *params.tensors())])
+            grads.append([out.values] + [t.grad for t in (x, *net.tensors())])
         node, chain = grads
         for a, b in zip(node, chain):
             assert (a is None and b is None) or np.array_equal(a, b)
         # a gradient exactly where a parent takes one
-        takes = [x_grad] + [params_grad] * (2 * spec.n_layers)
+        takes = [x_grad] + [params_grad] * (2 * len(net.weights))
         assert [g is not None for g in node[1:]] == takes
 
     @pytest.mark.parametrize("spec", NODE_SPECS)
     def test_gradient_matches_finite_differences(self, spec):
-        x, params, upstream = _node_operands(spec, seed=2)
-        operands = [x, *params.tensors()]
+        x, net, upstream = _node_operands(spec, seed=2)
+        operands = [x, *net.tensors()]
         for wrt, base in enumerate(operands):
 
             def f(probe, wrt=wrt):
                 args = list(operands)
                 args[wrt] = probe
-                p = Params(weights=args[1::2], biases=args[2::2])
-                return contract(forward(p, spec, args[0]), upstream)
+                probed = Mlp(weights=args[1::2], biases=args[2::2], sigmoid=net.sigmoid)
+                return contract(forward(probed, args[0]), upstream)
 
             report = grad_check(f, base)
             assert report.max_rel_error < 1e-6, wrt
@@ -161,56 +174,43 @@ class TestNetworkNode:
     def test_shared_input_and_weight_sum_both_gradients(self):
         # x @ x.T through one layer: x is the input and the weight, gradient 2x
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        params = Params(weights=[x], biases=[Tensor([[0.0]])])
-        forward(params, MlpSpec((2, 1)), x).backward()
+        forward(Mlp(weights=[x], biases=[Tensor([[0.0]])]), x).backward()
         np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
     def test_detached_network_shares_values_and_takes_no_gradient(self):
-        mlp = Mlp.create(MlpSpec((3, 5, 1), output_activation="sigmoid"), seed=0)
+        mlp = Mlp.create((3, 5, 1), seed=0, sigmoid=True)
         frozen = mlp.detached()
-        for p, q in zip(mlp.params.tensors(), frozen.params.tensors()):
+        assert frozen.sigmoid
+        for p, q in zip(mlp.tensors(), frozen.tensors()):
             assert q.values is p.values and not q.requires_grad
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         contract(frozen(x), 1.0).backward()
         assert x.grad is not None
-        assert all(p.grad is None for p in (*mlp.params.tensors(), *frozen.params.tensors()))
+        assert all(p.grad is None for p in (*mlp.tensors(), *frozen.tensors()))
+
+
+def _identity_network():
+    return Mlp(
+        weights=[Tensor(np.eye(2), requires_grad=True)],
+        biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
+    )
 
 
 class TestBranchOutputs:
     def test_hand_softmax_confidence(self):
-        extractor = Mlp(
-            spec=MlpSpec(layer_widths=(2, 2)),
-            params=Params(
-                weights=[Tensor(np.eye(2), requires_grad=True)],
-                biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
-            ),
-        )
-        head = Mlp(
-            spec=MlpSpec(layer_widths=(2, 2)),
-            params=Params(
-                weights=[Tensor(np.eye(2), requires_grad=True)],
-                biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
-            ),
-        )
-        out = branch_outputs(extractor, head, Tensor([[2.0, 1.0]]))
-        assert out.predicted_labels[0] == 0
+        logits = branch_outputs(_identity_network(), _identity_network(), np.array([[2.0, 1.0]]))
+        assert logits.argmax(axis=1)[0] == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        extractor = Mlp(
-            spec=MlpSpec(layer_widths=(2, 2)),
-            params=Params(
-                weights=[Tensor(np.eye(2), requires_grad=True)],
-                biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
-            ),
-        )
-        out = branch_outputs(extractor, extractor, Tensor([[1.0, 1.0]]))
-        assert out.predicted_labels[0] == 0
+        extractor = _identity_network()
+        logits = branch_outputs(extractor, extractor, np.array([[1.0, 1.0]]))
+        assert logits.argmax(axis=1)[0] == 0
 
     @pytest.mark.parametrize("rows", [600, 50])
     def test_logits_bit_identical_to_graph_forward(self, rows):
         # 600 rows cross several evaluation blocks; 50 fit in one
-        extractor = Mlp.create(MlpSpec(layer_widths=(2, 64, 64)), seed=3)
-        head = Mlp.create(MlpSpec(layer_widths=(64, 3)), seed=4)
-        x = Tensor(np.random.default_rng(5).normal(size=(rows, 2)))
-        out = branch_outputs(extractor, head, x)
-        assert np.array_equal(out.logits, head(extractor(x)).values)
+        extractor = Mlp.create((2, 64, 64), seed=3)
+        head = Mlp.create((64, 3), seed=4)
+        x = np.random.default_rng(5).normal(size=(rows, 2))
+        logits = branch_outputs(extractor, head, x)
+        assert np.array_equal(logits, head(extractor(Tensor(x))).values)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from graph_helpers import (
@@ -10,7 +12,7 @@ from graph_helpers import (
 
 from dcp.centroids import centroid_sample_matrix
 from dcp.losses import generator_loss
-from dcp.networks import MlpSpec, Params, forward
+from dcp.networks import Mlp, forward
 from dcp.tensor import (
     EvaluationError,
     ShapeError,
@@ -239,7 +241,7 @@ class TestCompositionGradients:
         labels = rng.integers(0, p, size=m)
 
         def f(x):
-            h = network(x, [w], [bias], "sigmoid")
+            h = network(x, [w], [bias], sigmoid=True)
             relative = centroid_sample_matrix(anchors, h)
             stacked = vstack([x, matmul(Tensor(spread), x)])
             return weighted_sum(
@@ -452,16 +454,16 @@ class TestLinear:
         x, w, b, _ = self._operands()
 
         def layer(x, weights, biases):
-            params = Params([Tensor(v) for v in weights], [Tensor(v) for v in biases])
-            return forward(params, MlpSpec((3, 4)), Tensor(x))
+            net = Mlp([Tensor(v) for v in weights], [Tensor(v) for v in biases])
+            return forward(net, Tensor(x))
 
         with pytest.raises(ShapeError, match="columns"):
             layer(np.ones((5, 4)), [w], [b])
-        with pytest.raises(ShapeError, match="do not fit 3 inputs"):
-            layer(x, [w.T], [b])
-        with pytest.raises(ShapeError, match="do not fit 3 inputs"):
+        with pytest.raises(ShapeError, match="columns"):
+            layer(x, [w.T], [b[:3]])
+        with pytest.raises(ShapeError, match=re.escape("bias 0 has shape (1, 4)")):
             layer(x, [w], [b.T])
-        with pytest.raises(ShapeError, match="2 weight-bias pairs for 1 layers"):
+        with pytest.raises(ShapeError, match="weight 1 takes 3 inputs but weight 0 gives 4"):
             layer(x, [w, w], [b, b])
 
 

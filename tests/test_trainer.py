@@ -11,7 +11,7 @@ from graph_helpers import network
 from dcp import centroids as cent
 from dcp import losses
 from dcp.datasets import ShiftSpec, gen_blobs
-from dcp.networks import Mlp, MlpSpec, Params
+from dcp.networks import Mlp
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
 from dcp.tensor import Tensor, gather_rows, grad_check, vstack, weighted_sum
 from dcp.trainer import (
@@ -63,10 +63,16 @@ class TestTrainConfig:
             {"batch_size": 1},
             {"ema_momentum": 1.0},
             {"kmeans_max_iters": 0},
+            # a NaN alpha trained silently as the alpha = 0 ablation
+            {"alpha": np.nan},
+            {"lr": np.nan},
+            {"alpha": np.inf},
+            {"lr": np.inf},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -186,12 +192,12 @@ class TestTrainStep:
     def test_discriminator_phase_moves_only_discriminator(self):
         state, src_b, tgt_b, tgt_y = self._setup()
         before = {
-            name: [p.values.copy() for p in net.params.tensors()]
+            name: [p.values.copy() for p in net.tensors()]
             for name, net in state.networks.items()
         }
         train_step(state, src_b, tgt_b, tgt_y)
         after = {
-            name: [p.values.copy() for p in net.params.tensors()]
+            name: [p.values.copy() for p in net.tensors()]
             for name, net in state.networks.items()
         }
         # everything moved in one full step (discriminator in (e), rest in (f))
@@ -204,7 +210,7 @@ class TestTrainStep:
         # freeze the discriminator update by snapshotting after phase (e):
         # run a step with lr so small D's (e) update is zero-momentum traceable
         state, src_b, tgt_b, tgt_y = self._setup()
-        disc_params = state.networks["discriminator"].params.tensors()
+        disc_params = state.networks["discriminator"].tensors()
         train_step(state, src_b, tgt_b, tgt_y)
         # after the step every discriminator gradient must be cleared, so a
         # re-run of (f)'s backward cannot have leaked an update into D beyond
@@ -273,7 +279,7 @@ class TestTrainStep:
                 [
                     p.values.copy()
                     for name in ("adv_head", "clu_head")
-                    for p in state.networks[name].params.tensors()
+                    for p in state.networks[name].tensors()
                 ],
             )
         assert heads[False][0] == 0 and heads[True][0] > 0
@@ -297,7 +303,7 @@ class TestTrainStep:
 
         def snapshot():
             return (
-                [p.values.copy() for net in state.networks.values() for p in net.params.tensors()],
+                [p.values.copy() for net in state.networks.values() for p in net.tensors()],
                 [v.copy() for vel in state.velocity.values() for v in vel],
                 [bank.values.copy() for bank in (state.bank_adv, state.bank_clu)],
             )
@@ -314,7 +320,7 @@ class TestTrainStep:
             assert len(kept) == len(now)
             assert all(np.array_equal(a, b) for a, b in zip(kept, now))
         assert all(
-            p.grad is None for net in state.networks.values() for p in net.params.tensors()
+            p.grad is None for net in state.networks.values() for p in net.tensors()
         )
 
     def test_one_graph_node_per_layer_and_loss_term(self, monkeypatch):
@@ -359,9 +365,9 @@ class TestTrainStep:
         def spy(state, names):
             if "discriminator" not in names:
                 disc = state.networks["discriminator"]
-                seen.append([p.grad for p in disc.params.tensors()])
+                seen.append([p.grad for p in disc.tensors()])
                 extractor = state.networks["adv_extractor"]
-                assert all(p.grad is not None for p in extractor.params.tensors())
+                assert all(p.grad is not None for p in extractor.tensors())
             real_update(state, names)
 
         monkeypatch.setattr(trainer_module, "_update_networks", spy)
@@ -411,7 +417,7 @@ class TestMainPhaseIsolation:
         l_d = losses.discriminator_loss(disc(fs), disc(ft))
         l_d.backward()
         for name, net in state.networks.items():
-            grads_present = any(p.grad is not None for p in net.params.tensors())
+            grads_present = any(p.grad is not None for p in net.tensors())
             assert grads_present == (name == "discriminator"), name
 
     def test_discriminator_frozen_during_main_update(self):
@@ -424,18 +430,18 @@ class TestMainPhaseIsolation:
         state = init_state(cfg, k=3, d_in=2)
         disc = state.networks["discriminator"]
         adv_ext = state.networks["adv_extractor"]
-        before = [p.values.copy() for p in disc.params.tensors()]
+        before = [p.values.copy() for p in disc.tensors()]
 
         ft = adv_ext(T(tgt.X[:10]))
         l_g = losses.generator_loss(disc.detached()(ft))
         l_g.backward()
         # the gradient reaches the extractor through D, but no D parameter
-        assert all(p.grad is not None for p in adv_ext.params.tensors())
-        assert all(p.grad is None for p in disc.params.tensors())
+        assert all(p.grad is not None for p in adv_ext.tensors())
+        assert all(p.grad is None for p in disc.tensors())
         from dcp.trainer import _update_networks
 
         _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
-        after = [p.values.copy() for p in disc.params.tensors()]
+        after = [p.values.copy() for p in disc.tensors()]
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 
@@ -444,8 +450,8 @@ class TestTrain:
         src, tgt = tiny_datasets()
         ckpt, records = train(tiny_config(iterations=0), src, tgt)
         assert records == []
-        assert ckpt.adv_extractor.spec.layer_widths == (2, 64, 64)
-        assert ckpt.adv_head.spec.layer_widths == (64, 3)
+        assert [w.shape for w in ckpt.adv_extractor.weights] == [(64, 2), (64, 64)]
+        assert [w.shape for w in ckpt.adv_head.weights] == [(3, 64)]
         assert ckpt.k == 3
 
     def test_metrics_t_column_is_contiguous(self):
@@ -538,7 +544,7 @@ class TestEvaluate:
         src, tgt = tiny_datasets()
         ckpt, _ = train(tiny_config(iterations=0), src, tgt)
         # zero the head: every row gets identical logits, argmax is always 0
-        for p in ckpt.adv_head.params.tensors():
+        for p in ckpt.adv_head.tensors():
             p.update_values(np.zeros(p.shape))
         report = evaluate(ckpt, src)
         assert report.accuracy == pytest.approx(1.0 / 3.0)
@@ -586,8 +592,8 @@ class TestCheckpoint:
             assert np.array_equal(before.confusion, after.confusion)
         pairs = ((ckpt.adv_extractor, loaded.adv_extractor), (ckpt.adv_head, loaded.adv_head))
         for net, back in pairs:
-            assert back.spec == net.spec
-            for a, b in zip(net.params.tensors(), back.params.tensors()):
+            assert back.sigmoid == net.sigmoid
+            for a, b in zip(net.tensors(), back.tensors(), strict=True):
                 assert np.array_equal(a.values, b.values)
         saved = json.loads(path.read_text())
         assert set(saved) == {"format", "adv_extractor", "adv_head"}
@@ -636,12 +642,16 @@ class TestCheckpoint:
 class TestMetricsCsv:
     def test_header_and_absent_cells(self, tmp_path):
         record = MetricsRecord(
-            T=0, l_d=1.0, l_g=2.0, l_c1=0.5, l_c2=0.25, l_cc=None, l_cs=None,
+            T=0, l_d=1.0, l_g=2.0, l_c1=0.5, l_c2=0.25, l_cc=None, l_cs=None, l_pl=None,
             tau_adv=0.4, tau_clu=0.5, n_selected=0, pseudo_precision=None,
         )
         path = tmp_path / "metrics.csv"
         write_metrics_csv([record], path)
         lines = path.read_text().splitlines()
+        assert lines[0] == (
+            "T,l_d,l_g,l_c1,l_c2,l_cc,l_cs,l_pl,tau_adv,tau_clu,n_selected,"
+            "pseudo_precision,source_acc,target_acc"
+        )
         assert lines[0] == ",".join(METRICS_FIELDS)
         cells = lines[1].split(",")
         assert cells[0] == "0"
@@ -650,7 +660,7 @@ class TestMetricsCsv:
 
     def test_full_precision_floats(self, tmp_path):
         record = MetricsRecord(
-            T=1, l_d=1 / 3, l_g=0.1, l_c1=0.0, l_c2=0.0, l_cc=0.0, l_cs=0.0,
+            T=1, l_d=1 / 3, l_g=0.1, l_c1=0.0, l_c2=0.0, l_cc=0.0, l_cs=0.0, l_pl=None,
             tau_adv=0.4, tau_clu=0.5, n_selected=2, pseudo_precision=0.5,
             source_acc=0.25, target_acc=2 / 3,
         )
@@ -671,16 +681,19 @@ class TestMainObjectiveGradient:
     """
 
     def _tiny_state(self) -> TrainState:
-        specs = {
-            "adv_extractor": MlpSpec((2, 4, 4)),
-            "adv_head": MlpSpec((4, 3)),
-            "clu_extractor": MlpSpec((2, 4, 4)),
-            "clu_head": MlpSpec((4, 3)),
-            "discriminator": MlpSpec((4, 3, 1), output_activation="sigmoid"),
+        widths = {
+            "adv_extractor": (2, 4, 4),
+            "adv_head": (4, 3),
+            "clu_extractor": (2, 4, 4),
+            "clu_head": (4, 3),
+            "discriminator": (4, 3, 1),
         }
-        networks = {name: Mlp.create(spec, seed=i) for i, (name, spec) in enumerate(specs.items())}
+        networks = {
+            name: Mlp.create(w, seed=i, sigmoid=name == "discriminator")
+            for i, (name, w) in enumerate(widths.items())
+        }
         velocity = {
-            name: [np.zeros(p.shape) for p in net.params.tensors()] for name, net in networks.items()
+            name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()
         }
         return TrainState(config=tiny_config(alpha=0.5), k=3, networks=networks, velocity=velocity)
 
@@ -749,17 +762,14 @@ class TestMainObjectiveGradient:
             assert term.item() == getattr(record, name), name
 
         for net_name in ("adv_extractor", "clu_extractor"):
-            params = before.networks[net_name].params
-            for i, base in enumerate(params.tensors()):
+            net = before.networks[net_name]
+            for i, base in enumerate(net.tensors()):
 
-                def f(probe, net_name=net_name, i=i):
-                    tensors = params.tensors()
+                def f(probe, net=net, net_name=net_name, i=i):
+                    tensors = net.tensors()
                     tensors[i] = probe
                     nets = dict(before.networks)
-                    nets[net_name] = Mlp(
-                        spec=before.networks[net_name].spec,
-                        params=Params(weights=tensors[0::2], biases=tensors[1::2]),
-                    )
+                    nets[net_name] = Mlp(weights=tensors[0::2], biases=tensors[1::2])
                     return self._objective(nets, disc, *args)[0]
 
                 report = grad_check(f, base)
