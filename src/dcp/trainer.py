@@ -12,7 +12,7 @@ trains the two classifiers as a source label does.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -95,7 +95,8 @@ class TrainConfig:
             # bool is an int subclass: it passes only where the field is a bool
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, accepted):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
+            # NaN fails every comparison; so does an int too large for a double
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")

@@ -68,6 +68,7 @@ class TestTrainConfig:
             {"lr": np.nan},
             {"alpha": np.inf},
             {"lr": np.inf},
+            {"lr": 10**400},  # too large for a double: it used to overflow in training
         ],
     )
     def test_invalid(self, kwargs):
