@@ -16,8 +16,10 @@ at their defaults on the blob pair that ``dcp gen-data`` writes by default,
 each run a fresh interpreter on the checkout's sources, the size of the
 checkpoint that ``dcp train`` wrote, and the wall time
 and pass/fail counts of one run of the tier-1 test command and of one run of
-the acceptance suite alone (``tests/test_acceptance.py``). The file is
-written at the root of the repository this script sits in.
+the acceptance suite alone (``tests/test_acceptance.py``). Next to the
+commit it keeps the checkout's ``git status --porcelain`` lines, empty for a
+clean tree. The file is written at the root of the repository this script
+sits in.
 """
 
 from __future__ import annotations
@@ -159,6 +161,27 @@ def pytest_wall(checkout: Path, paths=()) -> dict:
     }
 
 
+def git_state(checkout: Path) -> tuple[str, list[str]]:
+    """The checkout's HEAD commit and its ``git status --porcelain`` lines.
+
+    The benchmark, the CLI and the tests run on the working tree, so an
+    uncommitted edit enters the numbers under a commit that lacks it. Any
+    such line is also printed to stderr as a warning.
+    """
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
+        ).stdout
+
+    commit = git("rev-parse", "HEAD").strip()
+    status = git("status", "--porcelain").splitlines()
+    if status:
+        print(f"warning: the checkout differs from commit {commit}; the record keeps its "
+              "git status lines:", *status, sep="\n  ", file=sys.stderr, flush=True)
+    return commit, status
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description="Record perfbench results in BENCH_<label>.json.")
@@ -167,9 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seconds = spec["run_seconds"]
     checkout = args.checkout.resolve()
-    commit = subprocess.run(
-        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    commit, git_status = git_state(checkout)
 
     workloads = {}
     env = None
@@ -194,6 +215,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "commit": commit,
+        "git_status": git_status,
         "seconds": seconds,
         "seeds": list(SEEDS),
         "environment": env,

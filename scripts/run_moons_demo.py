@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dcp.datasets import gen_two_moons_shift
-from dcp.trainer import TrainConfig, train
+from dcp.trainer import TrainConfig, derived_seeds, train
 
 
 def main() -> int:
@@ -34,10 +34,7 @@ def main() -> int:
     config = TrainConfig(
         iterations=args.iters,
         eval_every=100,
-        adv_seed=args.seed,
-        clu_seed=args.seed + 1,
-        disc_seed=args.seed + 2,
-        data_seed=args.seed + 3,
+        **derived_seeds(args.seed),
     )
     _, records = train(config, source, target)
     print("T      src_acc  tgt_acc  selected  pseudo_precision")

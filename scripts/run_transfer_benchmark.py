@@ -20,34 +20,35 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dcp.datasets import ShiftSpec, gen_blobs
-from dcp.trainer import TrainConfig, train
+from dcp.trainer import TrainConfig, derived_seeds, train
+
+# the plain adversarial arm; the full arm is the default config
+BASELINE = {"alpha": 0.0, "use_pseudo_labels": False}
 
 
-def run_arm(seed: int, full: bool, args) -> dict:
-    spec = ShiftSpec(
-        k=args.k,
-        n_per_class=args.n_per_class,
-        rotation=args.rotation,
-        translation=tuple(float(v) for v in args.translation.split(",")),
-        noise_sigma=args.noise_sigma,
-        seed=seed,
-    )
+def run_arm(spec: ShiftSpec, full: bool, iterations: int, probe_t: int) -> dict:
+    """One training run on the blob pair of ``spec``, seeded from ``spec.seed``.
+
+    Returns the final target accuracy and the wall time. If the run reaches
+    iteration ``probe_t``, it also returns that step's precision of the
+    selected pseudo-labels and of each branch's labels for the whole target
+    batch.
+    """
     source, target = gen_blobs(spec)
     config = TrainConfig(
-        alpha=args.alpha if full else 0.0,
-        use_pseudo_labels=full,
-        iterations=args.iters,
-        eval_every=max(1, args.iters // 3),
-        adv_seed=seed,
-        clu_seed=seed + 1,
-        disc_seed=seed + 2,
-        data_seed=seed + 3,
+        iterations=iterations,
+        eval_every=max(1, iterations // 3),
+        **derived_seeds(spec.seed),
+        **({} if full else BASELINE),
     )
-    probe = {"probe_precision": None}
+    probe = {}
 
     def on_step(state, record, info):
-        if record.T == args.probe_t:
-            probe["probe_precision"] = record.pseudo_precision
+        if record.T == probe_t:
+            truth = info.target_batch_true_labels
+            probe["pseudo_precision"] = record.pseudo_precision
+            probe["adv_precision"] = float((info.y_adv_target == truth).mean())
+            probe["clu_precision"] = float((info.y_clu_target == truth).mean())
 
     started = time.time()
     _, records = train(config, source, target, on_step=on_step)
@@ -67,13 +68,24 @@ def main() -> int:
     parser.add_argument("--rotation", type=float, default=35.0)
     parser.add_argument("--translation", default="1,0")
     parser.add_argument("--noise-sigma", type=float, default=0.6)
-    parser.add_argument("--alpha", type=float, default=0.1)
     parser.add_argument("--probe-t", type=int, default=200)
     args = parser.parse_args()
 
+    translation = tuple(float(v) for v in args.translation.split(","))
+    specs = [
+        ShiftSpec(
+            k=args.k,
+            n_per_class=args.n_per_class,
+            rotation=args.rotation,
+            translation=translation,
+            noise_sigma=args.noise_sigma,
+            seed=seed,
+        )
+        for seed in range(args.seeds)
+    ]
     results = {}
     for arm, full in (("full", True), ("baseline", False)):
-        runs = [run_arm(seed, full, args) for seed in range(args.seeds)]
+        runs = [run_arm(spec, full, args.iters, args.probe_t) for spec in specs]
         results[arm] = runs
         accs = [r["target_acc"] for r in runs]
         print(
@@ -90,7 +102,9 @@ def main() -> int:
         + " ".join(f"{g:+.1f}" for g in gaps)
         + f"   mean {np.mean(gaps):+.1f} accuracy points"
     )
-    precisions = [r["probe_precision"] for r in results["full"] if r["probe_precision"] is not None]
+    precisions = [
+        r["pseudo_precision"] for r in results["full"] if r.get("pseudo_precision") is not None
+    ]
     if precisions:
         print(
             f"selection precision at T={args.probe_t} (full arm, {len(precisions)} seeds with "

@@ -26,6 +26,7 @@ from .trainer import (
     CheckpointVersionError,
     NumericsError,
     TrainConfig,
+    derived_seeds,
     evaluate,
     train,
     write_metrics_csv,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic source/target dataset pair")
     p.add_argument("--kind", choices=("blobs", "moons"), default="blobs")
-    p.add_argument("--k", type=int, default=3, help="number of classes (blobs only)")
+    p.add_argument("--k", type=int, help="number of classes (blobs only; default 3)")
     p.add_argument("--dim", type=int, default=2, help="feature dimension (blobs only)")
     p.add_argument("--n-per-class", type=int, default=200)
     p.add_argument("--rotation", type=float, default=35.0, help="target rotation in degrees")
@@ -79,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target embedding CSV")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--config", help="JSON file overriding training defaults")
-    p.add_argument("--iters", type=int, help="number of training iterations")
+    p.add_argument(
+        "--iters", dest="iterations", metavar="ITERS", type=int,
+        help="number of training iterations",
+    )
     p.add_argument("--alpha", type=float, help="weight of the alignment losses")
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
@@ -88,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmeans-max-iters", type=int)
     p.add_argument("--eval-every", type=int)
     p.add_argument("--seed", type=int, help="base seed; branch seeds derive from it")
-    p.add_argument("--no-pseudo", action="store_true", help="disable pseudo-labeling (ablation)")
+    p.add_argument(
+        "--no-pseudo", dest="use_pseudo_labels", action="store_false", default=None,
+        help="disable pseudo-labeling (ablation)",
+    )
 
     p = sub.add_parser("eval", help="score a checkpoint on a labeled CSV")
     p.add_argument("--checkpoint", required=True)
@@ -112,14 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_data(args, parser) -> int:
     if args.kind == "moons":
-        if args.k != 2:
+        if args.k not in (None, 2):
             parser.error("moons data always has 2 classes; drop --k or pass --k 2")
         if args.dim != 2:
             parser.error("moons data is 2-D; drop --dim or pass --dim 2")
     try:
         if args.kind == "blobs":
             spec = ShiftSpec(
-                k=args.k,
+                k=ShiftSpec.k if args.k is None else args.k,
                 d=args.dim,
                 n_per_class=args.n_per_class,
                 rotation=args.rotation,
@@ -152,7 +159,6 @@ def cmd_gen_data(args, parser) -> int:
     target_path = out_dir / "target.csv"
     save_embeddings(source, source_path)
     save_embeddings(target, target_path)
-    spec_dict["translation"] = list(spec_dict.get("translation", ()))
     _write_manifest(
         out_dir,
         {
@@ -180,29 +186,11 @@ def _load_train_config(args, parser) -> TrainConfig:
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             parser.error(f"bad config file {config_path}: {exc}")
         merged.update(overrides)
-    flag_map = {
-        "iters": "iterations",
-        "alpha": "alpha",
-        "lr": "lr",
-        "momentum": "momentum",
-        "batch_size": "batch_size",
-        "ema_momentum": "ema_momentum",
-        "kmeans_max_iters": "kmeans_max_iters",
-        "eval_every": "eval_every",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag)
-        if value is not None:
-            merged[key] = value
+    # a flag's dest is the config field it sets; an absent flag is None
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in merged and value is not None)
     if args.seed is not None:
-        merged.update(
-            adv_seed=args.seed,
-            clu_seed=args.seed + 1,
-            disc_seed=args.seed + 2,
-            data_seed=args.seed + 3,
-        )
-    if args.no_pseudo:
-        merged["use_pseudo_labels"] = False
+        merged.update(derived_seeds(args.seed))
     try:
         return TrainConfig.from_dict(merged)
     except ValueError as exc:

@@ -114,6 +114,9 @@ class TrainConfig:
             raise ValueError(f"kmeans_max_iters must be at least 1, got {self.kmeans_max_iters}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be at least 1, got {self.eval_every}")
+        for name in ("adv_seed", "clu_seed", "disc_seed", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -125,6 +128,15 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+def derived_seeds(seed: int) -> dict[str, int]:
+    """The four ``TrainConfig`` seeds that one base seed S stands for: S to S+3.
+
+    ``dcp train --seed``, the scripts and the acceptance suite all seed a run
+    this way, so one base seed names the run.
+    """
+    return {"adv_seed": seed, "clu_seed": seed + 1, "disc_seed": seed + 2, "data_seed": seed + 3}
 
 
 @dataclass
@@ -391,16 +403,17 @@ def train_step(
         terms += [l_cc_tensor, l_cs_tensor]
         weights += [cfg.alpha, cfg.alpha]
     total = weighted_sum(terms, weights)
+    # checked in this order, so the first non-finite one names the error
+    main_losses = {
+        "l_g": l_g.item(),
+        "l_c1": l_c1.item(),
+        "l_c2": l_c2.item(),
+        "l_cc": None if alignment_skipped else l_cc_tensor.item(),
+        "l_cs": None if alignment_skipped else l_cs_tensor.item(),
+        "l_pl": None if l_pl is None else l_pl.item(),
+    }
     try:
-        _check_finite(
-            state,
-            l_g=l_g.item(),
-            l_c1=l_c1.item(),
-            l_c2=l_c2.item(),
-            l_cc=None if alignment_skipped else l_cc_tensor.item(),
-            l_cs=None if alignment_skipped else l_cs_tensor.item(),
-            l_pl=None if l_pl is None else l_pl.item(),
-        )
+        _check_finite(state, **main_losses)
     except NumericsError:
         # undo the discriminator update of this iteration
         values, state.velocity["discriminator"] = disc_before
@@ -414,12 +427,7 @@ def train_step(
     record = MetricsRecord(
         T=state.t,
         l_d=l_d.item(),
-        l_g=l_g.item(),
-        l_c1=l_c1.item(),
-        l_c2=l_c2.item(),
-        l_cc=None if alignment_skipped else l_cc_tensor.item(),
-        l_cs=None if alignment_skipped else l_cs_tensor.item(),
-        l_pl=None if l_pl is None else l_pl.item(),
+        **main_losses,
         tau_adv=tau_adv(state.t),
         tau_clu=tau_clu(state.t),
         n_selected=len(selected),

@@ -10,11 +10,16 @@ Criteria 5 and 6 train on separate benchmarks, each from its own fixture:
 - criterion 6 (high-confidence precision) trains the full arm on the default
   shift (rotation 35, translation (1,0), sigma 0.6) over seeds 0-4: 5 runs.
 
-Those 25 runs of 1500 iterations take about three minutes on a 2-core
-machine; every other criterion takes seconds.
+Both fixtures get their runs from ``run_arm`` in
+``scripts/run_transfer_benchmark.py``. Those 25 runs of 1500 iterations
+take 74-94 s on a 2-vCPU Intel Xeon: the whole suite's wall time in
+``test_wall.acceptance`` of ``BENCH_pr8.json`` to ``BENCH_pr10.json``.
+Every other criterion takes seconds.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +32,7 @@ from dcp.centroids import (
     loss_cc,
     loss_cs,
 )
-from dcp.datasets import ShiftSpec, gen_blobs
+from dcp.datasets import ShiftSpec
 from dcp.pseudo_label import (
     kmeans_assign,
     per_class_quota,
@@ -36,8 +41,15 @@ from dcp.pseudo_label import (
     tau_clu,
 )
 from dcp.tensor import Tensor, matmul, pairwise_euclidean
-from dcp.trainer import TrainConfig, train
 from dcp.verify import run_gradcheck
+
+# both arms of criteria 5 and 6 run through the transfer script's runner
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+try:
+    from run_transfer_benchmark import run_arm
+finally:
+    sys.path.remove(str(SCRIPTS))
 
 # Criterion 5's shift. On the default shift below, the baseline already
 # reaches 1.000 target accuracy, which leaves no room for a 10-point gap.
@@ -61,48 +73,23 @@ def report(criterion, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
 
 
-def _run_arm(benchmark, seed, full):
-    """One benchmark training run; returns final target accuracy and T=200 stats."""
-    src, tgt = gen_blobs(ShiftSpec(seed=seed, **benchmark))
-    cfg = TrainConfig(
-        alpha=0.1 if full else 0.0,
-        use_pseudo_labels=full,
-        iterations=T_MAX,
-        eval_every=500,
-        adv_seed=seed,
-        clu_seed=seed + 1,
-        disc_seed=seed + 2,
-        data_seed=seed + 3,
-    )
-    probe = {}
-
-    def on_step(state, record, info):
-        if record.T == PRECISION_PROBE_T:
-            truth = info.target_batch_true_labels
-            probe["pseudo_precision"] = record.pseudo_precision
-            probe["adv_precision"] = float((info.y_adv_target == truth).mean())
-            probe["clu_precision"] = float((info.y_clu_target == truth).mean())
-
-    started = time.time()
-    _, records = train(cfg, src, tgt, on_step=on_step)
-    return {
-        "target_acc": records[-1].target_acc,
-        "runtime": time.time() - started,
-        **probe,
-    }
-
-
 @pytest.fixture(scope="module")
 def transfer_runs():
     return {
-        "full": [_run_arm(TRANSFER_BENCHMARK, seed, full=True) for seed in TRANSFER_SEEDS],
-        "baseline": [_run_arm(TRANSFER_BENCHMARK, seed, full=False) for seed in TRANSFER_SEEDS],
+        arm: [
+            run_arm(ShiftSpec(seed=seed, **TRANSFER_BENCHMARK), full, T_MAX, PRECISION_PROBE_T)
+            for seed in TRANSFER_SEEDS
+        ]
+        for arm, full in (("full", True), ("baseline", False))
     }
 
 
 @pytest.fixture(scope="module")
 def precision_runs():
-    return [_run_arm(PRECISION_BENCHMARK, seed, full=True) for seed in PRECISION_SEEDS]
+    return [
+        run_arm(ShiftSpec(seed=seed, **PRECISION_BENCHMARK), True, T_MAX, PRECISION_PROBE_T)
+        for seed in PRECISION_SEEDS
+    ]
 
 
 def test_criterion_1_gradient_correctness():

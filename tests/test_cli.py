@@ -8,7 +8,7 @@ import pytest
 from dcp import cli, verify
 from dcp.datasets import load_embeddings, save_embeddings
 from dcp.tensor import Tensor
-from dcp.trainer import TrainConfig, init_state
+from dcp.trainer import TrainConfig, derived_seeds, init_state
 
 
 def run_cli(args):
@@ -55,6 +55,7 @@ class TestGenData:
         manifest = json.loads((blob_files / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["spec"]["seed"] == 7
+        assert manifest["spec"]["translation"] == [1.0, 0.0]
 
     def test_rerun_identical_files(self, tmp_path):
         args = ["gen-data", "--k", "2", "--n-per-class", "10", "--seed", "3"]
@@ -75,13 +76,17 @@ class TestGenData:
         assert exc.value.code == 2
 
     def test_moons_writes_two_class_data(self, tmp_path):
-        out = tmp_path / "m"
-        code = run_cli(
-            ["gen-data", "--kind", "moons", "--k", "2", "--n-per-class", "15",
-             "--rotation", "90", "--noise-sigma", "0.05", "--out-dir", str(out)]
-        )
-        assert code == 0
-        assert (out / "source.csv").exists()
+        # without --k it used to exit 2: --k defaulted to 3, the blobs' class count
+        for name, k_args in (("no-k", []), ("k2", ["--k", "2"])):
+            out = tmp_path / name
+            code = run_cli(
+                ["gen-data", "--kind", "moons", *k_args, "--n-per-class", "15",
+                 "--rotation", "90", "--noise-sigma", "0.05", "--out-dir", str(out)]
+            )
+            assert code == 0
+            assert load_embeddings(out / "source.csv").n_classes == 2
+            spec = json.loads((out / "manifest.json").read_text())["spec"]
+            assert spec["kind"] == "moons" and "translation" not in spec
 
     def test_bad_translation_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -131,9 +136,27 @@ class TestTrain:
     def test_ablation_flags(self, blob_files, tmp_path):
         out = tmp_path / "ablation"
         assert run_cli(self._train_args(blob_files, out, ("--alpha", "0", "--no-pseudo"))) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["alpha"] == 0.0
-        assert manifest["config"]["use_pseudo_labels"] is False
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["alpha"] == 0.0
+        assert config["use_pseudo_labels"] is False
+        assert config["iterations"] == 8
+
+    def test_seed_flag_sets_the_derived_seeds(self, blob_files, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(self._train_args(blob_files, out, ("--seed", "5"))) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        seeds = {name: config[name] for name in ("adv_seed", "clu_seed", "disc_seed", "data_seed")}
+        assert seeds == derived_seeds(5) == {
+            "adv_seed": 5, "clu_seed": 6, "disc_seed": 7, "data_seed": 8
+        }
+
+    def test_negative_seed_is_usage_error(self, blob_files, tmp_path, capsys):
+        # it used to fail inside numpy's default_rng, naming no field
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._train_args(blob_files, tmp_path / "run", ("--seed", "-1")))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "adv_seed must be nonnegative, got -1" in err and "Traceback" not in err
 
     def test_byte_identical_metrics_across_reruns(self, blob_files, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -170,7 +193,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "override",
         # a NaN alpha (JSON NaN) trained silently as the alpha = 0 ablation
-        [{"iterations": 2.5}, {"use_pseudo_labels": "no"}, {"alpha": True}, {"alpha": np.nan}],
+        [{"iterations": 2.5}, {"use_pseudo_labels": "no"}, {"alpha": True}, {"alpha": np.nan},
+         {"data_seed": -1}],
     )
     def test_config_field_of_wrong_type_is_usage_error(
         self, blob_files, tmp_path, capsys, override

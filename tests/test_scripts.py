@@ -1,11 +1,14 @@
 """Smoke tests of the scripts the README points to: each runs and prints its summary."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dcp.datasets import ShiftSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,6 +30,26 @@ def test_script_runs_and_prints_summary(script, args, summary):
     )
     assert result.returncode == 0, result.stderr
     assert summary in result.stdout
+
+
+def _import_script(name):
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "baseline"])
+def test_run_arm_returns_accuracy_runtime_and_probe(full):
+    run_arm = _import_script("run_transfer_benchmark").run_arm
+    result = run_arm(ShiftSpec(n_per_class=30, seed=0), full, iterations=30, probe_t=10)
+    assert set(result) == {
+        "target_acc", "runtime", "pseudo_precision", "adv_precision", "clu_precision"
+    }
+    assert 0.0 <= result["target_acc"] <= 1.0 and result["runtime"] > 0.0
+    # the baseline selects no pseudo-labels, so their precision is absent
+    assert (result["pseudo_precision"] is None) is not full
 
 
 def _perfbench_stdout(seed, train_s, correct=True):
@@ -53,11 +76,7 @@ def _perfbench_stdout(seed, train_s, correct=True):
 
 
 def test_bench_record_summarizes_perfbench_stdout():
-    sys.path.insert(0, str(SCRIPTS))
-    try:
-        import bench_record
-    finally:
-        sys.path.remove(str(SCRIPTS))
+    bench_record = _import_script("bench_record")
     runs = {
         seed: bench_record.parse_run(_perfbench_stdout(seed, t, correct=seed != 2))
         for seed, t in enumerate([6.0, 5.0, 7.0, 9.0])
@@ -74,11 +93,7 @@ def test_bench_record_summarizes_perfbench_stdout():
 
 
 def test_bench_record_times_the_cli_train_and_eval():
-    sys.path.insert(0, str(SCRIPTS))
-    try:
-        import bench_record
-    finally:
-        sys.path.remove(str(SCRIPTS))
+    bench_record = _import_script("bench_record")
     times = bench_record.cli_wall_times(SCRIPTS.parent, iterations=3)
     assert set(times) == {"train_s", "eval_s", "checkpoint_bytes"}
     for entry in times.values():
@@ -92,11 +107,7 @@ def test_bench_record_times_the_cli_train_and_eval():
 
 
 def test_bench_record_times_and_counts_a_pytest_run(tmp_path):
-    sys.path.insert(0, str(SCRIPTS))
-    try:
-        import bench_record
-    finally:
-        sys.path.remove(str(SCRIPTS))
+    bench_record = _import_script("bench_record")
     (tmp_path / "test_tiny.py").write_text(
         "def test_passes():\n    pass\n\n\n"
         "def test_also_passes():\n    pass\n\n\n"
@@ -108,3 +119,22 @@ def test_bench_record_times_and_counts_a_pytest_run(tmp_path):
     assert (run["passed"], run["failed"], run["errors"]) == (2, 1, 0)
     assert run["exit_code"] == 1
     assert run["wall_s"] > 0.0
+
+
+def test_bench_record_reports_an_uncommitted_edit(tmp_path, capsys):
+    bench_record = _import_script("bench_record")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], capture_output=True, check=True)
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n", encoding="utf-8")
+    git("add", "tracked.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one")
+    commit, status = bench_record.git_state(tmp_path)
+    assert len(commit) == 40 and status == []
+    assert capsys.readouterr().err == ""
+    (tmp_path / "tracked.txt").write_text("two\n", encoding="utf-8")
+    assert bench_record.git_state(tmp_path) == (commit, [" M tracked.txt"])
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and " M tracked.txt" in err

@@ -69,6 +69,11 @@ class TestTrainConfig:
             {"alpha": np.inf},
             {"lr": np.inf},
             {"lr": 10**400},  # too large for a double: it used to overflow in training
+            # a negative seed used to fail inside numpy's default_rng, naming no field
+            {"adv_seed": -1},
+            {"clu_seed": -1},
+            {"disc_seed": -5},
+            {"data_seed": -1},
         ],
     )
     def test_invalid(self, kwargs):
