@@ -10,13 +10,15 @@ script sits in): ``--trace 0`` on seeds 0-9 of every workload that
 the file comes from perfbench's stdout: the median and IQR over seeds of each
 end-to-end metric, the per-layer metrics of the traced run, the quality
 report lines, each seed's metrics-trace hash, and the environment line with
-the BLAS thread count. The commit is the checkout's git HEAD. The file also
-holds the median wall time, over three runs, of ``dcp train`` and ``dcp eval``
-at their defaults on the blob pair that ``dcp gen-data`` writes by default,
-each run a fresh interpreter on the checkout's sources, the size of the
-checkpoint that ``dcp train`` wrote, and the wall time
-and pass/fail counts of one run of the tier-1 test command and of one run of
-the acceptance suite alone (``tests/test_acceptance.py``). Next to the
+the BLAS thread count. A short run of seed 0 per workload with
+``OPENBLAS_CORETYPE=Haswell`` adds its trace hash under that kernel. The
+commit is the checkout's git HEAD. The file also holds the median wall time,
+over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
+blob pair that ``dcp gen-data`` writes by default, each run a fresh
+interpreter on the checkout's sources, the size of the checkpoint that
+``dcp train`` wrote, and the wall time and pass/fail counts of one run of the
+tier-1 test command and of one run of the acceptance suite alone
+(``tests/test_acceptance.py``). Next to the
 commit it keeps the checkout's ``git status --porcelain`` lines, empty for a
 clean tree. The file is written at the root of the repository this script
 sits in.
@@ -40,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(10)
 CLI_RUNS = 3
+HASWELL_SECONDS = 1
 # The tier-1 test command (see ROADMAP.md), without the paths it is given.
 PYTEST_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 ACCEPTANCE_TESTS = ("tests/test_acceptance.py",)
@@ -83,16 +86,36 @@ def summarize(runs: dict[int, dict]) -> dict:
     }
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_perfbench(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int, env: dict | None = None
+) -> dict:
     cmd = [
         sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     run = parse_run(proc.stdout)
     status = "correct" if run["result"]["correct"] else "NOT correct"
     print(f"{workload} seed={seed} trace={trace}: {status}", file=sys.stderr, flush=True)
     return run
+
+
+def haswell_trace_sha256(checkout: Path, workload: str) -> str | None:
+    """Seed 0's metrics-trace hash with OpenBLAS forced to its Haswell kernel.
+
+    A trace hash pins the bits for one BLAS kernel only, and every AVX2 CPU
+    can run this one, so the hash can be checked on another machine. One
+    short run (``HASWELL_SECONDS``, perfbench's minimum of two cycles) is
+    enough: every cycle trains the same seeded run. ``None``, with a warning,
+    when the BLAS does not report that kernel.
+    """
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    run = run_perfbench(checkout, workload, 0, HASWELL_SECONDS, 0, env=env)
+    if "Haswell" not in run["env"]["blas"].get("config", ""):
+        print(f"warning: OPENBLAS_CORETYPE=Haswell was not honoured: {run['env']['blas']}",
+              file=sys.stderr, flush=True)
+        return None
+    return run["metrics_trace_sha256"]
 
 
 def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
@@ -202,6 +225,7 @@ def main(argv=None) -> int:
         workloads[name] = summarize(runs)
         workloads[name]["per_layer_seed0"] = traced["result"]["metrics"]
         workloads[name]["traced_correct"] = traced["result"]["correct"]
+        workloads[name]["haswell_trace_sha256"] = haswell_trace_sha256(checkout, name)
 
     cli = cli_wall_times(checkout)
     print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f} "

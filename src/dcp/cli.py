@@ -65,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic source/target dataset pair")
+    p.set_defaults(handler=cmd_gen_data, parser=p)
     p.add_argument("--kind", choices=("blobs", "moons"), default="blobs")
     p.add_argument("--k", type=int, help="number of classes (blobs only; default 3)")
     p.add_argument("--dim", type=int, default=2, help="feature dimension (blobs only)")
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("train", help="train on a source/target CSV pair")
+    p.set_defaults(handler=cmd_train, parser=p)
     p.add_argument("--source", required=True, help="source embedding CSV")
     p.add_argument("--target", required=True, help="target embedding CSV")
     p.add_argument("--out-dir", default=".")
@@ -98,11 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("eval", help="score a checkpoint on a labeled CSV")
+    p.set_defaults(handler=cmd_eval, parser=p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients of every loss")
+    p.set_defaults(handler=cmd_gradcheck, parser=p)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--d-f", type=int, default=4)
@@ -111,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="also write gradcheck.csv here")
 
     p = sub.add_parser("schedule", help="print the threshold schedules as CSV")
+    p.set_defaults(handler=cmd_schedule, parser=p)
     p.add_argument("--t-max", type=int, default=100)
     p.add_argument("--out-dir", help="also write schedule.csv here")
 
@@ -295,17 +300,10 @@ def cmd_schedule(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen-data": cmd_gen_data,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "gradcheck": cmd_gradcheck,
-        "schedule": cmd_schedule,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        # each subcommand's own parser, so a usage error prints its usage
+        return args.handler(args, args.parser)
     except FileNotFoundError as exc:
         print(f"missing input: {exc.args[0]}", file=sys.stderr)
         return EXIT_MISSING_INPUT

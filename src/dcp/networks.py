@@ -108,7 +108,8 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
     # layer i passes a gradient down when x or a parameter below it takes one
     takes_input_grad = [x.requires_grad]
     for i, (w, b) in enumerate(layers):
-        acts.append(linear_values(acts[-1], w.values, b.values, relu=i < last))
+        wt = np.ascontiguousarray(w.values.T)
+        acts.append(linear_values(acts[-1], wt, b.values, relu=i < last))
         parents += (w, b)
         takes_input_grad.append(takes_input_grad[-1] or w.requires_grad or b.requires_grad)
     sigmoid = net.sigmoid
@@ -135,26 +136,48 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
     return Tensor._node(out, tuple(parents), bw)
 
 
-def _forward_values(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """The same forward on a plain array, recording no graph; identical bits."""
-    if x.shape[1] != net.d_in:
-        raise ShapeError(f"input has {x.shape[1]} columns, the network takes {net.d_in}")
-    h = x
+def _value_layers(net: Mlp) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """Each layer's ``(contiguous w.T, b, relu)`` for the graph-free forward."""
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = linear_values(h, w.values, b.values, relu=i < last)
-    return sigmoid_values(h) if net.sigmoid else h
+    return [
+        (np.ascontiguousarray(w.values.T), b.values, i < last)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases))
+    ]
+
+
+def _forward_values(layers, sigmoid: bool, x: np.ndarray) -> np.ndarray:
+    """The forward on a plain array, recording no graph; identical bits."""
+    h = x
+    for wt, b, relu in layers:
+        h = linear_values(h, wt, b, relu)
+    return sigmoid_values(h) if sigmoid else h
 
 
 def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
     """The logits of extractor then head on the rows of ``x``.
 
-    Evaluation only: runs on plain arrays in blocks of ``EVAL_BLOCK_ROWS``
-    rows and records no graph. Both forwards use the same kernel, so the
-    logits equal the graph forward's bit for bit.
+    Evaluation only: records no graph, and runs on plain arrays in blocks of
+    ``EVAL_BLOCK_ROWS`` rows; a last block of one row joins the block before
+    it. Each weight's transpose is copied once per call, before the block
+    loop, and every layer adds its bias and applies its relu in place. Both
+    forwards use the same kernel, so the logits equal the graph forward's
+    bit for bit.
     """
-    logits = np.empty((x.shape[0], head.d_out))
-    for lo in range(0, x.shape[0], EVAL_BLOCK_ROWS):
-        features = _forward_values(extractor, x[lo : lo + EVAL_BLOCK_ROWS])
-        logits[lo : lo + EVAL_BLOCK_ROWS] = _forward_values(head, features)
+    for net, d_in in ((extractor, x.shape[1]), (head, extractor.d_out)):
+        if d_in != net.d_in:
+            raise ShapeError(f"input has {d_in} columns, the network takes {net.d_in}")
+    extractor_layers, head_layers = _value_layers(extractor), _value_layers(head)
+    n = x.shape[0]
+    logits = np.empty((n, head.d_out))
+    lo = 0
+    while lo < n:
+        hi = lo + EVAL_BLOCK_ROWS
+        if hi == n - 1:
+            # numpy multiplies a one-row block as a matrix-vector product,
+            # which rounds differently from a row of a matrix product: the
+            # last row joins its block instead
+            hi = n
+        features = _forward_values(extractor_layers, extractor.sigmoid, x[lo:hi])
+        logits[lo:hi] = _forward_values(head_layers, head.sigmoid, features)
+        lo = hi
     return logits

@@ -220,17 +220,23 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    """``x @ w.T + b.T``, then relu if asked, on plain arrays.
+def linear_values(x: np.ndarray, wt: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ wt + b.T``, then relu if asked, on plain arrays.
 
-    ``w`` is (out x in) and ``b`` is (out x 1). This is the layer of the graph
-    node and of the graph-free forward in ``networks``, so both give the same
-    bits. The product takes a contiguous copy of ``w.T``: BLAS may round a
-    strided operand differently, and the pinned metrics traces were recorded
-    with this layout.
+    ``wt`` is the weight's contiguous transpose (in x out), and ``b`` is the
+    bias (out x 1). The caller makes that copy, so a forward over many row
+    blocks makes it once: BLAS may round a strided operand differently, and
+    the pinned metrics traces were recorded with this layout. The bias add
+    and the relu work in place on the fresh product, with the same operations
+    in the same order as ``np.maximum(x @ wt + b.T, 0.0)``. This is the layer
+    of the graph node and of the graph-free forward in ``networks``, so both
+    give the same bits.
     """
-    h = x @ np.ascontiguousarray(w.T) + b.T
-    return np.maximum(h, 0.0) if relu else h
+    h = x @ wt
+    h += b.T
+    if relu:
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

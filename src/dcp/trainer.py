@@ -569,10 +569,12 @@ class EvalReport:
 def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
     """Score the adversarial branch's argmax predictions against true labels."""
     labels = dataset.eval_labels()
-    if (labels < 0).any():
+    if labels.size == 0:
+        raise ValueError("dataset has no rows; evaluation needs at least one")
+    if labels.min() < 0:
         raise UnlabeledDatasetError("dataset has unknown labels; evaluation needs ground truth")
     k = checkpoint.k
-    if (labels >= k).any():
+    if labels.max() >= k:
         raise ValueError(
             f"label {labels[labels >= k][0]} is outside [0, {k}): the checkpoint has {k} classes"
         )
@@ -587,7 +589,9 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
         where=row_totals > 0,
     )
     return EvalReport(
-        accuracy=float((predicted == labels).mean()),
+        # the correct count is an integer, so this equals the mean of
+        # ``predicted == labels`` bit for bit
+        accuracy=float(np.trace(confusion) / labels.size),
         per_class_accuracy=per_class,
         confusion=confusion,
     )

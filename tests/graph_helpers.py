@@ -41,7 +41,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One layer as one node: ``x @ w.T + b.T``, then relu if asked."""
-    h = linear_values(x.values, w.values, b.values, relu)
+    h = linear_values(x.values, np.ascontiguousarray(w.values.T), b.values, relu)
 
     def bw(g):
         if relu:

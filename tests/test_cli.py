@@ -37,6 +37,15 @@ def assert_usage_error(code, capsys, fragment):
     assert "Traceback" not in err
 
 
+def assert_subcommand_usage_error(exc, capsys, command):
+    """Exit 2 with the subcommand's own usage line, not the top-level one."""
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dcp {command} ")
+    assert f"\ndcp {command}: error: " in err
+    return err
+
+
 @pytest.fixture
 def blob_files(tmp_path):
     out = tmp_path / "data"
@@ -70,10 +79,10 @@ class TestGenData:
             run_cli(["gen-data", "--k", "1", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_moons_rejects_k(self, tmp_path):
+    def test_moons_rejects_k(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-data", "--kind", "moons", "--k", "3", "--out-dir", str(tmp_path)])
-        assert exc.value.code == 2
+        assert_subcommand_usage_error(exc, capsys, "gen-data")
 
     def test_moons_writes_two_class_data(self, tmp_path):
         # without --k it used to exit 2: --k defaulted to 3, the blobs' class count
@@ -88,10 +97,11 @@ class TestGenData:
             spec = json.loads((out / "manifest.json").read_text())["spec"]
             assert spec["kind"] == "moons" and "translation" not in spec
 
-    def test_bad_translation_is_usage_error(self, tmp_path):
+    def test_bad_translation_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-data", "--translation", "a,b", "--out-dir", str(tmp_path)])
-        assert exc.value.code == 2
+        err = assert_subcommand_usage_error(exc, capsys, "gen-data")
+        assert "--translation must be comma-separated numbers" in err
 
 
 class TestTrain:
@@ -154,8 +164,7 @@ class TestTrain:
         # it used to fail inside numpy's default_rng, naming no field
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, tmp_path / "run", ("--seed", "-1")))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        err = assert_subcommand_usage_error(exc, capsys, "train")
         assert "adv_seed must be nonnegative, got -1" in err and "Traceback" not in err
 
     def test_byte_identical_metrics_across_reruns(self, blob_files, tmp_path):
@@ -179,7 +188,7 @@ class TestTrain:
         assert manifest["config"]["iterations"] == 2
         assert manifest["config"]["alpha"] == 0.25
 
-    def test_unknown_config_key_is_usage_error(self, blob_files, tmp_path):
+    def test_unknown_config_key_is_usage_error(self, blob_files, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"learning_rate": 0.1}))
         with pytest.raises(SystemExit) as exc:
@@ -188,7 +197,15 @@ class TestTrain:
                  "--target", str(blob_files / "target.csv"),
                  "--out-dir", str(tmp_path), "--config", str(cfg)]
             )
-        assert exc.value.code == 2
+        assert_subcommand_usage_error(exc, capsys, "train")
+
+    def test_malformed_config_is_usage_error(self, blob_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 0.1,')
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._train_args(blob_files, tmp_path / "run", ("--config", str(cfg))))
+        err = assert_subcommand_usage_error(exc, capsys, "train")
+        assert f"bad config file {cfg}" in err
 
     @pytest.mark.parametrize(
         "override",
@@ -204,8 +221,7 @@ class TestTrain:
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, out, ("--config", str(cfg))))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        err = assert_subcommand_usage_error(exc, capsys, "train")
         (name,) = override
         assert f"{name} must be " in err and "Traceback" not in err
         assert not (out / "checkpoint.json").exists()
@@ -486,10 +502,11 @@ class TestScheduleCommand:
         assert (np.diff(values[:, 0]) >= 0).all()
         assert (np.diff(values[:, 1]) >= 0).all()
 
-    def test_negative_t_max_is_usage_error(self):
+    def test_negative_t_max_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["schedule", "--t-max", "-1"])
-        assert exc.value.code == 2
+        err = assert_subcommand_usage_error(exc, capsys, "schedule")
+        assert "--t-max must be nonnegative" in err
 
     def test_writes_file(self, tmp_path, capsys):
         assert run_cli(["schedule", "--t-max", "2", "--out-dir", str(tmp_path)]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from graph_helpers import contract, layer_chain
 
-from dcp.networks import Mlp, branch_outputs, forward
+from dcp.networks import EVAL_BLOCK_ROWS, Mlp, branch_outputs, forward
 from dcp.tensor import ShapeError, Tensor, grad_check
 
 
@@ -206,11 +206,41 @@ class TestBranchOutputs:
         logits = branch_outputs(extractor, extractor, np.array([[1.0, 1.0]]))
         assert logits.argmax(axis=1)[0] == 0
 
-    @pytest.mark.parametrize("rows", [600, 50])
-    def test_logits_bit_identical_to_graph_forward(self, rows):
-        # 600 rows cross several evaluation blocks; 50 fit in one
-        extractor = Mlp.create((2, 64, 64), seed=3)
+    # 600 rows cross several evaluation blocks and 50 fit in one; the sizes
+    # around a block's edge end in a last block of 1, 127 or 128 rows
+    ROWS = [600, 50, 1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 601]
+
+    @staticmethod
+    def _assert_logits_equal_graph_forward(widths, rows):
+        extractor = Mlp.create(widths, seed=3)
         head = Mlp.create((64, 3), seed=4)
         x = np.random.default_rng(5).normal(size=(rows, 2))
         logits = branch_outputs(extractor, head, x)
         assert np.array_equal(logits, head(extractor(Tensor(x))).values)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_logits_bit_identical_to_graph_forward(self, rows):
+        self._assert_logits_equal_graph_forward((2, 64, 64), rows)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_three_layer_extractor_bit_identical_to_graph_forward(self, rows):
+        self._assert_logits_equal_graph_forward((2, 16, 32, 64), rows)
+
+    def test_forwards_leave_parameters_unchanged_and_read_only(self):
+        extractor = Mlp.create((2, 16, 32, 8), seed=6)
+        head = Mlp.create((8, 3), seed=7, sigmoid=True)
+        params = [*extractor.tensors(), *head.tensors()]
+        before = [p.values.copy() for p in params]
+        x = np.random.default_rng(8).normal(size=(2 * EVAL_BLOCK_ROWS + 3, 2))
+        branch_outputs(extractor, head, x)
+        contract(head(extractor(Tensor(x))), 1.0).backward()
+        for p, values in zip(params, before):
+            assert np.array_equal(p.values, values)
+            assert not p.values.flags.writeable
+
+    def test_input_width_checked(self):
+        extractor = Mlp.create((2, 4), seed=0)
+        with pytest.raises(ShapeError, match="input has 3 columns, the network takes 2"):
+            branch_outputs(extractor, Mlp.create((4, 3), seed=1), np.ones((5, 3)))
+        with pytest.raises(ShapeError, match="input has 4 columns, the network takes 5"):
+            branch_outputs(extractor, Mlp.create((5, 3), seed=1), np.ones((5, 2)))

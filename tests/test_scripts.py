@@ -138,3 +138,23 @@ def test_bench_record_reports_an_uncommitted_edit(tmp_path, capsys):
     assert bench_record.git_state(tmp_path) == (commit, [" M tracked.txt"])
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and " M tracked.txt" in err
+
+
+@pytest.mark.parametrize("kernel, expected", [("Haswell", "hash0"), ("SkylakeX", None)])
+def test_bench_record_hashes_seed_zero_on_the_haswell_kernel(monkeypatch, kernel, expected):
+    bench_record = _import_script("bench_record")
+    calls = []
+
+    def fake_run_perfbench(checkout, workload, seed, seconds, trace, env=None):
+        calls.append((workload, seed, seconds, trace, env))
+        run = bench_record.parse_run(_perfbench_stdout(seed, 5.0))
+        run["env"]["blas"]["config"] = f"OpenBLAS 0.3 DYNAMIC_ARCH {kernel} MAX_THREADS=64"
+        return run
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run_perfbench)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert bench_record.haswell_trace_sha256(SCRIPTS.parent, "blobs") == expected
+    ((workload, seed, seconds, trace, env),) = calls
+    assert (workload, seed, seconds, trace) == ("blobs", 0, 1, 0)
+    # the caller's environment, with the kernel forced
+    assert env["OPENBLAS_CORETYPE"] == "Haswell" and env["OPENBLAS_NUM_THREADS"] == "2"

@@ -19,6 +19,7 @@ from dcp.tensor import (
     Tensor,
     gather_rows,
     grad_check,
+    linear_values,
     matmul,
     pairwise_euclidean,
     sigmoid_values,
@@ -449,6 +450,16 @@ class TestLinear:
         chain = self._transpose_matmul_add_chain(x, w, b, weights, relu)
         for fused_value, chain_value in zip([out.values, tx.grad, tw.grad, tb.grad], chain):
             assert np.array_equal(fused_value, chain_value)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_kernel_is_the_expression_and_leaves_operands_alone(self, relu):
+        x, w, b, _ = self._operands(seed=2)
+        wt = np.ascontiguousarray(w.T)
+        operands = [v.copy() for v in (x, wt, b)]
+        pre = x @ wt + b.T
+        expected = np.maximum(pre, 0.0) if relu else pre
+        assert np.array_equal(linear_values(x, wt, b, relu), expected)
+        assert all(np.array_equal(v, c) for v, c in zip((x, wt, b), operands))
 
     def test_shape_errors(self):
         x, w, b, _ = self._operands()

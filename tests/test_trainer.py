@@ -10,8 +10,8 @@ from graph_helpers import network
 
 from dcp import centroids as cent
 from dcp import losses
-from dcp.datasets import ShiftSpec, gen_blobs
-from dcp.networks import Mlp
+from dcp.datasets import TARGET, LabeledDataset, ShiftSpec, gen_blobs
+from dcp.networks import Mlp, branch_outputs
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
 from dcp.tensor import Tensor, gather_rows, grad_check, vstack, weighted_sum
 from dcp.trainer import (
@@ -569,6 +569,37 @@ class TestEvaluate:
         ckpt, src, _ = self._checkpoint(iterations=5)
         report = evaluate(ckpt, src)
         assert ((report.per_class_accuracy >= 0) & (report.per_class_accuracy <= 1)).all()
+
+    @staticmethod
+    def _four_class_checkpoint():
+        # class 2's logit is always lowest on positive inputs: never predicted
+        extractor = Mlp([Tensor(np.eye(2))], [Tensor(np.zeros((2, 1)))])
+        head = Mlp(
+            [Tensor([[1.0, 0.0], [0.0, 1.0], [-5.0, -5.0], [0.6, 0.6]])],
+            [Tensor(np.zeros((4, 1)))],
+        )
+        return Checkpoint(extractor, head)
+
+    def test_accuracy_is_the_mean_of_correct_predictions(self):
+        ckpt = self._four_class_checkpoint()
+        rng = np.random.default_rng(0)
+        # 601 rows cross the evaluation blocks; class 3 has no rows
+        data = LabeledDataset(rng.uniform(0.1, 1.0, size=(601, 2)), rng.integers(0, 3, size=601), TARGET)
+        predicted = branch_outputs(ckpt.adv_extractor, ckpt.adv_head, data.X).argmax(axis=1)
+        assert 2 not in predicted and {0, 1, 3} <= set(predicted.tolist())
+        report = evaluate(ckpt, data)
+        assert report.accuracy == float((predicted == data.y).mean())
+        assert report.per_class_accuracy[2] == 0.0 and report.per_class_accuracy[3] == 0.0
+        assert report.confusion[3].sum() == 0 and report.confusion[:, 2].sum() == 0
+
+    def test_label_error_names_the_first_label_outside_the_classes(self):
+        data = LabeledDataset(np.ones((4, 2)), [0, 5, 1, 7], TARGET)
+        with pytest.raises(ValueError, match=re.escape("label 5 is outside [0, 4)")):
+            evaluate(self._four_class_checkpoint(), data)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            evaluate(self._four_class_checkpoint(), LabeledDataset(np.ones((0, 2)), [], TARGET))
 
 
 class TestPseudoPrecision:
