@@ -70,19 +70,28 @@ def main() -> int:
     parser.add_argument("--noise-sigma", type=float, default=0.6)
     parser.add_argument("--probe-t", type=int, default=200)
     args = parser.parse_args()
-
-    translation = tuple(float(v) for v in args.translation.split(","))
-    specs = [
-        ShiftSpec(
-            k=args.k,
-            n_per_class=args.n_per_class,
-            rotation=args.rotation,
-            translation=translation,
-            noise_sigma=args.noise_sigma,
-            seed=seed,
-        )
-        for seed in range(args.seeds)
-    ]
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.iters < 1:
+        parser.error(f"--iters must be at least 1, got {args.iters}")
+    try:
+        translation = tuple(float(v) for v in args.translation.split(","))
+    except ValueError:
+        parser.error(f"--translation must be comma-separated numbers, got {args.translation!r}")
+    try:
+        specs = [
+            ShiftSpec(
+                k=args.k,
+                n_per_class=args.n_per_class,
+                rotation=args.rotation,
+                translation=translation,
+                noise_sigma=args.noise_sigma,
+                seed=seed,
+            )
+            for seed in range(args.seeds)
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     results = {}
     for arm, full in (("full", True), ("baseline", False)):
         runs = [run_arm(spec, full, args.iters, args.probe_t) for spec in specs]

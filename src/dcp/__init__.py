@@ -40,7 +40,6 @@ from .pseudo_label import (
     tau_clu,
 )
 from .tensor import (
-    DomainError,
     EvaluationError,
     GradCheckReport,
     ShapeError,

@@ -1,8 +1,10 @@
 """Command-line surface: gen-data, train, eval, gradcheck, schedule.
 
-Exit codes: 0 success, 1 missing input file, 2 usage error (bad flags or
-config, or a malformed or out-of-range input file), 3 numeric failure during
-training, 4 checkpoint version mismatch. A gradcheck failure also exits 1.
+Exit codes: 0 success, 1 missing input file (or a directory where a file
+should be), 2 usage error (bad flags or config, an output directory that
+cannot be created, or a malformed or out-of-range input file), 3 numeric
+failure during training, 4 checkpoint version mismatch. A gradcheck failure
+also exits 1.
 Every training run writes exactly one manifest describing the config and
 dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
 weights and biases of the two networks that eval reads, the adversarial
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +50,15 @@ def _sha256(path: Path) -> str:
 def _write_manifest(out_dir: Path, payload: dict) -> None:
     payload = {"tool": "dcp", "version": __version__, **payload}
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def _out_dir(text: str, parser: argparse.ArgumentParser) -> Path:
+    """``--out-dir``, created with its parents; one that cannot be created is a usage error."""
+    try:
+        Path(text).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --out-dir {text}: {exc.strerror}")
+    return Path(text)
 
 
 def _parse_translation(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -158,8 +170,7 @@ def cmd_gen_data(args, parser) -> int:
             }
     except ValueError as exc:
         parser.error(str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir, parser)
     source_path = out_dir / "source.csv"
     target_path = out_dir / "target.csv"
     save_embeddings(source, source_path)
@@ -183,7 +194,7 @@ def _load_train_config(args, parser) -> TrainConfig:
     merged = TrainConfig().to_dict()
     if args.config:
         config_path = Path(args.config)
-        if not config_path.exists():
+        if not config_path.is_file():
             raise FileNotFoundError(config_path)
         try:
             overrides = json.loads(config_path.read_text(encoding="utf-8"))
@@ -205,13 +216,12 @@ def _load_train_config(args, parser) -> TrainConfig:
 def cmd_train(args, parser) -> int:
     source_path, target_path = Path(args.source), Path(args.target)
     for path in (source_path, target_path):
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(path)
     config = _load_train_config(args, parser)
     source = load_embeddings(source_path)
     target = load_embeddings(target_path)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir, parser)
 
     checkpoint, records = train(config, source, target)
 
@@ -247,13 +257,12 @@ def cmd_train(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     ckpt_path, data_path = Path(args.checkpoint), Path(args.data)
     for path in (ckpt_path, data_path):
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(path)
     checkpoint = Checkpoint.load(ckpt_path)
     dataset = load_embeddings(data_path)
     report = evaluate(checkpoint, dataset)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir, parser)
     report_path = out_dir / "report.json"
     payload = {
         "checkpoint": str(ckpt_path),
@@ -269,18 +278,19 @@ def cmd_eval(args, parser) -> int:
 
 
 def cmd_gradcheck(args, parser) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        parser.error(f"--threshold must be a positive number, got {args.threshold}")
+    for flag, least in (("--seeds", 1), ("--k", 2), ("--n-b", 1), ("--d-f", 1)):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
+    out_dir = _out_dir(args.out_dir, parser) if args.out_dir else None
     rows = run_gradcheck(
-        n_seeds=args.seeds,
-        threshold=args.threshold,
-        d_f=args.d_f,
-        k=args.k,
-        n_b=args.n_b,
+        n_seeds=args.seeds, threshold=args.threshold, d_f=args.d_f, k=args.k, n_b=args.n_b
     )
     csv_text = rows_to_csv(rows)
     print(csv_text, end="")
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         (out_dir / "gradcheck.csv").write_text(csv_text, encoding="utf-8")
     return EXIT_OK if all(r.passed for r in rows) else 1
 
@@ -288,13 +298,12 @@ def cmd_gradcheck(args, parser) -> int:
 def cmd_schedule(args, parser) -> int:
     if args.t_max < 0:
         parser.error("--t-max must be nonnegative")
+    out_dir = _out_dir(args.out_dir, parser) if args.out_dir else None
     lines = ["T,tau_adv,tau_clu"]
     lines += [f"{t},{tau_adv(t):.6f},{tau_clu(t):.6f}" for t in range(args.t_max + 1)]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         (out_dir / "schedule.csv").write_text(text, encoding="utf-8")
     return EXIT_OK
 

@@ -1,7 +1,9 @@
 """The three-part adversarial objective and its minimax update contract.
 
-The discriminator's log-likelihood is implemented negated, so every
-optimizer step in the trainer is a minimization. The generator uses the
+The discriminator emits one domain logit per row, and the two adversarial
+losses apply the logistic function to it: the verdict that a row comes from
+the source. The discriminator's log-likelihood is implemented negated, so
+every optimizer step in the trainer is a minimization. The generator uses the
 non-saturating form, which keeps gradients usable when the discriminator
 dominates early. Source classification is plain softmax cross entropy and is
 reused verbatim for the clustering branch's head and for both heads on
@@ -13,51 +15,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DomainError, Tensor, softmax_cross_entropy
+from .tensor import Tensor, sigmoid_values, softmax_cross_entropy
 
 # Verdicts are squeezed into [CLAMP_EPS, 1 - CLAMP_EPS] before any log, so the
-# losses stay finite for every input in [0, 1].
+# losses stay finite for every logit, saturated ones included.
 CLAMP_EPS = 1e-7
 
 
-def _clamp(d: Tensor, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Verdicts clipped into [CLAMP_EPS, 1 - CLAMP_EPS], and where none was clipped."""
-    v = d.values
-    if ((v < 0.0) | (v > 1.0)).any():
-        bad = v[(v < 0.0) | (v > 1.0)][0]
-        raise DomainError(f"{name} entries must lie in [0, 1]; found {bad}")
+def _verdicts(s: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clipped verdicts of the logits, where none was clipped, and the unclipped verdicts."""
+    p = sigmoid_values(s.values)
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    return np.clip(v, lo, hi), (v >= lo) & (v <= hi)
+    return np.clip(p, lo, hi), (p >= lo) & (p <= hi), p
 
 
-def discriminator_loss(d_source: Tensor, d_target: Tensor) -> Tensor:
+def discriminator_loss(s_source: Tensor, s_target: Tensor) -> Tensor:
     """Negated discriminator log-likelihood (a quantity to minimize).
 
-    -(mean log ds + mean log(1 - dt)) over the clamped verdicts, one graph node.
-    Zero at perfect discrimination (source verdicts near 1, target near 0).
+    -(mean log ds + mean log(1 - dt)) over the clamped verdicts of the source
+    and target logits, one graph node. Zero at perfect discrimination
+    (source verdicts near 1, target near 0).
     """
-    ds, ds_unclipped = _clamp(d_source, "d_source")
-    dt, dt_unclipped = _clamp(d_target, "d_target")
+    ds, ds_unclipped, ps = _verdicts(s_source)
+    dt, dt_unclipped, pt = _verdicts(s_target)
     dt_complement = 1.0 - dt
     loss = -(np.log(ds).sum() * (1.0 / ds.size) + np.log(dt_complement).sum() * (1.0 / dt.size))
 
     def bw(g: np.ndarray) -> None:
         g_neg = g[0, 0] * -1.0
-        d_source._accumulate(g_neg * (1.0 / ds.size) / ds * ds_unclipped)
-        d_target._accumulate(-(g_neg * (1.0 / dt.size) / dt_complement) * dt_unclipped)
+        s_source._accumulate(g_neg * (1.0 / ds.size) / ds * ds_unclipped * ps * (1.0 - ps))
+        s_target._accumulate(
+            -(g_neg * (1.0 / dt.size) / dt_complement) * dt_unclipped * pt * (1.0 - pt)
+        )
 
-    return Tensor._node(np.array([[loss]]), (d_source, d_target), bw)
+    return Tensor._node(np.array([[loss]]), (s_source, s_target), bw)
 
 
-def generator_loss(d_target: Tensor) -> Tensor:
+def generator_loss(s_target: Tensor) -> Tensor:
     """Non-saturating generator loss -mean log dt: drives target verdicts toward 1."""
-    dt, unclipped = _clamp(d_target, "d_target")
+    dt, unclipped, p = _verdicts(s_target)
     loss = -(np.log(dt).sum() * (1.0 / dt.size))
 
     def bw(g: np.ndarray) -> None:
-        d_target._accumulate(g[0, 0] * -1.0 * (1.0 / dt.size) / dt * unclipped)
+        s_target._accumulate(g[0, 0] * -1.0 * (1.0 / dt.size) / dt * unclipped * p * (1.0 - p))
 
-    return Tensor._node(np.array([[loss]]), (d_target,), bw)
+    return Tensor._node(np.array([[loss]]), (s_target,), bw)
 
 
 def source_classification_loss(logits: Tensor, labels) -> Tensor:

@@ -1,9 +1,11 @@
 """Small fully connected networks: feature extractors, heads, discriminator.
 
 A network is its weights: each layer is a weight (out x in) and a bias
-(out x 1), and the layer widths are the weight shapes. Both branches of the
-model use structurally identical extractors with independent parameters;
-architecture defaults live in the trainer.
+(out x 1), and the layer widths are the weight shapes. Every network ends in
+a linear layer, so it gives logits: the heads' class logits and the
+discriminator's domain logit. Both branches of the model use structurally
+identical extractors with independent parameters; architecture defaults live
+in the trainer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, linear_values, sigmoid_values
+from .tensor import ShapeError, Tensor, linear_values
 
 # Rows per block of the graph-free forward. At the trainer's feature width a
 # block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
@@ -25,14 +27,13 @@ EVAL_BLOCK_ROWS = 128
 class Mlp:
     """Per-layer weight and bias tensors; callable on a batch tensor.
 
-    Hidden layers are relu; the output layer is linear, or sigmoid when
-    ``sigmoid`` is set. The layer shapes are checked here and nowhere else:
-    ``Tensor.update_values`` keeps every shape, so they cannot change later.
+    Hidden layers are relu and the output layer is linear. The layer shapes
+    are checked here and nowhere else: ``Tensor.update_values`` keeps every
+    shape, so they cannot change later.
     """
 
     weights: list[Tensor]
     biases: list[Tensor]
-    sigmoid: bool = False
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -47,7 +48,7 @@ class Mlp:
                 raise ShapeError(f"bias {i} has shape {b.shape} but weight {i} is {w.shape}")
 
     @classmethod
-    def create(cls, widths: tuple[int, ...], seed: int, sigmoid: bool = False) -> "Mlp":
+    def create(cls, widths: tuple[int, ...], seed: int) -> "Mlp":
         """Glorot-uniform weights and zero biases from a seeded generator.
 
         ``widths`` runs from the input width to the output width. Fewer than
@@ -61,7 +62,7 @@ class Mlp:
             w = rng.uniform(-bound, bound, size=(w_out, w_in))
             weights.append(Tensor(w, requires_grad=True))
             biases.append(Tensor(np.zeros((w_out, 1)), requires_grad=True))
-        return cls(weights, biases, sigmoid)
+        return cls(weights, biases)
 
     @property
     def d_in(self) -> int:
@@ -73,11 +74,7 @@ class Mlp:
 
     def tensors(self) -> list[Tensor]:
         """``[W1, b1, W2, b2, ...]``: the parameters in layer order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [t for layer in zip(self.weights, self.biases) for t in layer]
 
     def __call__(self, x: Tensor) -> Tensor:
         # ``forward`` is looked up at each call, so a wrapper installed on
@@ -86,38 +83,45 @@ class Mlp:
 
     def detached(self) -> "Mlp":
         """This network on constant parameters that share its values: frozen."""
-        return Mlp(
-            [w.detached() for w in self.weights], [b.detached() for b in self.biases], self.sigmoid
-        )
+        return Mlp([w.detached() for w in self.weights], [b.detached() for b in self.biases])
+
+
+def _value_layers(net: Mlp) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """Each layer's ``(contiguous w.T, b, relu)``, the operands of ``linear_values``."""
+    last = len(net.weights) - 1
+    return [
+        (np.ascontiguousarray(w.values.T), b.values, i < last)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases))
+    ]
+
+
+def _activations(layers, x: np.ndarray) -> list[np.ndarray]:
+    """The input, then each layer's output: the one layer loop of both forwards."""
+    acts = [x]
+    for wt, b, relu in layers:
+        acts.append(linear_values(acts[-1], wt, b, relu))
+    return acts
 
 
 def forward(net: Mlp, x: Tensor) -> Tensor:
     """Run the batch (rows = samples) through every layer as one graph node.
 
     The node's parents are ``(x, W1, b1, W2, b2, ...)``. Its backward walks the
-    layers in reverse with the per-layer rules (sigmoid, relu mask, then the
-    input, weight and bias gradients of each layer, in that order), and
-    computes only the gradients some parent can take.
+    layers in reverse with the per-layer rules (relu mask, then the input,
+    weight and bias gradients of each layer, in that order), and computes
+    only the gradients some parent can take.
     """
     if x.cols != net.d_in:
         raise ShapeError(f"input has {x.cols} columns, the network takes {net.d_in}")
+    acts = _activations(_value_layers(net), x.values)
     layers = tuple(zip(net.weights, net.biases))
     last = len(layers) - 1
-    acts = [x.values]  # the input, then each layer's output
-    parents = [x]
     # layer i passes a gradient down when x or a parameter below it takes one
     takes_input_grad = [x.requires_grad]
-    for i, (w, b) in enumerate(layers):
-        wt = np.ascontiguousarray(w.values.T)
-        acts.append(linear_values(acts[-1], wt, b.values, relu=i < last))
-        parents += (w, b)
+    for w, b in layers:
         takes_input_grad.append(takes_input_grad[-1] or w.requires_grad or b.requires_grad)
-    sigmoid = net.sigmoid
-    out = sigmoid_values(acts[-1]) if sigmoid else acts[-1]
 
     def bw(g: np.ndarray) -> None:
-        if sigmoid:
-            g = g * out * (1.0 - out)
         for i in range(last, -1, -1):
             w, b = layers[i]
             if i < last:
@@ -133,24 +137,7 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
                 return
             g = g_in
 
-    return Tensor._node(out, tuple(parents), bw)
-
-
-def _value_layers(net: Mlp) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """Each layer's ``(contiguous w.T, b, relu)`` for the graph-free forward."""
-    last = len(net.weights) - 1
-    return [
-        (np.ascontiguousarray(w.values.T), b.values, i < last)
-        for i, (w, b) in enumerate(zip(net.weights, net.biases))
-    ]
-
-
-def _forward_values(layers, sigmoid: bool, x: np.ndarray) -> np.ndarray:
-    """The forward on a plain array, recording no graph; identical bits."""
-    h = x
-    for wt, b, relu in layers:
-        h = linear_values(h, wt, b, relu)
-    return sigmoid_values(h) if sigmoid else h
+    return Tensor._node(acts[-1], (x, *net.tensors()), bw)
 
 
 def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
@@ -159,9 +146,8 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
     Evaluation only: records no graph, and runs on plain arrays in blocks of
     ``EVAL_BLOCK_ROWS`` rows; a last block of one row joins the block before
     it. Each weight's transpose is copied once per call, before the block
-    loop, and every layer adds its bias and applies its relu in place. Both
-    forwards use the same kernel, so the logits equal the graph forward's
-    bit for bit.
+    loop, and every layer adds its bias and applies its relu in place. The
+    layer loop is the graph forward's, so the logits equal its bit for bit.
     """
     for net, d_in in ((extractor, x.shape[1]), (head, extractor.d_out)):
         if d_in != net.d_in:
@@ -177,7 +163,7 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
             # which rounds differently from a row of a matrix product: the
             # last row joins its block instead
             hi = n
-        features = _forward_values(extractor_layers, extractor.sigmoid, x[lo:hi])
-        logits[lo:hi] = _forward_values(head_layers, head.sigmoid, features)
+        features = _activations(extractor_layers, x[lo:hi])[-1]
+        logits[lo:hi] = _activations(head_layers, features)[-1]
         lo = hi
     return logits

@@ -3,9 +3,11 @@
 Every numeric value in the training stack is a :class:`Tensor`: an immutable
 rows-by-cols matrix of doubles that, when marked differentiable, records the
 operations applied to it and accumulates ``grad`` during
-:meth:`Tensor.backward`. Gradients add up across backward calls until
-explicitly zeroed; discriminator and main updates reuse subgraphs, so
-overwrite semantics would be wrong.
+:meth:`Tensor.backward`. A tensor sums the deltas of its consumers, and a
+leaf's ``grad`` adds up across backward calls until explicitly zeroed, as
+the trainer's update does. The trainer's two passes share no graph: the
+discriminator loss reaches only the discriminator, and the main loss reaches
+it only through ``Mlp.detached()``, which takes no gradient.
 
 Gradient ownership: a rule hands ``_accumulate`` a fresh array it never
 touches again. The first delta a tensor receives becomes its ``grad`` as is,
@@ -20,8 +22,8 @@ without waiting for the cyclic garbage collector.
 There is no elementwise arithmetic: the node types here are :func:`matmul`,
 :func:`gather_rows`, :func:`vstack`, :func:`softmax_cross_entropy`,
 :func:`pairwise_euclidean` and :func:`weighted_sum`. A whole network call is
-one node (``networks.forward``, on the layer kernels :func:`linear_values`
-and :func:`sigmoid_values`), and so is each loss term; both are built through
+one node (``networks.forward``, on the layer kernel :func:`linear_values`),
+and so is each loss term; both are built through
 :meth:`Tensor._node` in the module that states their formula.
 """
 
@@ -41,10 +43,6 @@ SQRT_SHIFT = 1e-12
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
-
-
-class DomainError(ValueError):
-    """An input value lies outside the mathematical domain of the operation."""
 
 
 class EvaluationError(RuntimeError):

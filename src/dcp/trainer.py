@@ -222,7 +222,7 @@ def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
         "adv_head": Mlp.create((FEATURE_DIM, k), config.adv_seed + 1_000_003),
         "clu_extractor": Mlp.create((d_in, FEATURE_DIM, FEATURE_DIM), config.clu_seed),
         "clu_head": Mlp.create((FEATURE_DIM, k), config.clu_seed + 1_000_003),
-        "discriminator": Mlp.create((FEATURE_DIM, DISC_HIDDEN, 1), config.disc_seed, sigmoid=True),
+        "discriminator": Mlp.create((FEATURE_DIM, DISC_HIDDEN, 1), config.disc_seed),
     }
     velocity = {
         name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()

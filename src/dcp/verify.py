@@ -24,20 +24,22 @@ Instance = tuple[Callable[[Tensor], Tensor], Tensor]
 Builder = Callable[[np.random.Generator, int, int, int], list[Instance]]
 
 
-def _verdicts(rng: np.random.Generator, n: int) -> Tensor:
-    return Tensor(rng.uniform(0.05, 0.95, size=(n, 1)))
+def _logits(rng: np.random.Generator, n: int) -> Tensor:
+    """Discriminator logits whose verdicts are drawn from (0.05, 0.95)."""
+    p = rng.uniform(0.05, 0.95, size=(n, 1))
+    return Tensor(np.log(p / (1.0 - p)))
 
 
 def _build_l_d(rng, d_f, k, n_b) -> list[Instance]:
-    ds, dt = _verdicts(rng, n_b), _verdicts(rng, n_b)
+    ss, st = _logits(rng, n_b), _logits(rng, n_b)
     return [
-        (lambda x: discriminator_loss(x, dt), ds),
-        (lambda x: discriminator_loss(ds, x), dt),
+        (lambda x: discriminator_loss(x, st), ss),
+        (lambda x: discriminator_loss(ss, x), st),
     ]
 
 
 def _build_l_g(rng, d_f, k, n_b) -> list[Instance]:
-    return [(generator_loss, _verdicts(rng, n_b))]
+    return [(generator_loss, _logits(rng, n_b))]
 
 
 def _build_l_c1(rng, d_f, k, n_b) -> list[Instance]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dcp.losses import CLAMP_EPS
 from dcp.networks import Mlp, forward
 from dcp.tensor import Tensor, linear_values, sigmoid_values
 
@@ -20,23 +21,17 @@ def contract(t: Tensor, weights) -> Tensor:
     return Tensor._node(np.array([[(t.values * w).sum()]]), (t,), bw)
 
 
-def network(x: Tensor, weights, biases, sigmoid=False) -> Tensor:
+def network(x: Tensor, weights, biases) -> Tensor:
     """``networks.forward`` over the given layer tensors: one graph node.
 
     Layer widths come from the weights, each (out x in); hidden layers are relu.
     """
-    return forward(Mlp(list(weights), list(biases), sigmoid), x)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """The logistic function of ``x`` as a network node: an identity layer, then sigmoid."""
-    identity = Tensor(np.eye(x.cols))
-    return network(x, [identity], [Tensor(np.zeros((x.cols, 1)))], sigmoid=True)
+    return forward(Mlp(list(weights), list(biases)), x)
 
 
 # -- the per-layer chain the network node replaced ----------------------------
-# One node per layer and one for the sigmoid, with the rules the network node
-# runs in one backward; tests compare the two bit for bit.
+# One node per layer, with the rules the network node runs in one backward;
+# tests compare the two bit for bit.
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -54,8 +49,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return Tensor._node(h, (x, w, b), bw)
 
 
-def sigmoid_layer(t: Tensor) -> Tensor:
-    """The logistic function as its own node."""
+def layer_chain(net: Mlp, x: Tensor) -> Tensor:
+    """The network forward as one node per layer."""
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = linear(h, w, b, relu=i < last)
+    return h
+
+
+# -- the discriminator with a sigmoid output and the verdict losses -----------
+# The discriminator once ended in a sigmoid, with the rule
+# ``g * out * (1 - out)``, and the adversarial losses took its verdicts. The
+# losses now take its logits; tests require the same bits from both designs.
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    """The logistic function as its own node, with the old network's sigmoid rule."""
     s = sigmoid_values(t.values)
 
     def bw(g):
@@ -64,13 +74,35 @@ def sigmoid_layer(t: Tensor) -> Tensor:
     return Tensor._node(s, (t,), bw)
 
 
-def layer_chain(net: Mlp, x: Tensor) -> Tensor:
-    """The network forward as one node per layer plus one for the sigmoid."""
-    h = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = linear(h, w, b, relu=i < last)
-    return sigmoid_layer(h) if net.sigmoid else h
+def _clamp(v):
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    return np.clip(v, lo, hi), (v >= lo) & (v <= hi)
+
+
+def verdict_discriminator_loss(d_source: Tensor, d_target: Tensor) -> Tensor:
+    """The discriminator loss on verdicts in [0, 1], as one node."""
+    ds, ds_unclipped = _clamp(d_source.values)
+    dt, dt_unclipped = _clamp(d_target.values)
+    dt_complement = 1.0 - dt
+    loss = -(np.log(ds).sum() * (1.0 / ds.size) + np.log(dt_complement).sum() * (1.0 / dt.size))
+
+    def bw(g):
+        g_neg = g[0, 0] * -1.0
+        d_source._accumulate(g_neg * (1.0 / ds.size) / ds * ds_unclipped)
+        d_target._accumulate(-(g_neg * (1.0 / dt.size) / dt_complement) * dt_unclipped)
+
+    return Tensor._node(np.array([[loss]]), (d_source, d_target), bw)
+
+
+def verdict_generator_loss(d_target: Tensor) -> Tensor:
+    """The generator loss on verdicts in [0, 1], as one node."""
+    dt, unclipped = _clamp(d_target.values)
+    loss = -(np.log(dt).sum() * (1.0 / dt.size))
+
+    def bw(g):
+        d_target._accumulate(g[0, 0] * -1.0 * (1.0 / dt.size) / dt * unclipped)
+
+    return Tensor._node(np.array([[loss]]), (d_target,), bw)
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_helpers import centroid_weights_reference, contract, network
+from graph_helpers import centroid_weights_reference, contract, network, sigmoid
 
 from dcp.centroids import (
     LOSS_EPS,
@@ -352,7 +352,7 @@ class TestEndToEndGradient:
 
         def alignment(w):
             feats = network(x, [w, identity], [zero_bias, zero_bias])  # relu(x @ w.T)
-            feats_other = network(x, [w_other], [zero_bias], sigmoid=True)
+            feats_other = sigmoid(network(x, [w_other], [zero_bias]))
             bank = compute_centroids(feats, labels, k)
             bank_other = compute_centroids(feats_other, labels, k)
             cc = loss_cc(centroid_centroid_matrix(bank_other), centroid_centroid_matrix(bank))

@@ -308,7 +308,7 @@ class TestEval:
             "networks": {
                 name: {
                     "layer_widths": [net.d_in] + [w.rows for w in net.weights],
-                    "output_activation": "sigmoid" if net.sigmoid else "none",
+                    "output_activation": "sigmoid" if name == "discriminator" else "none",
                     "weights": [w.values.tolist() for w in net.weights],
                     "biases": [b.values.tolist() for b in net.biases],
                 }
@@ -447,6 +447,77 @@ class TestEval:
         assert_usage_error(code, capsys, f"network 'adv_head': {fragment}")
 
 
+class TestPaths:
+    """A directory where a file should be, and an output directory that cannot be made."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("not a directory\n")
+        return path
+
+    def _train_args(self, blob_files, out_dir, source=None, extra=()):
+        return [
+            "train", "--source", str(source or blob_files / "source.csv"),
+            "--target", str(blob_files / "target.csv"), "--out-dir", str(out_dir),
+            "--iters", "2", "--batch-size", "9", *extra,
+        ]
+
+    @pytest.mark.parametrize("which", ["source", "config"])
+    def test_train_input_directory_is_missing_input(self, which, blob_files, tmp_path, capsys):
+        extra = ("--config", str(tmp_path)) if which == "config" else ()
+        source = tmp_path if which == "source" else None
+        code = run_cli(self._train_args(blob_files, tmp_path / "run", source, extra))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"missing input: {tmp_path}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_checkpoint_directory_is_missing_input(self, blob_files, tmp_path, capsys):
+        code = run_cli(
+            ["eval", "--checkpoint", str(tmp_path), "--data", str(blob_files / "source.csv"),
+             "--out-dir", str(tmp_path / "report")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"missing input: {tmp_path}\n"
+
+    def test_train_out_dir_file_is_usage_error(self, blob_files, a_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._train_args(blob_files, a_file))
+        err = assert_subcommand_usage_error(exc, capsys, "train")
+        assert f"cannot create --out-dir {a_file}" in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "gradcheck", "schedule"])
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below-file"])
+    def test_out_dir_that_cannot_be_made_is_usage_error(
+        self, command, below_a_file, blob_files, tmp_path, a_file, capsys
+    ):
+        out_dir = a_file / "x" if below_a_file else a_file
+        args = {
+            "gen-data": ["gen-data", "--n-per-class", "5"],
+            "eval": ["eval", "--checkpoint", str(_checkpoint(blob_files, tmp_path)),
+                     "--data", str(blob_files / "source.csv")],
+            "gradcheck": ["gradcheck", "--seeds", "1"],
+            "schedule": ["schedule", "--t-max", "2"],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out-dir", str(out_dir)])
+        err = assert_subcommand_usage_error(exc, capsys, command)
+        assert f"cannot create --out-dir {out_dir}" in err
+
+
+def _checkpoint(blob_files, tmp_path):
+    out = tmp_path / "trained"
+    code = run_cli(
+        ["train", "--source", str(blob_files / "source.csv"),
+         "--target", str(blob_files / "target.csv"), "--out-dir", str(out), "--iters", "2",
+         "--batch-size", "9"]
+    )
+    assert code == 0
+    return out / "checkpoint.json"
+
+
 class TestGradcheckCommand:
     def test_fresh_build_all_pass(self, tmp_path, capsys):
         code = run_cli(["gradcheck", "--seeds", "2", "--out-dir", str(tmp_path)])
@@ -464,9 +535,29 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seed_is_usage_error(self, seeds, capsys):
         # zero seeds would check no instance and print PASS for every loss
-        code = run_cli(["gradcheck", "--seeds", seeds])
-        assert_usage_error(code, capsys, "n_seeds must be at least 1")
-        assert "PASS" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gradcheck", "--seeds", seeds])
+        err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
+        assert "--seeds must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # each of these thresholds used to run and report every loss FAIL
+            ("--threshold", "nan", "--threshold must be a positive number"),
+            ("--threshold", "0", "--threshold must be a positive number"),
+            ("--threshold", "-1", "--threshold must be a positive number"),
+            ("--threshold", "inf", "--threshold must be a positive number"),
+            ("--k", "1", "--k must be at least 2"),
+            ("--n-b", "0", "--n-b must be at least 1"),
+            ("--d-f", "0", "--d-f must be at least 1"),
+        ],
+    )
+    def test_bad_flag_is_usage_error_before_any_check(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gradcheck", "--seeds", "1", flag, value])
+        err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
+        assert message in err
 
     def test_injected_sign_flip_fails(self, monkeypatch, capsys):
         def sign_flip(x):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from graph_helpers import sigmoid, verdict_discriminator_loss, verdict_generator_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,10 +11,19 @@ from dcp.losses import (
     generator_loss,
     source_classification_loss,
 )
-from dcp.tensor import DomainError, Tensor, grad_check, softmax_cross_entropy, weighted_sum
+from dcp.networks import Mlp
+from dcp.tensor import Tensor, grad_check, sigmoid_values, softmax_cross_entropy, weighted_sum
 
-# Verdicts on both sides of the clamp, so the chains' masks are exercised.
-EDGE_VERDICTS = [[0.0], [CLAMP_EPS / 2], [0.3], [0.5], [0.9], [1.0 - CLAMP_EPS / 2], [1.0]]
+
+def _logits(verdicts):
+    """The logits whose logistic function gives ``verdicts``."""
+    p = np.asarray(verdicts, dtype=np.float64)
+    return np.log(p / (1.0 - p))
+
+
+# Logits on both sides of the clamp, so the chains' masks are exercised: the
+# verdicts of -17 and 17 are clipped, those of -16 and 16 are not.
+EDGE_LOGITS = [[-800.0], [-40.0], [-17.0], [-16.0], [0.0], [0.3], [16.0], [17.0], [40.0], [800.0]]
 
 
 def _clamp_chain(v):
@@ -28,10 +38,17 @@ def _mean_log_backward(g_mean, x):
     return np.full(x.shape, g_sum[0, 0]) / x
 
 
-def discriminator_chain(vs, vt, upstream):
-    """-(ds.log().mean() + (1.0 - dt).log().mean()) and its input gradients, in numpy."""
-    ds, mask_s = _clamp_chain(vs)
-    dt, mask_t = _clamp_chain(vt)
+def _sigmoid_backward(g, p):
+    """The rule of the sigmoid output the discriminator had."""
+    return g * p * (1.0 - p)
+
+
+def discriminator_chain(ss, st, upstream):
+    """-(ds.log().mean() + (1.0 - dt).log().mean()) of the logits' sigmoids, and
+    its gradients by the logits, in numpy."""
+    ps, pt = sigmoid_values(ss), sigmoid_values(st)
+    ds, mask_s = _clamp_chain(ps)
+    dt, mask_t = _clamp_chain(pt)
     complement = 1.0 - dt
     mean_s = np.array([[np.log(ds).sum()]]) * (1.0 / ds.size)
     mean_t = np.array([[np.log(complement).sum()]]) * (1.0 / complement.size)
@@ -39,106 +56,181 @@ def discriminator_chain(vs, vt, upstream):
     g_sum = np.full((1, 1), upstream) * -1.0  # negation, then the add passes g on
     g_s = _mean_log_backward(g_sum, ds) * mask_s
     g_t = -_mean_log_backward(g_sum, complement) * mask_t  # rsub negates
-    return loss, g_s, g_t
+    return loss, _sigmoid_backward(g_s, ps), _sigmoid_backward(g_t, pt)
 
 
-def generator_chain(vt, upstream):
-    """-dt.log().mean() and its input gradient, in numpy."""
-    dt, mask = _clamp_chain(vt)
+def generator_chain(st, upstream):
+    """-dt.log().mean() of the logits' sigmoids and its gradient by the logits, in numpy."""
+    pt = sigmoid_values(st)
+    dt, mask = _clamp_chain(pt)
     mean = np.array([[np.log(dt).sum()]]) * (1.0 / dt.size)
     g_mean = np.full((1, 1), upstream) * -1.0
-    return mean * -1.0, _mean_log_backward(g_mean, dt) * mask
+    return mean * -1.0, _sigmoid_backward(_mean_log_backward(g_mean, dt) * mask, pt)
 
 
 class TestDiscriminatorLoss:
     def test_perfect_discrimination_near_zero(self):
-        ds = Tensor(np.full((5, 1), 1.0 - CLAMP_EPS))
-        dt = Tensor(np.full((4, 1), CLAMP_EPS))
-        assert discriminator_loss(ds, dt).item() < 1e-6
+        ss = Tensor(np.full((5, 1), 40.0))
+        st = Tensor(np.full((4, 1), -40.0))
+        assert discriminator_loss(ss, st).item() < 1e-6
 
     def test_coin_flip_value(self):
-        loss = discriminator_loss(Tensor(np.full((3, 1), 0.5)), Tensor(np.full((2, 1), 0.5)))
+        loss = discriminator_loss(Tensor(np.zeros((3, 1))), Tensor(np.zeros((2, 1))))
         assert abs(loss.item() - 1.3862943611198906) < 1e-12
 
     def test_gradient_wrt_single_source_entry(self):
         n_s = 4
-        ds = Tensor(np.full((n_s, 1), 0.5), requires_grad=True)
-        dt = Tensor(np.full((3, 1), 0.5))
-        discriminator_loss(ds, dt).backward()
-        assert abs(ds.grad[0, 0] - (-1.0 / (n_s * 0.5))) < 1e-9
+        ss = Tensor(np.zeros((n_s, 1)), requires_grad=True)
+        st = Tensor(np.zeros((3, 1)))
+        discriminator_loss(ss, st).backward()
+        # d(-log p)/dp = -1 / p, times the logistic derivative p (1 - p), at p = 0.5
+        assert abs(ss.grad[0, 0] - (-1.0 / (n_s * 0.5)) * 0.25) < 1e-9
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        dt = Tensor(rng.uniform(0.05, 0.95, size=(6, 1)))
-        report = grad_check(
-            lambda x: discriminator_loss(x, dt), Tensor(rng.uniform(0.05, 0.95, size=(5, 1)))
-        )
+        st = Tensor(_logits(rng.uniform(0.05, 0.95, size=(6, 1))))
+        ss = Tensor(_logits(rng.uniform(0.05, 0.95, size=(5, 1))))
+        report = grad_check(lambda x: discriminator_loss(x, st), ss)
         assert report.max_rel_error < 1e-4
 
     def test_gradient_wrt_target_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        ds = Tensor(rng.uniform(0.05, 0.95, size=(5, 1)))
-        report = grad_check(
-            lambda x: discriminator_loss(ds, x), Tensor(rng.uniform(0.05, 0.95, size=(6, 1)))
-        )
+        ss = Tensor(_logits(rng.uniform(0.05, 0.95, size=(5, 1))))
+        st = Tensor(_logits(rng.uniform(0.05, 0.95, size=(6, 1))))
+        report = grad_check(lambda x: discriminator_loss(ss, x), st)
         assert report.max_rel_error < 1e-4
 
     @pytest.mark.parametrize("upstream", [1.0, 0.37])
     def test_bit_identical_to_deleted_chain(self, upstream):
-        vs = np.array(EDGE_VERDICTS)
-        vt = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, 1))
-        ds, dt = Tensor(vs, requires_grad=True), Tensor(vt, requires_grad=True)
-        loss = discriminator_loss(ds, dt)
+        vs = np.array(EDGE_LOGITS)
+        vt = np.random.default_rng(5).normal(scale=20.0, size=(4, 1))
+        ss, st = Tensor(vs, requires_grad=True), Tensor(vt, requires_grad=True)
+        loss = discriminator_loss(ss, st)
         weighted_sum([loss], [upstream]).backward()
         chain = discriminator_chain(vs, vt, upstream)
-        for fused, expected in zip([loss.values, ds.grad, dt.grad], chain):
+        for fused, expected in zip([loss.values, ss.grad, st.grad], chain):
             assert np.array_equal(fused, expected)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            discriminator_loss(Tensor([[1.2]]), Tensor([[0.5]]))
-
     def test_boundary_inputs_stay_finite(self):
-        loss = discriminator_loss(Tensor([[0.0], [1.0]]), Tensor([[0.0], [1.0]]))
+        loss = discriminator_loss(Tensor([[-800.0], [800.0]]), Tensor([[-800.0], [800.0]]))
         assert np.isfinite(loss.item())
 
 
 class TestGeneratorLoss:
     def test_half_value(self):
-        assert abs(generator_loss(Tensor([[0.5]])).item() - 0.69314718055994531) < 1e-12
+        assert abs(generator_loss(Tensor([[0.0]])).item() - 0.69314718055994531) < 1e-12
 
     def test_fooled_discriminator_near_zero(self):
-        assert generator_loss(Tensor([[1.0 - CLAMP_EPS]])).item() < 1e-6
+        assert generator_loss(Tensor([[40.0]])).item() < 1e-6
 
     def test_monotone_decreasing_in_each_entry(self):
-        lo = generator_loss(Tensor([[0.3], [0.5]])).item()
-        hi = generator_loss(Tensor([[0.4], [0.5]])).item()
+        lo = generator_loss(Tensor([[-0.8], [0.0]])).item()
+        hi = generator_loss(Tensor([[-0.4], [0.0]])).item()
         assert hi < lo
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        report = grad_check(generator_loss, Tensor(rng.uniform(0.05, 0.95, size=(6, 1))))
+        report = grad_check(generator_loss, Tensor(_logits(rng.uniform(0.05, 0.95, size=(6, 1)))))
         assert report.max_rel_error < 1e-4
 
     @pytest.mark.parametrize("upstream", [1.0, 0.37])
     def test_bit_identical_to_deleted_chain(self, upstream):
-        vt = np.array(EDGE_VERDICTS)
-        dt = Tensor(vt, requires_grad=True)
-        loss = generator_loss(dt)
+        vt = np.array(EDGE_LOGITS)
+        st = Tensor(vt, requires_grad=True)
+        loss = generator_loss(st)
         weighted_sum([loss], [upstream]).backward()
         chain = generator_chain(vt, upstream)
-        for fused, expected in zip([loss.values, dt.grad], chain):
+        for fused, expected in zip([loss.values, st.grad], chain):
             assert np.array_equal(fused, expected)
 
 
 class TestOpposingPulls:
     def test_target_gradient_signs_oppose(self):
-        dt_for_d = Tensor(np.full((3, 1), 0.5), requires_grad=True)
-        discriminator_loss(Tensor(np.full((3, 1), 0.5)), dt_for_d).backward()
-        dt_for_g = Tensor(np.full((3, 1), 0.5), requires_grad=True)
-        generator_loss(dt_for_g).backward()
-        assert (dt_for_d.grad > 0).all()
-        assert (dt_for_g.grad < 0).all()
+        st_for_d = Tensor(np.zeros((3, 1)), requires_grad=True)
+        discriminator_loss(Tensor(np.zeros((3, 1))), st_for_d).backward()
+        st_for_g = Tensor(np.zeros((3, 1)), requires_grad=True)
+        generator_loss(st_for_g).backward()
+        assert (st_for_d.grad > 0).all()
+        assert (st_for_g.grad < 0).all()
+
+
+# The discriminator's shape in miniature; features at four scales, so that the
+# larger ones saturate logits past the clamp.
+DISC_WIDTHS = (6, 5, 1)
+FEATURE_SCALES = [0.5, 5.0, 50.0, 500.0]
+
+
+def _discriminator_operands(seed):
+    """A discriminator, source and target features that take gradients, and
+    fixed logit rows: 0, then ±40 and ±800, where the clamp mask is 0."""
+    rng = np.random.default_rng(seed)
+    disc = Mlp.create(DISC_WIDTHS, seed)
+    biases = [Tensor(rng.normal(size=b.shape), requires_grad=True) for b in disc.biases]
+    disc = Mlp(disc.weights, biases)
+    scale = FEATURE_SCALES[seed % len(FEATURE_SCALES)]
+    fs = Tensor(rng.normal(scale=scale, size=(7, DISC_WIDTHS[0])), requires_grad=True)
+    ft = Tensor(rng.normal(scale=scale, size=(5, DISC_WIDTHS[0])), requires_grad=True)
+    return disc, fs, ft
+
+
+def _with_saturated_rows(s: Tensor) -> Tensor:
+    """``s`` with rows of logit 0, ±40 and ±800 stacked below it, as one node."""
+    fixed = np.array([[0.0], [40.0], [-40.0], [800.0], [-800.0]])
+
+    def bw(g):
+        s._accumulate(g[: s.rows].copy())
+
+    return Tensor._node(np.vstack([s.values, fixed]), (s,), bw)
+
+
+class TestSameBitsAsSigmoidDiscriminator:
+    """The losses on logits against the old design: a discriminator with a
+    sigmoid output, then the losses on its verdicts. Values and the gradients
+    of the discriminator's weights and biases and of its input features must
+    be bit-identical."""
+
+    @staticmethod
+    def _gradients(loss, disc, features, upstream):
+        weighted_sum([loss], [upstream]).backward()
+        return [loss.values] + [f.grad for f in features] + [p.grad for p in disc.tensors()]
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_discriminator_loss(self, seed, upstream):
+        runs = []
+        for losses_on_verdicts in (False, True):
+            disc, fs, ft = _discriminator_operands(seed)
+            ss, st = _with_saturated_rows(disc(fs)), _with_saturated_rows(disc(ft))
+            if losses_on_verdicts:
+                loss = verdict_discriminator_loss(sigmoid(ss), sigmoid(st))
+            else:
+                loss = discriminator_loss(ss, st)
+            runs.append(self._gradients(loss, disc, (fs, ft), upstream))
+        for new, old in zip(*runs):
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generator_loss(self, seed, upstream):
+        runs = []
+        for losses_on_verdicts in (False, True):
+            disc, _, ft = _discriminator_operands(seed)
+            st = _with_saturated_rows(disc(ft))
+            loss = verdict_generator_loss(sigmoid(st)) if losses_on_verdicts else generator_loss(st)
+            runs.append(self._gradients(loss, disc, (ft,), upstream))
+        for new, old in zip(*runs):
+            assert np.array_equal(new, old)
+
+    def test_operands_reach_the_clamp(self):
+        # besides the fixed rows, network logits past |s| >= 40 and verdicts
+        # the clamp clips, on some seeds
+        logits = np.vstack(
+            [np.vstack([disc(fs).values, disc(ft).values])
+             for disc, fs, ft in map(_discriminator_operands, range(20))]
+        )
+        assert (np.abs(logits) >= 40.0).any()
+        _, unclipped = _clamp_chain(sigmoid_values(logits))
+        assert not unclipped.all() and unclipped.any()
 
 
 class TestSourceClassificationLoss:
@@ -159,15 +251,16 @@ class TestSourceClassificationLoss:
         assert a == b
 
 
+
 @settings(max_examples=60, deadline=None)
 @given(
     hnp.arrays(
         np.float64,
         hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
-        elements=st.floats(min_value=0.0, max_value=1.0),
+        elements=st.floats(allow_nan=False),
     )
 )
-def test_losses_finite_on_any_unit_interval_input(values):
-    d = Tensor(values)
-    assert np.isfinite(discriminator_loss(d, d).item())
-    assert np.isfinite(generator_loss(d).item())
+def test_losses_finite_on_any_logits(values):
+    s = Tensor(values)
+    assert np.isfinite(discriminator_loss(s, s).item())
+    assert np.isfinite(generator_loss(s).item())

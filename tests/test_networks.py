@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from graph_helpers import contract, layer_chain
@@ -27,6 +29,9 @@ class TestMlp:
     def test_bias_does_not_match_its_weight(self, bias_shape):
         with pytest.raises(ShapeError, match="bias 0 has shape"):
             Mlp(_zeros((4, 3)), _zeros(bias_shape))
+
+    def test_a_network_is_its_weights_and_biases(self):
+        assert [f.name for f in fields(Mlp)] == ["weights", "biases"]
 
     def test_widths_read_off_the_weights(self):
         net = Mlp(_zeros((4, 3), (2, 4)), _zeros((4, 1), (2, 1)))
@@ -88,7 +93,7 @@ class TestForward:
         np.testing.assert_array_equal(out.values, net.biases[1].values.T)
 
     def test_batch_decomposable(self):
-        mlp = Mlp.create((3, 5, 2), seed=4, sigmoid=True)
+        mlp = Mlp.create((3, 5, 2), seed=4)
         x = np.random.default_rng(1).normal(size=(2, 3))
         batched = mlp(Tensor(x)).values
         rows = np.vstack([mlp(Tensor(x[i : i + 1])).values for i in range(2)])
@@ -99,21 +104,19 @@ class TestForward:
             forward(Mlp.create((3, 2), 0), Tensor(np.ones((4, 5))))
 
 
-# (widths, sigmoid): one layer; relu hidden layers; relu hidden layers and a
-# sigmoid output
-NODE_SPECS = [((3, 4), False), ((3, 5, 4), False), ((3, 5, 4, 1), True)]
+# layer widths: one layer; relu hidden layers; relu hidden layers and one
+# output, the discriminator's form
+NODE_SPECS = [(3, 4), (3, 5, 4), (3, 5, 4, 1)]
 
 
-def _node_operands(spec, seed, x_grad=False, params_grad=False):
+def _node_operands(widths, seed, x_grad=False, params_grad=False):
     """x (5 rows), a network with nonzero biases, and upstream weights for ``contract``."""
-    widths, sigmoid = spec
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(5, widths[0])), requires_grad=x_grad)
     net = Mlp.create(widths, seed)
     net = Mlp(
         weights=[Tensor(w.values, requires_grad=params_grad) for w in net.weights],
         biases=[Tensor(rng.normal(size=b.shape), requires_grad=params_grad) for b in net.biases],
-        sigmoid=sigmoid,
     )
     return x, net, rng.normal(size=(5, widths[-1]))
 
@@ -165,7 +168,7 @@ class TestNetworkNode:
             def f(probe, wrt=wrt):
                 args = list(operands)
                 args[wrt] = probe
-                probed = Mlp(weights=args[1::2], biases=args[2::2], sigmoid=net.sigmoid)
+                probed = Mlp(weights=args[1::2], biases=args[2::2])
                 return contract(forward(probed, args[0]), upstream)
 
             report = grad_check(f, base)
@@ -178,9 +181,9 @@ class TestNetworkNode:
         np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
     def test_detached_network_shares_values_and_takes_no_gradient(self):
-        mlp = Mlp.create((3, 5, 1), seed=0, sigmoid=True)
+        mlp = Mlp.create((3, 5, 1), seed=0)
         frozen = mlp.detached()
-        assert frozen.sigmoid
+        assert len(frozen.weights) == len(mlp.weights)
         for p, q in zip(mlp.tensors(), frozen.tensors()):
             assert q.values is p.values and not q.requires_grad
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -228,7 +231,7 @@ class TestBranchOutputs:
 
     def test_forwards_leave_parameters_unchanged_and_read_only(self):
         extractor = Mlp.create((2, 16, 32, 8), seed=6)
-        head = Mlp.create((8, 3), seed=7, sigmoid=True)
+        head = Mlp.create((8, 3), seed=7)
         params = [*extractor.tensors(), *head.tensors()]
         before = [p.values.copy() for p in params]
         x = np.random.default_rng(8).normal(size=(2 * EVAL_BLOCK_ROWS + 3, 2))

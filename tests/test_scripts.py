@@ -32,6 +32,27 @@ def test_script_runs_and_prints_summary(script, args, summary):
     assert summary in result.stdout
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--translation", "1,x"], "--translation must be comma-separated numbers"),
+        (["--seeds", "0"], "--seeds must be at least 1"),
+        (["--iters", "0"], "--iters must be at least 1"),
+        (["--k", "1"], "need at least 2 classes"),
+    ],
+)
+def test_transfer_benchmark_rejects_bad_arguments(args, message):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_transfer_benchmark.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: run_transfer_benchmark.py ")
+    assert message in result.stderr and "Traceback" not in result.stderr
+
+
 def _import_script(name):
     sys.path.insert(0, str(SCRIPTS))
     try:

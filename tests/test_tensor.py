@@ -242,7 +242,7 @@ class TestCompositionGradients:
         labels = rng.integers(0, p, size=m)
 
         def f(x):
-            h = network(x, [w], [bias], sigmoid=True)
+            h = sigmoid(network(x, [w], [bias]))
             relative = centroid_sample_matrix(anchors, h)
             stacked = vstack([x, matmul(Tensor(spread), x)])
             return weighted_sum(
@@ -258,8 +258,8 @@ class TestCompositionGradients:
         assert report.max_rel_error < 1e-4
 
     def test_division_and_log_gradients(self):
-        # the log of the generator loss and the division of a relativized
-        # matrix, composed
+        # the logistic function and log of the generator loss and the
+        # division of a relativized matrix, composed
         rng = np.random.default_rng(11)
         anchors = Tensor(rng.normal(size=(2, 3)))
         weights = rng.normal(size=(2, 3))
@@ -267,7 +267,7 @@ class TestCompositionGradients:
         def f(x):
             relative = centroid_sample_matrix(anchors, x)
             return weighted_sum(
-                [generator_loss(sigmoid(x)), contract(relative, weights)], [1.0, 1.0]
+                [generator_loss(x), contract(relative, weights)], [1.0, 1.0]
             )
 
         report = grad_check(f, Tensor(rng.normal(size=(3, 3))))

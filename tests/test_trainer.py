@@ -629,7 +629,6 @@ class TestCheckpoint:
             assert np.array_equal(before.confusion, after.confusion)
         pairs = ((ckpt.adv_extractor, loaded.adv_extractor), (ckpt.adv_head, loaded.adv_head))
         for net, back in pairs:
-            assert back.sigmoid == net.sigmoid
             for a, b in zip(net.tensors(), back.tensors(), strict=True):
                 assert np.array_equal(a.values, b.values)
         saved = json.loads(path.read_text())
@@ -725,10 +724,7 @@ class TestMainObjectiveGradient:
             "clu_head": (4, 3),
             "discriminator": (4, 3, 1),
         }
-        networks = {
-            name: Mlp.create(w, seed=i, sigmoid=name == "discriminator")
-            for i, (name, w) in enumerate(widths.items())
-        }
+        networks = {name: Mlp.create(w, seed=i) for i, (name, w) in enumerate(widths.items())}
         velocity = {
             name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()
         }
