@@ -280,6 +280,8 @@ def cmd_eval(args, parser) -> int:
 def cmd_gradcheck(args, parser) -> int:
     if not (math.isfinite(args.threshold) and args.threshold > 0.0):
         parser.error(f"--threshold must be a positive number, got {args.threshold}")
+    # run_gradcheck also rejects zero seeds, but only after the output directory
+    # exists; checking here keeps every usage error free of side effects.
     for flag, least in (("--seeds", 1), ("--k", 2), ("--n-b", 1), ("--d-f", 1)):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value < least:

@@ -371,9 +371,9 @@ def train_step(
 
     # (e) discriminator update on detached features; only D moves. Each loss
     # is checked before the update it drives.
-    d_source = disc(fs_adv.detached())
-    d_target = disc(ft_adv.detached())
-    l_d = losses.discriminator_loss(d_source, d_target)
+    s_source = disc(fs_adv.detached())
+    s_target = disc(ft_adv.detached())
+    l_d = losses.discriminator_loss(s_source, s_target)
     _check_finite(state, l_d=l_d.item())
     disc_params = disc.tensors()
     disc_before = ([p.values for p in disc_params], list(state.velocity["discriminator"]))

@@ -40,10 +40,10 @@ def assert_usage_error(code, capsys, fragment):
 def assert_subcommand_usage_error(exc, capsys, command):
     """Exit 2 with the subcommand's own usage line, not the top-level one."""
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"usage: dcp {command} ")
     assert f"\ndcp {command}: error: " in err
-    return err
+    return out, err
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ class TestGenData:
     def test_bad_translation_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-data", "--translation", "a,b", "--out-dir", str(tmp_path)])
-        err = assert_subcommand_usage_error(exc, capsys, "gen-data")
+        _, err = assert_subcommand_usage_error(exc, capsys, "gen-data")
         assert "--translation must be comma-separated numbers" in err
 
 
@@ -164,7 +164,7 @@ class TestTrain:
         # it used to fail inside numpy's default_rng, naming no field
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, tmp_path / "run", ("--seed", "-1")))
-        err = assert_subcommand_usage_error(exc, capsys, "train")
+        _, err = assert_subcommand_usage_error(exc, capsys, "train")
         assert "adv_seed must be nonnegative, got -1" in err and "Traceback" not in err
 
     def test_byte_identical_metrics_across_reruns(self, blob_files, tmp_path):
@@ -204,7 +204,7 @@ class TestTrain:
         cfg.write_text('{"alpha": 0.1,')
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, tmp_path / "run", ("--config", str(cfg))))
-        err = assert_subcommand_usage_error(exc, capsys, "train")
+        _, err = assert_subcommand_usage_error(exc, capsys, "train")
         assert f"bad config file {cfg}" in err
 
     @pytest.mark.parametrize(
@@ -221,7 +221,7 @@ class TestTrain:
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, out, ("--config", str(cfg))))
-        err = assert_subcommand_usage_error(exc, capsys, "train")
+        _, err = assert_subcommand_usage_error(exc, capsys, "train")
         (name,) = override
         assert f"{name} must be " in err and "Traceback" not in err
         assert not (out / "checkpoint.json").exists()
@@ -484,7 +484,7 @@ class TestPaths:
     def test_train_out_dir_file_is_usage_error(self, blob_files, a_file, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(self._train_args(blob_files, a_file))
-        err = assert_subcommand_usage_error(exc, capsys, "train")
+        _, err = assert_subcommand_usage_error(exc, capsys, "train")
         assert f"cannot create --out-dir {a_file}" in err
 
     @pytest.mark.parametrize("command", ["gen-data", "eval", "gradcheck", "schedule"])
@@ -503,7 +503,7 @@ class TestPaths:
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run_cli([*args, "--out-dir", str(out_dir)])
-        err = assert_subcommand_usage_error(exc, capsys, command)
+        _, err = assert_subcommand_usage_error(exc, capsys, command)
         assert f"cannot create --out-dir {out_dir}" in err
 
 
@@ -533,12 +533,15 @@ class TestGradcheckCommand:
         assert all(len(line.split(",")) == 4 for line in lines)
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
-    def test_no_seed_is_usage_error(self, seeds, capsys):
+    def test_no_seed_is_usage_error(self, seeds, tmp_path, capsys):
         # zero seeds would check no instance and print PASS for every loss
+        out_dir = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run_cli(["gradcheck", "--seeds", seeds])
-        err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
+            run_cli(["gradcheck", "--seeds", seeds, "--out-dir", str(out_dir)])
+        out, err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
         assert "--seeds must be at least 1" in err
+        assert "PASS" not in out
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -556,8 +559,9 @@ class TestGradcheckCommand:
     def test_bad_flag_is_usage_error_before_any_check(self, flag, value, message, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gradcheck", "--seeds", "1", flag, value])
-        err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
+        out, err = assert_subcommand_usage_error(exc, capsys, "gradcheck")
         assert message in err
+        assert out == ""
 
     def test_injected_sign_flip_fails(self, monkeypatch, capsys):
         def sign_flip(x):
@@ -596,7 +600,7 @@ class TestScheduleCommand:
     def test_negative_t_max_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["schedule", "--t-max", "-1"])
-        err = assert_subcommand_usage_error(exc, capsys, "schedule")
+        _, err = assert_subcommand_usage_error(exc, capsys, "schedule")
         assert "--t-max must be nonnegative" in err
 
     def test_writes_file(self, tmp_path, capsys):
