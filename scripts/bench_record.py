@@ -20,8 +20,11 @@ interpreter on the checkout's sources, the size of the checkpoint that
 tier-1 test command and of one run of the acceptance suite alone
 (``tests/test_acceptance.py``). Next to the
 commit it keeps the checkout's ``git status --porcelain`` lines, empty for a
-clean tree. The file is written at the root of the repository this script
-sits in.
+clean tree. For a label ``pr<N>``, every seed's metrics-trace hash and each
+workload's Haswell hash are compared with those of the newest committed
+``BENCH_pr<M>.json`` with M < N; each mismatch prints a line, and the
+comparison is kept as ``trace_comparison``. The file is written at the root
+of the repository this script sits in.
 """
 
 from __future__ import annotations
@@ -205,6 +208,54 @@ def git_state(checkout: Path) -> tuple[str, list[str]]:
     return commit, status
 
 
+def previous_record(label: str) -> Path | None:
+    """The committed ``BENCH_pr<M>.json`` with the largest M below ``label``'s N.
+
+    ``None`` when the label is not ``pr<N>`` or no such file is committed.
+    """
+    match = re.fullmatch(r"pr(\d+)", label)
+    if match is None:
+        return None
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "BENCH_pr*.json"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    numbered = [(int(m.group(1)), name) for name in listed
+                if (m := re.fullmatch(r"BENCH_pr(\d+)\.json", name))]
+    below = [entry for entry in numbered if entry[0] < int(match.group(1))]
+    return ROOT / max(below)[1] if below else None
+
+
+def compare_traces(workloads: dict, previous: dict) -> dict:
+    """This record's trace hashes against ``previous``'s, a loaded BENCH file.
+
+    Compares each seed's ``metrics_trace_sha256`` and each workload's
+    ``haswell_trace_sha256``; a hash that ``previous`` lacks is a mismatch.
+    """
+    mismatches = []
+    compared = 0
+    for name, workload in workloads.items():
+        old = previous["workloads"].get(name, {})
+        old_seeds = old.get("metrics_trace_sha256", {})
+        pairs = [(f"seed {seed}", sha, old_seeds.get(str(seed)))
+                 for seed, sha in workload["metrics_trace_sha256"].items()]
+        pairs.append(("haswell", workload["haswell_trace_sha256"], old.get("haswell_trace_sha256")))
+        for which, sha, old_sha in pairs:
+            compared += 1
+            if sha != old_sha:
+                mismatches.append(
+                    {"workload": name, "hash": which, "this": sha, "previous": old_sha})
+    return {"against": previous["label"], "compared": compared, "mismatches": mismatches}
+
+
+def print_comparison(comparison: dict) -> None:
+    for m in comparison["mismatches"]:
+        print(f"trace mismatch against {comparison['against']}: {m['workload']} {m['hash']}: "
+              f"{m['this']} != {m['previous']}", file=sys.stderr, flush=True)
+    print(f"traces: {len(comparison['mismatches'])} of {comparison['compared']} differ from "
+          f"{comparison['against']}", file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description="Record perfbench results in BENCH_<label>.json.")
@@ -227,6 +278,12 @@ def main(argv=None) -> int:
         workloads[name]["traced_correct"] = traced["result"]["correct"]
         workloads[name]["haswell_trace_sha256"] = haswell_trace_sha256(checkout, name)
 
+    previous = previous_record(args.label)
+    comparison = None
+    if previous is not None:
+        comparison = compare_traces(workloads, json.loads(previous.read_text()))
+        print_comparison(comparison)
+
     cli = cli_wall_times(checkout)
     print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f} "
           f"checkpoint_bytes={cli['checkpoint_bytes']['median']}", file=sys.stderr, flush=True)
@@ -245,6 +302,7 @@ def main(argv=None) -> int:
         "environment": env,
         "blas_threads": env["blas"]["threads"],
         "workloads": workloads,
+        "trace_comparison": comparison,
         "cli_wall": cli,
         "test_wall": tests,
     }

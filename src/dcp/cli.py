@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 missing input file (or a directory where a file
 should be), 2 usage error (bad flags or config, an output directory that
-cannot be created, or a malformed or out-of-range input file), 3 numeric
-failure during training, 4 checkpoint version mismatch. A gradcheck failure
-also exits 1.
+cannot be created or an output file's path that is not a regular file, or a
+malformed or out-of-range input file), 3 numeric failure during training, 4
+checkpoint version mismatch, 141 stdout closed by its reader (128 + SIGPIPE).
+A gradcheck failure also exits 1.
 Every training run writes exactly one manifest describing the config and
 dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
 weights and biases of the two networks that eval reads, the adversarial
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_MISSING_INPUT = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERSION = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _sha256(path: Path) -> str:
@@ -52,13 +55,22 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
-def _out_dir(text: str, parser: argparse.ArgumentParser) -> Path:
-    """``--out-dir``, created with its parents; one that cannot be created is a usage error."""
+def _out_dir(text: str, parser: argparse.ArgumentParser, *names: str) -> Path:
+    """``--out-dir``, created with its parents, to hold the output files ``names``.
+
+    A directory that cannot be created, or an output path in it that exists
+    and is not a regular file, is a usage error.
+    """
+    out_dir = Path(text)
     try:
-        Path(text).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"cannot create --out-dir {text}: {exc.strerror}")
-    return Path(text)
+    for name in names:
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            parser.error(f"output path {path} exists and is not a regular file")
+    return out_dir
 
 
 def _parse_translation(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -170,7 +182,7 @@ def cmd_gen_data(args, parser) -> int:
             }
     except ValueError as exc:
         parser.error(str(exc))
-    out_dir = _out_dir(args.out_dir, parser)
+    out_dir = _out_dir(args.out_dir, parser, "source.csv", "target.csv", "manifest.json")
     source_path = out_dir / "source.csv"
     target_path = out_dir / "target.csv"
     save_embeddings(source, source_path)
@@ -221,7 +233,7 @@ def cmd_train(args, parser) -> int:
     config = _load_train_config(args, parser)
     source = load_embeddings(source_path)
     target = load_embeddings(target_path)
-    out_dir = _out_dir(args.out_dir, parser)
+    out_dir = _out_dir(args.out_dir, parser, "checkpoint.json", "metrics.csv", "manifest.json")
 
     checkpoint, records = train(config, source, target)
 
@@ -261,8 +273,8 @@ def cmd_eval(args, parser) -> int:
             raise FileNotFoundError(path)
     checkpoint = Checkpoint.load(ckpt_path)
     dataset = load_embeddings(data_path)
+    out_dir = _out_dir(args.out_dir, parser, "report.json")
     report = evaluate(checkpoint, dataset)
-    out_dir = _out_dir(args.out_dir, parser)
     report_path = out_dir / "report.json"
     payload = {
         "checkpoint": str(ckpt_path),
@@ -286,27 +298,28 @@ def cmd_gradcheck(args, parser) -> int:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value < least:
             parser.error(f"{flag} must be at least {least}, got {value}")
-    out_dir = _out_dir(args.out_dir, parser) if args.out_dir else None
+    out_dir = _out_dir(args.out_dir, parser, "gradcheck.csv") if args.out_dir else None
     rows = run_gradcheck(
         n_seeds=args.seeds, threshold=args.threshold, d_f=args.d_f, k=args.k, n_b=args.n_b
     )
     csv_text = rows_to_csv(rows)
-    print(csv_text, end="")
+    # the file first, so a closed stdout loses nothing
     if out_dir is not None:
         (out_dir / "gradcheck.csv").write_text(csv_text, encoding="utf-8")
+    print(csv_text, end="")
     return EXIT_OK if all(r.passed for r in rows) else 1
 
 
 def cmd_schedule(args, parser) -> int:
     if args.t_max < 0:
         parser.error("--t-max must be nonnegative")
-    out_dir = _out_dir(args.out_dir, parser) if args.out_dir else None
+    out_dir = _out_dir(args.out_dir, parser, "schedule.csv") if args.out_dir else None
     lines = ["T,tau_adv,tau_clu"]
     lines += [f"{t},{tau_adv(t):.6f},{tau_clu(t):.6f}" for t in range(args.t_max + 1)]
     text = "\n".join(lines) + "\n"
-    print(text, end="")
     if out_dir is not None:
         (out_dir / "schedule.csv").write_text(text, encoding="utf-8")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -314,7 +327,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # each subcommand's own parser, so a usage error prints its usage
-        return args.handler(args, args.parser)
+        code = args.handler(args, args.parser)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: send what is left to devnull, as
+        # Python's signal docs advise, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except FileNotFoundError as exc:
         print(f"missing input: {exc.args[0]}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -19,7 +19,11 @@ from .tensor import ShapeError, Tensor, linear_values
 # Rows per block of the graph-free forward. At the trainer's feature width a
 # block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
 # mmap threshold, so repeated evaluations reuse heap memory instead of
-# faulting in fresh pages.
+# faulting in fresh pages. The size must also be a multiple of the BLAS
+# kernel's row unroll, or a block's last rows take the kernel's remainder path
+# and round differently from the graph forward: on OpenBLAS's SkylakeX kernel,
+# blocks of 150, 250 or 255 rows change the logits' bits in the last one to
+# three rows of a block, and blocks of 128, 200 or 256 rows do not.
 EVAL_BLOCK_ROWS = 128
 
 

@@ -8,6 +8,14 @@ stabilizes. Quotas are identical for every class, which stops the selector
 from feasting on easy classes. Selection takes numpy arrays: the features,
 the predicted labels, each branch's (K x d_f) centroids, and the iteration
 count t from which both thresholds follow.
+
+K-means assigns each row to the argmin over clusters of |c|^2 - 2 x.c^T, one
+matrix product per iteration (|x|^2 is the same for every cluster), and a
+tie in that computed score goes to the lower cluster index. Rounding can
+decide a row that is equidistant, in real arithmetic, from two clusters'
+means otherwise than the direct form sum((x - c)^2) would: that happened in
+9 of 9000 seeded cases of the reference test's generator, all on
+integer-valued data.
 """
 
 from __future__ import annotations
@@ -44,11 +52,13 @@ def class_means(x: np.ndarray, labels: np.ndarray, counts: np.ndarray, out: np.n
     """Set ``out[c]`` to the mean of the rows of ``x`` labeled ``c``, for every c counted.
 
     ``counts`` is ``np.bincount(labels)``; a class with count 0 keeps its row
-    of ``out``. Each mean is the row sum over the count, which is how
-    ``mean(axis=0)`` computes it, so the bits are the same.
+    of ``out``. The counted classes' row sums are one product of their
+    one-hot indicator rows with ``x``, the construction of
+    ``centroids.compute_centroids``.
     """
-    for cls in np.flatnonzero(counts):
-        out[cls] = np.add.reduce(x[labels == cls], axis=0) / counts[cls]
+    counted = np.flatnonzero(counts)
+    onehot = labels == counted[:, None]
+    out[counted] = onehot @ x / counts[counted, None]
 
 
 def kmeans_assign(
@@ -56,9 +66,13 @@ def kmeans_assign(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm from the given centroids.
 
-    Assignment ties break toward the lower cluster index; a cluster that
-    empties keeps its previous centroid. Because the trainer seeds the
-    centroids from per-class source means, cluster index k means class k.
+    Each row goes to the argmin over clusters of ``|c|^2 - 2 x.c^T``, and a
+    tie in that computed score goes to the lower cluster index. A row that is
+    equidistant in real arithmetic from two centroids can go the other way
+    than under the direct form ``sum((x - c)^2)``; see the module docstring
+    for how often. A cluster that empties keeps its previous centroid.
+    Because the trainer seeds the centroids from per-class source means,
+    cluster index k means class k.
     """
     x = np.asarray(features, dtype=np.float64)
     centroids = np.array(init_centroids, dtype=np.float64)
@@ -68,10 +82,9 @@ def kmeans_assign(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     labels = np.full(n, -1, dtype=np.int64)
-    rows = x[:, None, :]
     for _ in range(max_iters):
-        diff = rows - centroids[None, :, :]
-        new_labels = np.add.reduce(diff * diff, axis=2).argmin(axis=1)
+        scores = (centroids * centroids).sum(axis=1) - 2.0 * (x @ centroids.T)
+        new_labels = scores.argmin(axis=1)
         if (new_labels == labels).all():
             break
         labels = new_labels

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from operator import setitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +509,50 @@ class TestPaths:
             run_cli([*args, "--out-dir", str(out_dir)])
         _, err = assert_subcommand_usage_error(exc, capsys, command)
         assert f"cannot create --out-dir {out_dir}" in err
+
+    def test_train_output_path_that_is_a_directory_is_usage_error(self, blob_files, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        (out_dir / "checkpoint.json").mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._train_args(blob_files, out_dir))
+        _, err = assert_subcommand_usage_error(exc, capsys, "train")
+        assert f"output path {out_dir / 'checkpoint.json'} exists and is not a regular file" in err
+        assert not (out_dir / "metrics.csv").exists()
+
+    def test_eval_output_path_that_is_a_directory_is_usage_error(self, blob_files, tmp_path, capsys):
+        checkpoint = _checkpoint(blob_files, tmp_path)
+        out_dir = tmp_path / "report"
+        (out_dir / "report.json").mkdir(parents=True)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(blob_files / "source.csv"), "--out-dir", str(out_dir)])
+        out, err = assert_subcommand_usage_error(exc, capsys, "eval")
+        assert f"output path {out_dir / 'report.json'} exists and is not a regular file" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "schedule"])
+    def test_closed_stdout_exits_141_after_writing_files(self, command, blob_files, tmp_path):
+        out_dir = tmp_path / "out"
+        args = {
+            "eval": ["eval", "--checkpoint", str(_checkpoint(blob_files, tmp_path)),
+                     "--data", str(blob_files / "source.csv")],
+            "schedule": ["schedule", "--t-max", "2"],
+        }[command]
+        written = {"eval": "report.json", "schedule": "schedule.csv"}[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dcp.cli", *args, "--out-dir", str(out_dir)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+        assert (out_dir / written).is_file()
 
 
 def _checkpoint(blob_files, tmp_path):

@@ -118,11 +118,14 @@ class TestKmeans:
             init[-1] = 100.0  # a cluster that is empty from the start
         if seed % 3 == 1:
             x = np.round(x)  # duplicate rows: tied distances
+        # a BLAS product sums a class's rows in another order than numpy's
+        # reduce, so the centroids may differ within the summation bound
+        bound = 2 * n * np.finfo(float).eps * np.abs(x).max()
         for max_iters in (1, 2, 20):
             labels, centroids = kmeans_assign(x, init, max_iters=max_iters)
             ref_labels, ref_centroids = kmeans_reference(x, init, max_iters=max_iters)
             assert np.array_equal(labels, ref_labels)
-            assert np.array_equal(centroids, ref_centroids)
+            assert np.abs(centroids - ref_centroids).max() <= bound
 
     def test_cluster_that_empties_keeps_its_last_centroid_like_the_loop(self):
         # cluster 0 takes {3, 7} and moves to 5; then 3 and 7 both leave it

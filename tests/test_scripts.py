@@ -179,3 +179,41 @@ def test_bench_record_hashes_seed_zero_on_the_haswell_kernel(monkeypatch, kernel
     assert (workload, seed, seconds, trace) == ("blobs", 0, 1, 0)
     # the caller's environment, with the kernel forced
     assert env["OPENBLAS_CORETYPE"] == "Haswell" and env["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_bench_record_compares_trace_hashes_with_the_previous_record(capsys):
+    bench_record = _import_script("bench_record")
+    # a loaded BENCH file keys seeds by string; a fresh record by int
+    previous = {"label": "pr13", "workloads": {
+        "blobs": {"metrics_trace_sha256": {"0": "a0", "1": "a1"}, "haswell_trace_sha256": "h"},
+        "blobs-ablation": {"metrics_trace_sha256": {"0": "b0", "1": "b1"},
+                           "haswell_trace_sha256": "g"},
+    }}
+    workloads = {
+        "blobs": {"metrics_trace_sha256": {0: "a0", 1: "a1"}, "haswell_trace_sha256": "h"},
+        "blobs-ablation": {"metrics_trace_sha256": {0: "b0", 1: "new"},
+                           "haswell_trace_sha256": None},
+    }
+    comparison = bench_record.compare_traces(workloads, previous)
+    assert comparison["against"] == "pr13" and comparison["compared"] == 6
+    assert comparison["mismatches"] == [
+        {"workload": "blobs-ablation", "hash": "seed 1", "this": "new", "previous": "b1"},
+        {"workload": "blobs-ablation", "hash": "haswell", "this": None, "previous": "g"},
+    ]
+    bench_record.print_comparison(comparison)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "trace mismatch against pr13: blobs-ablation seed 1: new != b1"
+    assert lines[-1] == "traces: 2 of 6 differ from pr13"
+    assert len(lines) == 3
+    written = json.loads(json.dumps({"label": "pr14", "workloads": workloads}))
+    same = bench_record.compare_traces(workloads, written)
+    assert same["mismatches"] == [] and same["compared"] == 6
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("pr14", "BENCH_pr13.json"), ("pr10", "BENCH_pr9.json"), ("pr5", None), ("main", None),
+])
+def test_bench_record_finds_the_newest_committed_record_below_its_label(label, expected):
+    bench_record = _import_script("bench_record")
+    found = bench_record.previous_record(label)
+    assert (found and found.name) == expected

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from graph_helpers import network
+from graph_helpers import kmeans_reference, network
 
 from dcp import centroids as cent
 from dcp import losses
@@ -259,6 +259,26 @@ class TestTrainStep:
         np.testing.assert_array_equal(calls[0][1], seeds)
         want, _ = kmeans_assign(ft, seeds, max_iters=state.config.kmeans_max_iters)
         np.testing.assert_array_equal(info.y_clu_target, want)
+
+    def test_kmeans_labels_match_the_reference_on_every_call(self, monkeypatch):
+        # the trainer reads only k-means' labels; pin them to the direct-form
+        # reference bit for bit over a seeded run on the harder shift
+        import dcp.trainer as trainer_module
+
+        calls = []
+
+        def spy(features, init_centroids, max_iters=20):
+            labels, centroids = kmeans_assign(features, init_centroids, max_iters=max_iters)
+            want, _ = kmeans_reference(features, init_centroids, max_iters=max_iters)
+            calls.append(np.array_equal(labels, want))
+            return labels, centroids
+
+        monkeypatch.setattr(trainer_module, "kmeans_assign", spy)
+        src, tgt = gen_blobs(ShiftSpec(
+            k=3, n_per_class=200, rotation=50.0, translation=(2.0, -1.0), noise_sigma=0.9, seed=0
+        ))
+        train(TrainConfig(iterations=300), src, tgt)
+        assert len(calls) == 300 and all(calls)
 
     def test_target_batch_smaller_than_k_rejected(self):
         state, src_b, tgt_b, tgt_y = self._setup()
