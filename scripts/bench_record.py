@@ -17,8 +17,9 @@ over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
 blob pair that ``dcp gen-data`` writes by default, each run a fresh
 interpreter on the checkout's sources, the size of the checkpoint that
 ``dcp train`` wrote, and the wall time and pass/fail counts of one run of the
-tier-1 test command and of one run of the acceptance suite alone
-(``tests/test_acceptance.py``). Next to the
+tier-1 test command, of one more with ``OPENBLAS_CORETYPE=Haswell`` (a test
+that pins bits of one BLAS kernel fails there), and of one run of the
+acceptance suite alone (``tests/test_acceptance.py``). Next to the
 commit it keeps the checkout's ``git status --porcelain`` lines, empty for a
 clean tree. For a label ``pr<N>``, every seed's metrics-trace hash and each
 workload's Haswell hash are compared with those of the newest committed
@@ -161,15 +162,18 @@ def cli_wall_times(checkout: Path, iterations: int | None = None) -> dict:
     return record
 
 
-def pytest_wall(checkout: Path, paths=()) -> dict:
+def pytest_wall(checkout: Path, paths=(), coretype: str | None = None) -> dict:
     """Wall seconds and outcome counts of one tier-1 pytest run over ``paths``.
 
     No paths runs the whole tier-1 suite. The run uses the checkout's ``src/``
-    in a new process, from the checkout's root; a failing test does not stop
-    the record. The counts are parsed from pytest's closing summary line,
-    such as ``1 failed, 435 passed in 130.02s``.
+    in a new process, from the checkout's root, with OpenBLAS forced to the
+    kernel ``coretype`` if one is given; a failing test does not stop the
+    record. The counts are parsed from pytest's closing summary line, such as
+    ``1 failed, 435 passed in 130.02s``.
     """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     start = perf_counter()
     proc = subprocess.run(
         [sys.executable, *PYTEST_ARGS, *paths], cwd=checkout, env=env, capture_output=True, text=True
@@ -179,6 +183,7 @@ def pytest_wall(checkout: Path, paths=()) -> dict:
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
     return {
         "paths": list(paths),
+        "openblas_coretype": coretype,
         "wall_s": wall_s,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
@@ -288,7 +293,11 @@ def main(argv=None) -> int:
     print(f"cli train_s={cli['train_s']['median']:.2f} eval_s={cli['eval_s']['median']:.2f} "
           f"checkpoint_bytes={cli['checkpoint_bytes']['median']}", file=sys.stderr, flush=True)
 
-    tests = {"tier1": pytest_wall(checkout), "acceptance": pytest_wall(checkout, ACCEPTANCE_TESTS)}
+    tests = {
+        "tier1": pytest_wall(checkout),
+        "tier1_haswell": pytest_wall(checkout, coretype="Haswell"),
+        "acceptance": pytest_wall(checkout, ACCEPTANCE_TESTS),
+    }
     for name, run in tests.items():
         print(f"{name} wall_s={run['wall_s']:.1f} passed={run['passed']} failed={run['failed']}",
               file=sys.stderr, flush=True)

@@ -46,10 +46,7 @@ from .tensor import (
     Tensor,
     gather_rows,
     grad_check,
-    matmul,
-    pairwise_euclidean,
     softmax_cross_entropy,
-    vstack,
     weighted_sum,
 )
 from .trainer import (

@@ -151,7 +151,11 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
     ``EVAL_BLOCK_ROWS`` rows; a last block of one row joins the block before
     it. Each weight's transpose is copied once per call, before the block
     loop, and every layer adds its bias and applies its relu in place. The
-    layer loop is the graph forward's, so the logits equal its bit for bit.
+    layer loop is the graph forward's, so each block's logits equal, bit for
+    bit, those of the graph forward on that block's rows. A graph forward on
+    more rows than a block can round differently: OpenBLAS may split its
+    products between threads, and on some kernels the rows at a split round
+    differently.
     """
     for net, d_in in ((extractor, x.shape[1]), (head, extractor.d_out)):
         if d_in != net.d_in:

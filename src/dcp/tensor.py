@@ -19,12 +19,14 @@ rule refers to its own output node and a graph holds no reference cycle: it
 is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
-There is no elementwise arithmetic: the node types here are :func:`matmul`,
-:func:`gather_rows`, :func:`vstack`, :func:`softmax_cross_entropy`,
-:func:`pairwise_euclidean` and :func:`weighted_sum`. A whole network call is
-one node (``networks.forward``, on the layer kernel :func:`linear_values`),
-and so is each loss term; both are built through
-:meth:`Tensor._node` in the module that states their formula.
+There is no elementwise arithmetic: the node types here are
+:func:`gather_rows`, :func:`softmax_cross_entropy` and :func:`weighted_sum`.
+A whole network call is one node (``networks.forward``, on the layer kernel
+:func:`linear_values`), and so is each loss term; so are the centroids of
+both classifier branches, stacked as one (2K x d_f) bank, and each of their
+relativized distance matrices (``centroids``, on the distance kernel
+``centroids.distance_values``). All are built through :meth:`Tensor._node`
+in the module that states their formula.
 """
 
 from __future__ import annotations
@@ -237,18 +239,6 @@ def linear_values(x: np.ndarray, wt: np.ndarray, b: np.ndarray, relu: bool) -> n
     return h
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with the standard gradient rules."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g @ b.values.T)
-        b._accumulate(a.values.T @ g)
-
-    return Tensor._node(a.values @ b.values, (a, b), bw)
-
-
 def gather_rows(t: Tensor, indices) -> Tensor:
     """The rows of ``t`` at ``indices``, which must be strictly increasing.
 
@@ -298,45 +288,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         logits._accumulate(g[0, 0] * local)
 
     return Tensor._node(np.array([[loss]]), (logits,), bw)
-
-
-def pairwise_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix of Euclidean distances: entry (i, j) = ||a_i - b_j||.
-
-    The forward value is exact (zero for coincident points); the backward rule
-    uses the ``SQRT_SHIFT``-stabilized root so gradients stay finite there.
-    """
-    if a.cols != b.cols:
-        raise ShapeError(f"feature dimensions differ: {a.shape} vs {b.shape}")
-    diff = a.values[:, None, :] - b.values[None, :, :]
-    sq = np.einsum("ijd,ijd->ij", diff, diff)
-
-    def bw(g: np.ndarray) -> None:
-        w = g / np.sqrt(sq + SQRT_SHIFT)
-        a._accumulate(w.sum(axis=1, keepdims=True) * a.values - w @ b.values)
-        b._accumulate(w.sum(axis=0)[:, None] * b.values - w.T @ a.values)
-
-    return Tensor._node(np.sqrt(sq), (a, b), bw)
-
-
-def vstack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack tensors with equal column counts into one tall matrix."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("vstack of nothing")
-    cols = tensors[0].cols
-    for t in tensors[1:]:
-        if t.cols != cols:
-            raise ShapeError(f"vstack column mismatch: {t.shape} vs (*, {cols})")
-
-    def bw(g: np.ndarray) -> None:
-        offset = 0
-        for t in tensors:
-            # a copy: a slice is a view of this node's gradient
-            t._accumulate(g[offset : offset + t.rows].copy())
-            offset += t.rows
-
-    return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:

@@ -31,7 +31,7 @@ from .pseudo_label import (
     tau_adv,
     tau_clu,
 )
-from .tensor import Tensor, gather_rows, vstack, weighted_sum
+from .tensor import Tensor, gather_rows, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v3"
 
@@ -209,9 +209,9 @@ class TrainState:
     networks: dict[str, Mlp]
     velocity: dict[str, list[np.ndarray]]
     t: int = 0
-    # (K x d_f) centroids of each branch, detached; None before the first step
-    bank_adv: Tensor | None = None
-    bank_clu: Tensor | None = None
+    # (2K x d_f) centroids, the adversarial branch's K rows first, detached;
+    # None before the first step
+    banks: Tensor | None = None
 
 
 def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
@@ -326,45 +326,36 @@ def train_step(
     y_clu_target, _ = kmeans_assign(ft_clu.values, init_centroids, max_iters=cfg.kmeans_max_iters)
 
     # (c) double-threshold screening against the previous iteration's banks
-    if cfg.use_pseudo_labels and state.bank_adv is not None and state.bank_clu is not None:
+    if cfg.use_pseudo_labels and state.banks is not None:
         selected = select_high_confidence(
             ft_adv.values,
             ft_clu.values,
             y_adv_target,
             y_clu_target,
-            state.bank_adv.values,
-            state.bank_clu.values,
+            state.banks.values[:k],
+            state.banks.values[k:],
             state.t,
         )
     else:
         selected = PseudoLabelBatch.empty()
 
-    # (d) per-branch centroids over source labels plus accepted pseudo-labels
+    # (d) both branches' centroids over source labels plus accepted
+    # pseudo-labels, and their alignment losses
     pseudo = np.full(n_target, -1, dtype=np.int64)
     pseudo[selected.indices] = selected.labels
     union_labels = np.concatenate([ys, pseudo])
     l_cc_tensor = l_cs_tensor = None
     alignment_skipped = False
-    bank_adv_step = bank_clu_step = None
+    banks_step = None
     try:
-        fresh_adv = cent.compute_centroids(vstack([fs_adv, ft_adv]), union_labels, k)
-        fresh_clu = cent.compute_centroids(vstack([fs_clu, ft_clu]), union_labels, k)
-        bank_adv_step = (
-            cent.update_centroids_ema(state.bank_adv, fresh_adv, cfg.ema_momentum)
-            if state.bank_adv is not None
-            else fresh_adv
+        fresh = cent.compute_centroids((fs_adv, ft_adv), (fs_clu, ft_clu), union_labels, k)
+        banks_step = (
+            cent.update_centroids_ema(state.banks, fresh, cfg.ema_momentum)
+            if state.banks is not None
+            else fresh
         )
-        bank_clu_step = (
-            cent.update_centroids_ema(state.bank_clu, fresh_clu, cfg.ema_momentum)
-            if state.bank_clu is not None
-            else fresh_clu
-        )
-        m_cc_adv = cent.centroid_centroid_matrix(bank_adv_step)
-        m_cc_clu = cent.centroid_centroid_matrix(bank_clu_step)
-        m_cs_adv = cent.centroid_sample_matrix(bank_adv_step, ft_adv)
-        m_cs_clu = cent.centroid_sample_matrix(bank_clu_step, ft_clu)
-        l_cc_tensor = cent.loss_cc(m_cc_clu, m_cc_adv)
-        l_cs_tensor = cent.loss_cs(m_cs_clu, m_cs_adv)
+        l_cc_tensor = cent.loss_cc(cent.centroid_centroid_matrix(banks_step))
+        l_cs_tensor = cent.loss_cs(cent.centroid_sample_matrix(banks_step, ft_adv, ft_clu))
     except cent.DegenerateGeometryError:
         # collapsed feature geometry: skip only the alignment losses this step
         alignment_skipped = True
@@ -423,7 +414,7 @@ def train_step(
     total.backward()
     _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
 
-    # (g) advance the iteration counter and persist detached banks
+    # (g) advance the iteration counter and persist the detached banks
     record = MetricsRecord(
         T=state.t,
         l_d=l_d.item(),
@@ -437,9 +428,8 @@ def train_step(
             else None
         ),
     )
-    if bank_adv_step is not None:
-        state.bank_adv = bank_adv_step.detached()
-        state.bank_clu = bank_clu_step.detached()
+    if banks_step is not None:
+        state.banks = banks_step.detached()
     state.t += 1
     info = StepInfo(
         selected=selected,

@@ -2,8 +2,9 @@
 
 Each named loss gets fresh random instances per seed; the analytic gradient
 must match central differences within the threshold on every instance. The
-centroid losses are checked through the full chain: centroids, pairwise
-distances, relativization, and the discrepancy itself.
+centroid losses are checked through the distance matrices, relativization
+and the discrepancy, with respect to the stacked bank of both branches'
+centroids and to one branch's sample features.
 """
 
 from __future__ import annotations
@@ -49,31 +50,23 @@ def _build_l_c1(rng, d_f, k, n_b) -> list[Instance]:
 
 
 def _build_l_cc(rng, d_f, k, n_b) -> list[Instance]:
-    c1 = Tensor(rng.normal(size=(k, d_f)))
-    c2 = Tensor(rng.normal(size=(k, d_f)))
-
-    def wrt_first(x):
-        return loss_cc(centroid_centroid_matrix(x), centroid_centroid_matrix(c2))
-
-    def wrt_second(x):
-        return loss_cc(centroid_centroid_matrix(c1), centroid_centroid_matrix(x))
-
-    return [(wrt_first, c1), (wrt_second, c2)]
+    # both branches' centroids, adversarial rows first
+    banks = Tensor(rng.normal(size=(2 * k, d_f)))
+    return [(lambda x: loss_cc(centroid_centroid_matrix(x)), banks)]
 
 
 def _build_l_cs(rng, d_f, k, n_b) -> list[Instance]:
-    c1 = Tensor(rng.normal(size=(k, d_f)))
-    c2 = Tensor(rng.normal(size=(k, d_f)))
-    f1 = Tensor(rng.normal(size=(n_b, d_f)))
-    f2 = Tensor(rng.normal(size=(n_b, d_f)))
+    banks = Tensor(rng.normal(size=(2 * k, d_f)))
+    f_adv = Tensor(rng.normal(size=(n_b, d_f)))
+    f_clu = Tensor(rng.normal(size=(n_b, d_f)))
 
-    def wrt_centroids(x):
-        return loss_cs(centroid_sample_matrix(x, f1), centroid_sample_matrix(c2, f2))
+    def wrt_banks(x):
+        return loss_cs(centroid_sample_matrix(x, f_adv, f_clu))
 
     def wrt_features(x):
-        return loss_cs(centroid_sample_matrix(c1, x), centroid_sample_matrix(c2, f2))
+        return loss_cs(centroid_sample_matrix(banks, x, f_clu))
 
-    return [(wrt_centroids, c1), (wrt_features, f1)]
+    return [(wrt_banks, banks), (wrt_features, f_adv)]
 
 
 LOSS_BUILDERS: dict[str, Builder] = {

@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from dcp.centroids import LOSS_EPS, DegenerateGeometryError, update_centroids_ema
 from dcp.losses import CLAMP_EPS
 from dcp.networks import Mlp, forward
-from dcp.tensor import Tensor, linear_values, sigmoid_values
+from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, linear_values, sigmoid_values
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -103,6 +104,135 @@ def verdict_generator_loss(d_target: Tensor) -> Tensor:
         d_target._accumulate(g[0, 0] * -1.0 * (1.0 / dt.size) / dt * unclipped)
 
     return Tensor._node(np.array([[loss]]), (d_target,), bw)
+
+
+# -- the per-branch alignment chain ------------------------------------------
+# The centroids and alignment losses were once built branch by branch: each
+# branch's centroids as a product of constant weights with a ``vstack`` of its
+# source and target features, an EMA blend, a ``pairwise_euclidean`` node
+# under a relativization for each matrix, and a discrepancy of two matrices.
+# These are those nodes; tests require the stacked-bank nodes of
+# ``centroids`` to give the same bits.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with the standard gradient rules."""
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+
+    def bw(g):
+        a._accumulate(g @ b.values.T)
+        b._accumulate(a.values.T @ g)
+
+    return Tensor._node(a.values @ b.values, (a, b), bw)
+
+
+def vstack(tensors) -> Tensor:
+    """Stack tensors with equal column counts into one tall matrix."""
+    tensors = tuple(tensors)
+    if not tensors:
+        raise ShapeError("vstack of nothing")
+    cols = tensors[0].cols
+    for t in tensors[1:]:
+        if t.cols != cols:
+            raise ShapeError(f"vstack column mismatch: {t.shape} vs (*, {cols})")
+
+    def bw(g):
+        offset = 0
+        for t in tensors:
+            # a copy: a slice is a view of this node's gradient
+            t._accumulate(g[offset : offset + t.rows].copy())
+            offset += t.rows
+
+    return Tensor._node(np.vstack([t.values for t in tensors]), tensors, bw)
+
+
+def pairwise_euclidean(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix of Euclidean distances: entry (i, j) = ||a_i - b_j||.
+
+    The forward value is exact (zero for coincident points); the backward rule
+    uses the ``SQRT_SHIFT``-stabilized root so gradients stay finite there.
+    """
+    if a.cols != b.cols:
+        raise ShapeError(f"feature dimensions differ: {a.shape} vs {b.shape}")
+    diff = a.values[:, None, :] - b.values[None, :, :]
+    sq = np.einsum("ijd,ijd->ij", diff, diff)
+
+    def bw(g):
+        w = g / np.sqrt(sq + SQRT_SHIFT)
+        a._accumulate(w.sum(axis=1, keepdims=True) * a.values - w @ b.values)
+        b._accumulate(w.sum(axis=0)[:, None] * b.values - w.T @ a.values)
+
+    return Tensor._node(np.sqrt(sq), (a, b), bw)
+
+
+def branch_centroids(features: Tensor, labels, k: int) -> Tensor:
+    """One branch's (K x d_f) class means, every class labeled at least once."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    counts = np.bincount(labels[labels >= 0], minlength=k)
+    weights = (np.arange(k)[:, None] == labels) / counts[:, None]
+    return matmul(Tensor(weights), features)
+
+
+def _relativize(dists: Tensor, scale: float) -> Tensor:
+    d = dists.values
+    norm = np.array([[d.sum()]]) * scale
+    if norm[0, 0] == 0.0:
+        raise DegenerateGeometryError("all distances are zero")
+
+    def bw(g):
+        g_norm = (-g * d / (norm * norm)).sum(axis=0, keepdims=True).sum(axis=1, keepdims=True)
+        dists._accumulate(g / norm + g_norm[0, 0] * scale)
+
+    return Tensor._node(d / norm, (dists,), bw)
+
+
+def branch_cc_matrix(bank: Tensor) -> Tensor:
+    """One branch's relativized centroid-centroid distances (K x K)."""
+    k = bank.rows
+    return _relativize(pairwise_euclidean(bank, bank), 1.0 / (k * k - k))
+
+
+def branch_cs_matrix(bank: Tensor, features: Tensor) -> Tensor:
+    """One branch's relativized centroid-sample distances (K x N_b)."""
+    return _relativize(pairwise_euclidean(bank, features), 1.0 / (bank.rows * features.rows))
+
+
+def discrepancy(m_cluster: Tensor, m_adv: Tensor) -> Tensor:
+    """The alignment loss between two branches' matrices, scaled by 1 / their size."""
+    scale = 1.0 / (m_adv.rows * m_adv.cols)
+    diff = m_adv.values - m_cluster.values
+    shifted = np.array([[(diff * diff).sum()]]) + LOSS_EPS
+
+    def bw(g):
+        g_shifted = g * scale / (2.0 * np.sqrt(shifted + SQRT_SHIFT))
+        half = g_shifted[0, 0] * diff
+        g_diff = half + half
+        m_adv._accumulate(g_diff)
+        m_cluster._accumulate(-g_diff)
+
+    return Tensor._node(np.sqrt(shifted) * scale, (m_adv, m_cluster), bw)
+
+
+def per_branch_alignment(features, labels, k, banks=None, theta=0.7):
+    """L_CC, L_CS and both branches' banks, built as a training step built them.
+
+    ``features`` is ``(fs_adv, ft_adv, fs_clu, ft_clu)``; ``banks`` is the
+    previous ``(bank_adv, bank_clu)``, or None at the first step.
+    """
+    fs_adv, ft_adv, fs_clu, ft_clu = features
+    fresh_adv = branch_centroids(vstack([fs_adv, ft_adv]), labels, k)
+    fresh_clu = branch_centroids(vstack([fs_clu, ft_clu]), labels, k)
+    if banks is None:
+        bank_adv, bank_clu = fresh_adv, fresh_clu
+    else:
+        bank_adv = update_centroids_ema(banks[0], fresh_adv, theta)
+        bank_clu = update_centroids_ema(banks[1], fresh_clu, theta)
+    m_cc_adv = branch_cc_matrix(bank_adv)
+    m_cc_clu = branch_cc_matrix(bank_clu)
+    m_cs_adv = branch_cs_matrix(bank_adv, ft_adv)
+    m_cs_clu = branch_cs_matrix(bank_clu, ft_clu)
+    return discrepancy(m_cc_clu, m_cc_adv), discrepancy(m_cs_clu, m_cs_adv), bank_adv, bank_clu
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------

@@ -29,6 +29,7 @@ from dcp.centroids import (
     centroid_centroid_matrix,
     centroid_sample_matrix,
     compute_centroids,
+    distance_values,
     loss_cc,
     loss_cs,
 )
@@ -40,7 +41,7 @@ from dcp.pseudo_label import (
     tau_adv,
     tau_clu,
 )
-from dcp.tensor import Tensor, matmul, pairwise_euclidean
+from dcp.tensor import Tensor, linear_values
 from dcp.verify import run_gradcheck
 
 # both arms of criteria 5 and 6 run through the transfer script's runner
@@ -138,12 +139,20 @@ def test_criterion_3_oracle_equivalence():
 
         features = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, size=40)
-        bank = compute_centroids(Tensor(features), labels, k=3)
-        for cls in range(3):
-            members = features[labels == cls]
-            if len(members):
+        # the clustering branch's features: the same rows, columns reversed
+        other = features[:, ::-1].copy()
+        bank = compute_centroids(
+            (Tensor(features[:25]), Tensor(features[25:])),
+            (Tensor(other[:25]), Tensor(other[25:])),
+            labels,
+            k=3,
+        )
+        for half, branch in enumerate((features, other)):
+            for cls in range(3):
+                members = branch[labels == cls]
                 mean = sum(members[i] for i in range(len(members))) / len(members)
-                worst_centroid = max(worst_centroid, np.abs(bank.values[cls] - mean).max())
+                row = bank.values[3 * half + cls]
+                worst_centroid = max(worst_centroid, np.abs(row - mean).max())
 
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 3))
@@ -151,7 +160,9 @@ def test_criterion_3_oracle_equivalence():
         for i in range(4):
             for j in range(3):
                 loops[i, j] = sum(a[i, t] * b[t, j] for t in range(5))
-        worst_matmul = max(worst_matmul, np.abs(matmul(Tensor(a), Tensor(b)).values - loops).max())
+        # the layer kernel's product, with a zero bias and no relu
+        product = linear_values(a, b, np.zeros((3, 1)), relu=False)
+        worst_matmul = max(worst_matmul, np.abs(product - loops).max())
 
         p = rng.normal(size=(4, 3))
         q = rng.normal(size=(5, 3))
@@ -159,9 +170,9 @@ def test_criterion_3_oracle_equivalence():
         for i in range(4):
             for j in range(5):
                 dists[i, j] = np.sqrt(sum((p[i, t] - q[j, t]) ** 2 for t in range(3)))
-        worst_pairwise = max(
-            worst_pairwise, np.abs(pairwise_euclidean(Tensor(p), Tensor(q)).values - dists).max()
-        )
+        # the distance kernel of both centroid matrices, on one branch
+        kernel = distance_values(p[None], q[None])[0][0]
+        worst_pairwise = max(worst_pairwise, np.abs(kernel - dists).max())
 
         blobs = np.vstack([rng.normal(size=(15, 2)) + 4.0, rng.normal(size=(15, 2)) - 4.0])
         assign, final = kmeans_assign(blobs, np.array([[4.0, 4.0], [-4.0, -4.0]]), max_iters=50)
@@ -184,11 +195,14 @@ def test_criterion_4_loss_identities():
     rng = np.random.default_rng(0)
     m = Tensor(rng.normal(size=(3, 3)))
     w = Tensor(rng.normal(size=(2, 5)))
-    self_cc = loss_cc(m, m).item()
-    self_cs = loss_cs(w, w).item()
-    cc_hand = loss_cc(Tensor([[0.0, 3.0], [3.0, 0.0]]), Tensor([[0.0, 1.0], [1.0, 0.0]])).item()
-    cs_hand = loss_cs(Tensor([[2.0, 2.0]]), Tensor([[0.0, 0.0]])).item()
+    # each alignment loss compares the adversarial half of one matrix with
+    # its clustering half
+    self_cc = loss_cc(Tensor(np.vstack([m.values, m.values]))).item()
+    self_cs = loss_cs(Tensor(np.vstack([w.values, w.values]))).item()
+    cc_hand = loss_cc(Tensor([[0.0, 1.0], [1.0, 0.0], [0.0, 3.0], [3.0, 0.0]])).item()
+    cs_hand = loss_cs(Tensor([[0.0, 0.0], [2.0, 2.0]])).item()
 
+    # both branches' banks of 2 centroids each
     pts = rng.normal(size=(4, 3))
     samples = rng.normal(size=(6, 3))
     bank1 = Tensor(pts)
@@ -197,8 +211,8 @@ def test_criterion_4_loss_identities():
         centroid_centroid_matrix(bank1).values - centroid_centroid_matrix(bank10).values
     ).max()
     cs_gap = np.abs(
-        centroid_sample_matrix(bank1, Tensor(samples)).values
-        - centroid_sample_matrix(bank10, Tensor(samples * 10.0)).values
+        centroid_sample_matrix(bank1, Tensor(samples), Tensor(samples)).values
+        - centroid_sample_matrix(bank10, Tensor(samples * 10.0), Tensor(samples * 10.0)).values
     ).max()
 
     passed = (

@@ -215,11 +215,19 @@ class TestBranchOutputs:
 
     @staticmethod
     def _assert_logits_equal_graph_forward(widths, rows):
+        # The reference is the graph forward on each of branch_outputs'
+        # blocks of rows. One graph forward over all rows is not: OpenBLAS
+        # may split a large product between its threads, and on some of its
+        # kernels the rows at a split round differently.
         extractor = Mlp.create(widths, seed=3)
         head = Mlp.create((64, 3), seed=4)
         x = np.random.default_rng(5).normal(size=(rows, 2))
         logits = branch_outputs(extractor, head, x)
-        assert np.array_equal(logits, head(extractor(Tensor(x))).values)
+        edges = [*range(0, rows, EVAL_BLOCK_ROWS), rows]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]  # a last block of one row joins the block before it
+        blocks = [head(extractor(Tensor(x[lo:hi]))).values for lo, hi in zip(edges, edges[1:])]
+        assert np.array_equal(logits, np.vstack(blocks))
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_logits_bit_identical_to_graph_forward(self, rows):

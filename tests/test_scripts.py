@@ -142,6 +142,18 @@ def test_bench_record_times_and_counts_a_pytest_run(tmp_path):
     assert run["wall_s"] > 0.0
 
 
+def test_bench_record_runs_pytest_on_a_forced_blas_kernel(tmp_path):
+    bench_record = _import_script("bench_record")
+    (tmp_path / "test_kernel.py").write_text(
+        "import os\n\n\n"
+        "def test_kernel_is_forced():\n    assert os.environ['OPENBLAS_CORETYPE'] == 'Haswell'\n",
+        encoding="utf-8",
+    )
+    run = bench_record.pytest_wall(tmp_path, ["test_kernel.py"], coretype="Haswell")
+    assert run["openblas_coretype"] == "Haswell"
+    assert (run["passed"], run["failed"], run["errors"]) == (1, 0, 0)
+
+
 def test_bench_record_reports_an_uncommitted_edit(tmp_path, capsys):
     bench_record = _import_script("bench_record")
 

@@ -5,12 +5,15 @@ import pytest
 from graph_helpers import (
     contract,
     cross_entropy_reference,
+    matmul,
     network,
+    pairwise_euclidean,
     sigmoid,
     sigmoid_reference,
+    vstack,
 )
 
-from dcp.centroids import centroid_sample_matrix
+from dcp.centroids import centroid_centroid_matrix, centroid_sample_matrix, compute_centroids
 from dcp.losses import generator_loss
 from dcp.networks import Mlp, forward
 from dcp.tensor import (
@@ -20,11 +23,8 @@ from dcp.tensor import (
     gather_rows,
     grad_check,
     linear_values,
-    matmul,
-    pairwise_euclidean,
     sigmoid_values,
     softmax_cross_entropy,
-    vstack,
     weighted_sum,
 )
 
@@ -66,6 +66,8 @@ def pairwise_oracle(a, b):
 
 
 class TestMatmul:
+    """The matrix-product node, a test-only reference in ``graph_helpers``."""
+
     def test_hand_product(self):
         out = matmul(Tensor([[1, 2], [3, 4]]), Tensor([[1], [1]]))
         np.testing.assert_array_equal(out.values, [[3], [7]])
@@ -159,6 +161,8 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestPairwiseEuclidean:
+    """The distance node, a test-only reference; ``centroids`` runs its kernel per branch."""
+
     def test_three_four_five(self):
         out = pairwise_euclidean(Tensor([[0.0, 0.0]]), Tensor([[3.0, 4.0]]))
         assert out.item() == 5.0
@@ -237,17 +241,19 @@ class TestCompositionGradients:
         p = int(rng.integers(1, 8))
         w = Tensor(rng.normal(size=(p, n)))
         bias = Tensor(rng.normal(size=(p, 1)))
-        anchors = Tensor(rng.normal(size=(3, p)) + 3.0)
+        anchors = rng.normal(size=(3, p)) + 3.0
         spread = rng.normal(size=(3, m))
         labels = rng.integers(0, p, size=m)
+        # both branches' anchors, and both take h as their samples
+        banks = Tensor(np.vstack([anchors, -anchors]))
 
         def f(x):
             h = sigmoid(network(x, [w], [bias]))
-            relative = centroid_sample_matrix(anchors, h)
+            relative = centroid_sample_matrix(banks, h, h)
             stacked = vstack([x, matmul(Tensor(spread), x)])
             return weighted_sum(
                 [
-                    contract(relative, spread),
+                    contract(relative, np.vstack([spread, spread[::-1]])),
                     softmax_cross_entropy(relu_layer(x, w, bias), labels),
                     contract(pairwise_euclidean(stacked, Tensor(np.zeros((1, n)))), 1.0),
                 ],
@@ -261,13 +267,15 @@ class TestCompositionGradients:
         # the logistic function and log of the generator loss and the
         # division of a relativized matrix, composed
         rng = np.random.default_rng(11)
-        anchors = Tensor(rng.normal(size=(2, 3)))
+        anchors = rng.normal(size=(2, 3))
         weights = rng.normal(size=(2, 3))
+        banks = Tensor(np.vstack([anchors, anchors + 1.0]))
 
         def f(x):
-            relative = centroid_sample_matrix(anchors, x)
+            relative = centroid_sample_matrix(banks, x, x)
+            weights_both = np.vstack([weights, -weights])
             return weighted_sum(
-                [generator_loss(x), contract(relative, weights)], [1.0, 1.0]
+                [generator_loss(x), contract(relative, weights_both)], [1.0, 1.0]
             )
 
         report = grad_check(f, Tensor(rng.normal(size=(3, 3))))
@@ -295,11 +303,14 @@ class TestBroadcasting:
         # distances 2 and 4 from the origin, divided by their mean: the
         # entries sum to 2 wherever the points are
         a = Tensor([[2.0, 0.0], [4.0, 0.0]], requires_grad=True)
-        contract(centroid_sample_matrix(Tensor([[0.0, 0.0]]), a), 1.0).backward()
+        origins = Tensor([[0.0, 0.0], [0.0, 0.0]])
+        contract(centroid_sample_matrix(origins, a, a), 1.0).backward()
         np.testing.assert_allclose(a.grad, [[0.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 class TestVstackAndTranspose:
+    """The row-stacking node, a test-only reference in ``graph_helpers``."""
+
     def test_vstack_values_and_gradient(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)
@@ -330,10 +341,12 @@ class TestGradientOwnership:
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        stacked = vstack([a, b])
-        dists = pairwise_euclidean(c, c)  # one tensor as both parents
+        # each block is both branches' features: it takes two row slices of
+        # one product; the bank is both operands of its distances
+        stacked = compute_centroids((a, b), (a, b), [0, 1, 0, 1, 1], k=2)
+        dists = centroid_centroid_matrix(c)
         # ``a`` and ``c`` have a second consumer whose rule runs after the
-        # stack's and the distances': it adds into their gradients in place
+        # centroids' and the distances': it adds into their gradients in place
         loss = weighted_sum(
             [
                 contract(a, rng.normal(size=a.shape)),

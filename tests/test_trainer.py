@@ -13,9 +13,10 @@ from dcp import losses
 from dcp.datasets import TARGET, LabeledDataset, ShiftSpec, gen_blobs
 from dcp.networks import Mlp, branch_outputs
 from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
-from dcp.tensor import Tensor, gather_rows, grad_check, vstack, weighted_sum
+from dcp.tensor import Tensor, gather_rows, grad_check, weighted_sum
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
+    FEATURE_DIM,
     METRICS_FIELDS,
     Checkpoint,
     CheckpointVersionError,
@@ -170,7 +171,22 @@ class TestTrainStep:
         assert record.pseudo_precision is None
         assert record.T == 0
         assert state.t == 1
-        assert state.bank_adv is not None
+        assert state.banks is not None and state.banks.shape == (6, FEATURE_DIM)
+
+    def test_degenerate_geometry_skips_alignment_only(self):
+        # the adversarial extractor maps every row to zero, so that branch's
+        # centroids coincide and its relativized distances are undefined
+        state, src_b, tgt_b, tgt_y = self._setup()
+        extractor = state.networks["adv_extractor"]
+        for p in (extractor.weights[-1], extractor.biases[-1]):
+            p.update_values(np.zeros(p.shape))
+        record, info = train_step(state, src_b, tgt_b, tgt_y)
+        assert info.alignment_skipped
+        assert record.l_cc is None and record.l_cs is None
+        assert np.isfinite(record.l_c1) and np.isfinite(record.l_g)
+        assert state.t == 1
+        # the step's banks are still kept: the adversarial half is all zero
+        assert not state.banks.values[:3].any() and state.banks.values[3:].any()
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_source_label_outside_class_range_rejected(self, bad):
@@ -331,7 +347,7 @@ class TestTrainStep:
             return (
                 [p.values.copy() for net in state.networks.values() for p in net.tensors()],
                 [v.copy() for vel in state.velocity.values() for v in vel],
-                [bank.values.copy() for bank in (state.bank_adv, state.bank_clu)],
+                [state.banks.values.copy()],
             )
 
         before, t_before = snapshot(), state.t
@@ -349,16 +365,11 @@ class TestTrainStep:
             p.grad is None for net in state.networks.values() for p in net.tensors()
         )
 
-    def test_one_graph_node_per_layer_and_loss_term(self, monkeypatch):
-        # default config, in a step with accepted pseudo-labels and live
-        # alignment: 11 network calls (4 extractor, 4 head and 3
-        # discriminator passes); 6 for vstack, the centroid matmul and the
-        # EMA blend of each branch; 8 for the four relativized distance
-        # matrices; 2 alignment losses; l_d, l_g, l_c1, l_c2; 2 row gathers,
-        # 2 cross entropies and 1 sum for L_PL; 1 weighted sum for the
-        # objective
+    @staticmethod
+    def _nodes_per_step(monkeypatch, config, wanted) -> int:
+        """Nodes built by the first of 10 seeded steps for which ``wanted(live_banks, info)``."""
         src, tgt = tiny_datasets(n_per_class=40)
-        state = init_state(TrainConfig(), k=3, d_in=2)
+        state = init_state(config, k=3, d_in=2)
         rng = np.random.default_rng(0)
         real_node = Tensor.__dict__["_node"].__func__
         built = []
@@ -372,13 +383,35 @@ class TestTrainStep:
             src_idx = np.concatenate([rng.choice(np.flatnonzero(src.y == c), 12) for c in range(3)])
             tgt_idx = rng.choice(tgt.n, size=36, replace=False)
             built.clear()
-            live_banks = state.bank_adv is not None
+            live_banks = state.banks is not None
             record, info = train_step(state, (src.X[src_idx], src.y[src_idx]), tgt.X[tgt_idx])
-            if live_banks and len(info.selected) and not info.alignment_skipped:
-                break
-        else:
-            pytest.fail("no step selected pseudo-labels with live centroid banks")
-        assert len(built) == 37
+            if wanted(live_banks, info):
+                return len(built)
+        pytest.fail("no step met the condition")
+
+    def test_one_graph_node_per_layer_and_loss_term(self, monkeypatch):
+        # default config, in a step with accepted pseudo-labels and live
+        # alignment: 11 network calls (4 extractor, 4 head and 3
+        # discriminator passes); 2 for both branches' centroids and their
+        # EMA blend; 2 relativized distance matrices; 2 alignment losses;
+        # l_d, l_g, l_c1, l_c2; 2 row gathers, 2 cross entropies and 1 sum
+        # for L_PL; 1 weighted sum for the objective
+        built = self._nodes_per_step(
+            monkeypatch,
+            TrainConfig(),
+            lambda live, info: live and len(info.selected) and not info.alignment_skipped,
+        )
+        assert built == 27
+
+    def test_graph_nodes_without_alignment_weight_or_pseudo_labels(self, monkeypatch):
+        # alpha=0 and no pseudo-labels, with live banks: 10 network calls
+        # (no head call on the target features selects anything); the 6
+        # alignment nodes are still built; l_d, l_g, l_c1, l_c2; 1 weighted sum
+        config = TrainConfig(alpha=0.0, use_pseudo_labels=False)
+        built = self._nodes_per_step(
+            monkeypatch, config, lambda live, info: live and not info.alignment_skipped
+        )
+        assert built == 21
 
     def test_main_backward_leaves_discriminator_without_gradient(self, monkeypatch):
         # l_g reaches the discriminator through constant parameters, so the
@@ -732,8 +765,9 @@ class TestMainObjectiveGradient:
 
     L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS), built as ``train_step``
     builds it, checked with respect to every parameter of two tiny
-    extractors: through the network nodes, ``vstack``, the centroid weights,
-    the EMA blend and the pseudo-label row gather.
+    extractors: through the network nodes, the stacked centroids of both
+    branches, the EMA blend, the relativized distance matrices and the
+    pseudo-label row gather.
     """
 
     def _tiny_state(self) -> TrainState:
@@ -758,12 +792,8 @@ class TestMainObjectiveGradient:
         pseudo = np.full(xt.rows, -1)
         pseudo[selected.indices] = selected.labels
         union = np.concatenate([ys, pseudo])
-        bank_adv = cent.update_centroids_ema(
-            banks[0], cent.compute_centroids(vstack([fs_adv, ft_adv]), union, k), cfg.ema_momentum
-        )
-        bank_clu = cent.update_centroids_ema(
-            banks[1], cent.compute_centroids(vstack([fs_clu, ft_clu]), union, k), cfg.ema_momentum
-        )
+        fresh = cent.compute_centroids((fs_adv, ft_adv), (fs_clu, ft_clu), union, k)
+        banks = cent.update_centroids_ema(banks, fresh, cfg.ema_momentum)
         picked = selected.indices
         terms = {
             "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
@@ -780,13 +810,8 @@ class TestMainObjectiveGradient:
                 ],
                 [1.0, 1.0],
             ),
-            "l_cc": cent.loss_cc(
-                cent.centroid_centroid_matrix(bank_clu), cent.centroid_centroid_matrix(bank_adv)
-            ),
-            "l_cs": cent.loss_cs(
-                cent.centroid_sample_matrix(bank_clu, ft_clu),
-                cent.centroid_sample_matrix(bank_adv, ft_adv),
-            ),
+            "l_cc": cent.loss_cc(cent.centroid_centroid_matrix(banks)),
+            "l_cs": cent.loss_cs(cent.centroid_sample_matrix(banks, ft_adv, ft_clu)),
         }
         total = weighted_sum(list(terms.values()), [1.0] * 4 + [cfg.alpha] * 2)
         return total, terms
@@ -801,15 +826,14 @@ class TestMainObjectiveGradient:
             xs, ys, xt = src.X[src_idx], src.y[src_idx], tgt.X[tgt_idx]
             before = copy.deepcopy(state)
             record, info = train_step(state, (xs, ys), xt)
-            if before.bank_adv is not None and len(info.selected) and not info.alignment_skipped:
+            if before.banks is not None and len(info.selected) and not info.alignment_skipped:
                 break
         else:
             pytest.fail("no step selected pseudo-labels with live centroid banks")
 
         # the main phase sees the discriminator after its own update
         disc = state.networks["discriminator"]
-        banks = (before.bank_adv, before.bank_clu)
-        args = (Tensor(xs), ys, Tensor(xt), info.selected, banks, before.config)
+        args = (Tensor(xs), ys, Tensor(xt), info.selected, before.banks, before.config)
         _, terms = self._objective(before.networks, disc, *args)
         for name, term in terms.items():
             assert term.item() == getattr(record, name), name

@@ -48,6 +48,7 @@ def test_csv_output_is_parseable():
 
 def test_instances_use_requested_shapes():
     rng = np.random.default_rng(0)
+    # the stacked bank of both branches' centroids, or one branch's samples
     for f, x in verify.LOSS_BUILDERS["l_cs"](rng, d_f=5, k=4, n_b=7):
-        assert x.shape in ((4, 5), (7, 5))
+        assert x.shape in ((8, 5), (7, 5))
         assert f(x).shape == (1, 1)
