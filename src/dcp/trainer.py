@@ -414,7 +414,7 @@ def train_step(
     total.backward()
     _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
 
-    # (g) advance the iteration counter and persist the detached banks
+    # (g) advance the iteration counter and persist detached banks
     record = MetricsRecord(
         T=state.t,
         l_d=l_d.item(),
