@@ -16,6 +16,7 @@ centroid state, so runs are not resumable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -164,8 +165,7 @@ def cmd_gen_data(args, parser) -> int:
                 seed=args.seed,
             )
             source, target = gen_blobs(spec)
-            spec_dict = {"kind": "blobs", **{k: getattr(spec, k) for k in (
-                "k", "d", "n_per_class", "rotation", "translation", "noise_sigma", "seed")}}
+            spec_dict = {"kind": "blobs", **dataclasses.asdict(spec)}
         else:
             source, target = gen_two_moons_shift(
                 n_per_class=args.n_per_class,

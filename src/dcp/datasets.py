@@ -28,6 +28,12 @@ class SchemaError(ValueError):
     """An embedding file violates the documented schema."""
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with integer labels; -1 marks an unknown label.
@@ -47,6 +53,10 @@ class LabeledDataset:
         self.y = np.asarray(self.y, dtype=np.int64).reshape(-1)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
+        finite_rows = np.isfinite(self.X).all(axis=1)
+        if not finite_rows.all():
+            row = int(np.argmin(finite_rows))
+            raise ValueError(f"X row {row} holds a non-finite value: {self.X[row].tolist()}")
         if self.y.shape[0] != self.X.shape[0]:
             raise ValueError(f"{self.y.shape[0]} labels for {self.X.shape[0]} rows")
         if self.domain_tag not in (SOURCE, TARGET):
@@ -85,6 +95,9 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(
+            rotation=self.rotation, translation=self.translation, noise_sigma=self.noise_sigma
+        )
         if self.k < 2:
             raise ValueError(f"need at least 2 classes, got {self.k}")
         if self.d < 2:
@@ -149,6 +162,7 @@ def gen_two_moons_shift(
     n_per_class: int, rotation: float, noise_sigma: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Interleaved half-circles; the target copy is rotated about its centroid."""
+    _require_finite(rotation=rotation, noise_sigma=noise_sigma)
     if n_per_class < 1:
         raise ValueError(f"need at least 1 sample per class, got {n_per_class}")
     if noise_sigma <= 0:

@@ -5,9 +5,12 @@ class AND the sample ranks inside each branch's per-class quota of
 nearest-to-centroid samples. Quotas grow with the iteration count on two
 logistic schedules, so labeling starts conservative and loosens as training
 stabilizes. Quotas are identical for every class, which stops the selector
-from feasting on easy classes. Selection takes numpy arrays: the features,
-the predicted labels, each branch's (K x d_f) centroids, and the iteration
-count t from which both thresholds follow.
+from feasting on easy classes. Selection treats the two branches as one
+batch axis, as ``centroids`` does: it takes both branches' features and
+predicted labels stacked on a leading axis, their (2K x d_f) centroid bank
+and the iteration count t from which both thresholds follow, and ranks every
+(branch, class) group in one sort. It returns one label per batch row, -1
+where none was accepted.
 
 K-means assigns each row to the argmin over clusters of |c|^2 - 2 x.c^T, one
 matrix product per iteration (|x|^2 is the same for every cluster), and a
@@ -21,7 +24,6 @@ integer-valued data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,84 +94,62 @@ def kmeans_assign(
     return labels, centroids
 
 
-@dataclass
-class PseudoLabelBatch:
-    """Target-batch samples that passed the double-threshold filter."""
+def _admitted(groups: np.ndarray, dists: np.ndarray, quotas: np.ndarray) -> np.ndarray:
+    """Per group g, the ``quotas[g]`` rows nearest its centroid; ties go to the lower index.
 
-    indices: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    @classmethod
-    def empty(cls) -> "PseudoLabelBatch":
-        return cls(indices=np.zeros(0, dtype=np.int64), labels=np.zeros(0, dtype=np.int64))
-
-
-def _distances_to_predicted_centroid(
-    features: np.ndarray, labels: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
-    diffs = features - centroids[labels]
-    return np.sqrt((diffs * diffs).sum(axis=1))
-
-
-def _admitted(labels: np.ndarray, dists: np.ndarray, quota: int, k: int) -> np.ndarray:
-    """Per class, the ``quota`` rows nearest its centroid; ties go to the lower index.
-
-    ``labels`` must lie in [0, k). One sort ranks every class at once: rows
-    ordered by label, then distance, then index, where a row's rank within
-    its class is its position minus the count of rows in lower classes.
+    ``groups`` must lie in [0, len(quotas)). One sort ranks every group at once:
+    rows ordered by group, then distance, then index, where a row's rank
+    within its group is its position minus the count of rows in lower groups.
     """
-    n = labels.shape[0]
-    admitted = np.zeros(n, dtype=bool)
-    if quota <= 0:
-        return admitted
+    n = groups.shape[0]
     positions = np.arange(n)
-    order = np.lexsort((positions, dists, labels))
-    counts = np.bincount(labels, minlength=k)
-    class_start = np.cumsum(counts) - counts
-    admitted[order[positions - class_start[labels[order]] < quota]] = True
+    order = np.lexsort((positions, dists, groups))
+    counts = np.bincount(groups, minlength=quotas.shape[0])
+    group_start = np.cumsum(counts) - counts
+    ordered = groups[order]
+    admitted = np.zeros(n, dtype=bool)
+    admitted[order[positions - group_start[ordered] < quotas[ordered]]] = True
     return admitted
 
 
 def select_high_confidence(
-    features_adv: np.ndarray,
-    features_clu: np.ndarray,
-    labels_adv: np.ndarray,
-    labels_clu: np.ndarray,
-    centroids_adv: np.ndarray,
-    centroids_clu: np.ndarray,
-    t: int,
-) -> PseudoLabelBatch:
+    features: np.ndarray, labels: np.ndarray, banks: np.ndarray, t: int
+) -> np.ndarray:
     """Double-threshold screening of one target mini-batch at iteration ``t``.
 
-    Each branch's centroids are a (K x d_f) array, one row per class. Per
+    ``features`` (2 x N_b x d_f) and ``labels`` (2 x N_b) are both branches'
+    target features and predicted labels, and ``banks`` is their (2K x d_f)
+    centroid bank; the adversarial branch comes first in all three. Per
     branch and per predicted class, samples are ranked by distance to that
     class's centroid (ties break toward the lower batch index) and only the
-    top ``floor(tau * N_b / K)`` are admitted. A sample is selected iff both
-    branches admit it and agree on its label.
+    top ``floor(tau * N_b / K)`` are admitted, with tau_adv(t) for the
+    adversarial branch and tau_clu(t) for the clustering branch. A sample is
+    selected iff both branches admit it and agree on its label.
+
+    Returns the (N_b,) pseudo-label of each batch row, -1 where none was
+    accepted: the form of ``compute_centroids``' union labels.
     """
-    if centroids_adv.shape != centroids_clu.shape:
+    labels = np.asarray(labels, dtype=np.int64)
+    k = banks.shape[0] // 2
+    if banks.ndim != 2 or banks.shape[0] != 2 * k:
+        raise ValueError(f"centroid bank of shape {banks.shape} is not (2K x d_f)")
+    expected = (2, labels.shape[-1], banks.shape[1])
+    if labels.shape != expected[:2] or features.shape != expected:
         raise ValueError(
-            f"centroid shapes differ: {centroids_adv.shape} vs {centroids_clu.shape}"
+            f"features {features.shape} and labels {labels.shape} must cover one target batch "
+            f"for both branches, as (2, N_b, {banks.shape[1]}) and (2, N_b)"
         )
-    k = centroids_adv.shape[0]
-    y_adv = np.asarray(labels_adv, dtype=np.int64).reshape(-1)
-    y_clu = np.asarray(labels_clu, dtype=np.int64).reshape(-1)
-    n_b = y_adv.shape[0]
-    if not (features_adv.shape[0] == features_clu.shape[0] == y_clu.shape[0] == n_b):
-        raise ValueError("branch outputs must cover the same target batch in the same order")
-    for name, y in (("labels_adv", y_adv), ("labels_clu", y_clu)):
-        out_of_range = (y < 0) | (y >= k)
-        if out_of_range.any():
-            raise ValueError(f"{name} holds label {y[out_of_range][0]}, outside [0, {k})")
+    out_of_range = (labels < 0) | (labels >= k)
+    if out_of_range.any():
+        branch, row = np.argwhere(out_of_range)[0]
+        name = ("adversarial", "clustering")[branch]
+        raise ValueError(f"{name} branch holds label {labels[branch, row]}, outside [0, {k})")
 
-    dist_adv = _distances_to_predicted_centroid(features_adv, y_adv, centroids_adv)
-    dist_clu = _distances_to_predicted_centroid(features_clu, y_clu, centroids_clu)
-
-    adm_adv = _admitted(y_adv, dist_adv, per_class_quota(tau_adv(t), n_b, k), k)
-    adm_clu = _admitted(y_clu, dist_clu, per_class_quota(tau_clu(t), n_b, k), k)
-
-    selected = np.flatnonzero(adm_adv & adm_clu & (y_adv == y_clu))
-    return PseudoLabelBatch(indices=selected, labels=y_adv[selected])
+    n_b = labels.shape[1]
+    # each row's centroid is bank row label + K * branch, and so is its group
+    groups = labels + np.array([[0], [k]])
+    diffs = features - banks[groups]
+    dists = np.sqrt((diffs * diffs).sum(axis=2))
+    quotas = np.repeat([per_class_quota(tau(t), n_b, k) for tau in (tau_adv, tau_clu)], k)
+    adv, clu = _admitted(groups.ravel(), dists.ravel(), quotas).reshape(2, n_b)
+    return np.where(adv & clu & (labels[0] == labels[1]), labels[0], -1)

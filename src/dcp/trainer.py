@@ -23,14 +23,7 @@ from . import centroids as cent
 from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, branch_outputs
-from .pseudo_label import (
-    PseudoLabelBatch,
-    class_means,
-    kmeans_assign,
-    select_high_confidence,
-    tau_adv,
-    tau_clu,
-)
+from .pseudo_label import class_means, kmeans_assign, select_high_confidence, tau_adv, tau_clu
 from .tensor import Tensor, gather_rows, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v3"
@@ -234,23 +227,26 @@ def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
 class StepInfo:
     """Diagnostics of one iteration, for callbacks and tests."""
 
-    selected: PseudoLabelBatch
+    # each target batch row's accepted pseudo-label, -1 where none was
+    pseudo_labels: np.ndarray
     y_adv_target: np.ndarray
     y_clu_target: np.ndarray
     alignment_skipped: bool
     target_batch_true_labels: np.ndarray | None = None
 
 
-def pseudo_precision(selected: PseudoLabelBatch, true_labels) -> float | None:
+def pseudo_precision(pseudo_labels: np.ndarray, true_labels) -> float | None:
     """Fraction of selected samples whose pseudo-label is correct.
 
-    ``true_labels`` covers the whole target batch, indexed by batch position.
-    Absent (None), not zero, when nothing was selected.
+    Both arrays cover the whole target batch, row for row; a pseudo-label of
+    -1 marks a row that was not selected. Absent (None), not zero, when
+    nothing was selected.
     """
-    if len(selected) == 0:
+    picked = pseudo_labels >= 0
+    if not picked.any():
         return None
     true_labels = np.asarray(true_labels, dtype=np.int64).reshape(-1)
-    return float((selected.labels == true_labels[selected.indices]).mean())
+    return float((pseudo_labels[picked] == true_labels[picked]).mean())
 
 
 def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
@@ -277,18 +273,25 @@ def train_step(
     """One full iteration; mutates ``state`` and returns its metrics.
 
     ``target_batch_true_labels`` is an evaluation-only input used to measure
-    pseudo-label precision; it never influences any update.
+    pseudo-label precision; it never influences any update. Every input is
+    checked before anything in ``state`` changes.
     """
     cfg = state.config
     k = state.k
     xs_values, ys = source_batch
     ys = np.asarray(ys, dtype=np.int64).reshape(-1)
-    if xs_values.shape[0] == 0 or target_batch.shape[0] == 0:
+    n_target = target_batch.shape[0]
+    if xs_values.shape[0] == 0 or n_target == 0:
         raise ValueError("batches must be nonempty")
-    if target_batch.shape[0] < k:
+    if ys.shape[0] != xs_values.shape[0]:
+        raise ValueError(f"{ys.shape[0]} source labels for {xs_values.shape[0]} source rows")
+    if target_batch_true_labels is not None and np.size(target_batch_true_labels) != n_target:
         raise ValueError(
-            f"target batch has {target_batch.shape[0]} rows; clustering it needs at least k={k}"
+            f"{np.size(target_batch_true_labels)} true target labels "
+            f"for {n_target} target rows"
         )
+    if n_target < k:
+        raise ValueError(f"target batch has {n_target} rows; clustering it needs at least k={k}")
     if ys.min() < 0:
         raise ValueError(f"source label {ys.min()} is outside [0, {k})")
     # per-class source counts: the missing-class check and the k-means seeds
@@ -300,7 +303,6 @@ def train_step(
         raise ValueError(f"source batch is missing class {missing}; use stratified sampling")
     xs = Tensor(xs_values)
     xt = Tensor(target_batch)
-    n_target = xt.rows
 
     adv_ext = state.networks["adv_extractor"]
     adv_head = state.networks["adv_head"]
@@ -327,22 +329,18 @@ def train_step(
 
     # (c) double-threshold screening against the previous iteration's banks
     if cfg.use_pseudo_labels and state.banks is not None:
-        selected = select_high_confidence(
-            ft_adv.values,
-            ft_clu.values,
-            y_adv_target,
-            y_clu_target,
-            state.banks.values[:k],
-            state.banks.values[k:],
+        pseudo = select_high_confidence(
+            np.stack([ft_adv.values, ft_clu.values]),
+            np.stack([y_adv_target, y_clu_target]),
+            state.banks.values,
             state.t,
         )
     else:
-        selected = PseudoLabelBatch.empty()
+        pseudo = np.full(n_target, -1, dtype=np.int64)
+    picked = np.flatnonzero(pseudo >= 0)
 
     # (d) both branches' centroids over source labels plus accepted
     # pseudo-labels, and their alignment losses
-    pseudo = np.full(n_target, -1, dtype=np.int64)
-    pseudo[selected.indices] = selected.labels
     union_labels = np.concatenate([ys, pseudo])
     l_cc_tensor = l_cs_tensor = None
     alignment_skipped = False
@@ -378,14 +376,14 @@ def train_step(
     l_g = losses.generator_loss(disc.detached()(ft_adv))
     terms = [l_c1, l_c2, l_g]
     l_pl = None
-    if len(selected):
+    if picked.size:
         # accepted pseudo-labels train both classifiers on their rows of the
         # target batch
         ce_adv = losses.source_classification_loss(
-            gather_rows(logits_t_adv, selected.indices), selected.labels
+            gather_rows(logits_t_adv, picked), pseudo[picked]
         )
         ce_clu = losses.source_classification_loss(
-            clu_head(gather_rows(ft_clu, selected.indices)), selected.labels
+            clu_head(gather_rows(ft_clu, picked)), pseudo[picked]
         )
         l_pl = weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
         terms.append(l_pl)
@@ -421,9 +419,9 @@ def train_step(
         **main_losses,
         tau_adv=tau_adv(state.t),
         tau_clu=tau_clu(state.t),
-        n_selected=len(selected),
+        n_selected=picked.size,
         pseudo_precision=(
-            pseudo_precision(selected, target_batch_true_labels)
+            pseudo_precision(pseudo, target_batch_true_labels)
             if target_batch_true_labels is not None
             else None
         ),
@@ -432,7 +430,7 @@ def train_step(
         state.banks = banks_step.detached()
     state.t += 1
     info = StepInfo(
-        selected=selected,
+        pseudo_labels=pseudo,
         y_adv_target=y_adv_target,
         y_clu_target=y_clu_target,
         alignment_skipped=alignment_skipped,

@@ -5,6 +5,7 @@ import numpy as np
 from dcp.centroids import LOSS_EPS, DegenerateGeometryError, update_centroids_ema
 from dcp.losses import CLAMP_EPS
 from dcp.networks import Mlp, forward
+from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
 from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, linear_values, sigmoid_values
 
 
@@ -233,6 +234,72 @@ def per_branch_alignment(features, labels, k, banks=None, theta=0.7):
     m_cs_adv = branch_cs_matrix(bank_adv, ft_adv)
     m_cs_clu = branch_cs_matrix(bank_clu, ft_clu)
     return discrepancy(m_cc_clu, m_cc_adv), discrepancy(m_cs_clu, m_cs_adv), bank_adv, bank_clu
+
+
+# -- the per-branch selection that the stacked selection replaced ------------
+# Two calls of the distance and ranking code, one per branch, each on its own
+# (K x d_f) half of the bank; tests require the stacked selection to accept
+# the same rows with the same labels.
+
+
+def _distances_to_predicted_centroid(features, labels, centroids):
+    diffs = features - centroids[labels]
+    return np.sqrt((diffs * diffs).sum(axis=1))
+
+
+def _branch_admitted(labels, dists, quota, k):
+    """Per class, the ``quota`` rows nearest its centroid; ties go to the lower index.
+
+    ``labels`` must lie in [0, k). One sort ranks every class at once: rows
+    ordered by label, then distance, then index, where a row's rank within
+    its class is its position minus the count of rows in lower classes.
+    """
+    n = labels.shape[0]
+    admitted = np.zeros(n, dtype=bool)
+    if quota <= 0:
+        return admitted
+    positions = np.arange(n)
+    order = np.lexsort((positions, dists, labels))
+    counts = np.bincount(labels, minlength=k)
+    class_start = np.cumsum(counts) - counts
+    admitted[order[positions - class_start[labels[order]] < quota]] = True
+    return admitted
+
+
+def per_branch_selection(
+    features_adv, features_clu, labels_adv, labels_clu, centroids_adv, centroids_clu, t
+):
+    """Double-threshold screening, branch by branch; returns (indices, labels).
+
+    Each branch's centroids are a (K x d_f) array, one row per class. Per
+    branch and per predicted class, samples are ranked by distance to that
+    class's centroid (ties break toward the lower batch index) and only the
+    top ``floor(tau * N_b / K)`` are admitted. A sample is selected iff both
+    branches admit it and agree on its label.
+    """
+    if centroids_adv.shape != centroids_clu.shape:
+        raise ValueError(
+            f"centroid shapes differ: {centroids_adv.shape} vs {centroids_clu.shape}"
+        )
+    k = centroids_adv.shape[0]
+    y_adv = np.asarray(labels_adv, dtype=np.int64).reshape(-1)
+    y_clu = np.asarray(labels_clu, dtype=np.int64).reshape(-1)
+    n_b = y_adv.shape[0]
+    if not (features_adv.shape[0] == features_clu.shape[0] == y_clu.shape[0] == n_b):
+        raise ValueError("branch outputs must cover the same target batch in the same order")
+    for name, y in (("labels_adv", y_adv), ("labels_clu", y_clu)):
+        out_of_range = (y < 0) | (y >= k)
+        if out_of_range.any():
+            raise ValueError(f"{name} holds label {y[out_of_range][0]}, outside [0, {k})")
+
+    dist_adv = _distances_to_predicted_centroid(features_adv, y_adv, centroids_adv)
+    dist_clu = _distances_to_predicted_centroid(features_clu, y_clu, centroids_clu)
+
+    adm_adv = _branch_admitted(y_adv, dist_adv, per_class_quota(tau_adv(t), n_b, k), k)
+    adm_clu = _branch_admitted(y_clu, dist_clu, per_class_quota(tau_clu(t), n_b, k), k)
+
+    selected = np.flatnonzero(adm_adv & adm_clu & (y_adv == y_clu))
+    return selected, y_adv[selected]
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------

@@ -311,19 +311,23 @@ def test_criterion_8_selection_contract():
         rng.integers(0, 3, size=k)
         bank_clu = rng.normal(size=(k, d_f))
         rng.integers(0, 3, size=k)
-        out = select_high_confidence(
-            rng.normal(size=(n_b, d_f)), rng.normal(size=(n_b, d_f)),
-            y_adv, y_clu, bank_adv, bank_clu, t,
+        f_adv = rng.normal(size=(n_b, d_f))
+        f_clu = rng.normal(size=(n_b, d_f))
+        pseudo = select_high_confidence(
+            np.stack([f_adv, f_clu]), np.stack([y_adv, y_clu]),
+            np.vstack([bank_adv, bank_clu]), t,
         )
+        indices = np.flatnonzero(pseudo >= 0)
+        labels = pseudo[indices]
         agreement = y_adv == y_clu
-        if len(out) and not agreement[out.indices].all():
+        if len(indices) and not agreement[indices].all():
             violations += 1
             continue
-        if len(out) and not np.array_equal(out.labels, y_adv[out.indices]):
+        if len(indices) and not np.array_equal(labels, y_adv[indices]):
             violations += 1
             continue
         quota = min(per_class_quota(tau_adv(t), n_b, k), per_class_quota(tau_clu(t), n_b, k))
-        counts = np.bincount(out.labels, minlength=k) if len(out) else np.zeros(k, dtype=int)
+        counts = np.bincount(labels, minlength=k) if len(indices) else np.zeros(k, dtype=int)
         if (counts > quota).any():
             violations += 1
     passed = violations == 0

@@ -101,6 +101,38 @@ class TestGenData:
             spec = json.loads((out / "manifest.json").read_text())["spec"]
             assert spec["kind"] == "moons" and "translation" not in spec
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # each used to exit 0 and write NaN or infinite target rows
+            (("--rotation", "nan"), "rotation must be finite, got nan"),
+            (("--noise-sigma", "inf"), "noise_sigma must be finite, got inf"),
+            (("--translation", "1,nan"), "translation must be finite, got (1.0, nan)"),
+            (("--kind", "moons", "--rotation", "nan"), "rotation must be finite, got nan"),
+            (("--kind", "moons", "--noise-sigma", "inf"), "noise_sigma must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_shift_is_usage_error_writing_nothing(
+        self, flags, message, tmp_path, capsys
+    ):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-data", *flags, "--out-dir", str(out)])
+        _, err = assert_subcommand_usage_error(exc, capsys, "gen-data")
+        assert message in err
+        assert not out.exists()
+
+    def test_manifest_spec_lists_every_shift_field(self, tmp_path):
+        run_cli(["gen-data", "--k", "4", "--dim", "3", "--translation", "1,2,3",
+                 "--rotation", "12.5", "--seed", "3", "--out-dir", str(tmp_path)])
+        text = (tmp_path / "manifest.json").read_text()
+        assert json.loads(text)["spec"] == {
+            "kind": "blobs", "k": 4, "d": 3, "n_per_class": 200, "rotation": 12.5,
+            "translation": [1.0, 2.0, 3.0], "noise_sigma": 0.6, "seed": 3,
+        }
+        # the fields in ShiftSpec's order, one per line, as written before
+        assert '"spec": {\n  "kind": "blobs",\n  "k": 4,\n  "d": 3,\n  "n_per_class": 200,' in text
+
     def test_bad_translation_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-data", "--translation", "a,b", "--out-dir", str(tmp_path)])
@@ -243,6 +275,18 @@ class TestTrain:
         args = self._train_args(blob_files, tmp_path / "run")
         args[args.index("--target") + 1] = str(bad)
         assert_usage_error(run_cli(args), capsys, "target label 5 is outside [-1, 3)")
+
+    def test_non_finite_feature_is_usage_error(self, blob_files, tmp_path, capsys):
+        # used to fail in step 0 with "numeric failure: iteration 0: l_d is nan"
+        bad = tmp_path / "bad_target.csv"
+        lines = (blob_files / "target.csv").read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        args = self._train_args(blob_files, out)
+        args[args.index("--target") + 1] = str(bad)
+        assert_usage_error(run_cli(args), capsys, "X row 2 holds a non-finite value: [nan, ")
+        assert not out.exists()
 
     def test_malformed_header_is_usage_error(self, blob_files, tmp_path, capsys):
         bad = tmp_path / "bad_target.csv"

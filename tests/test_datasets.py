@@ -28,6 +28,14 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.ones((3, 2)), [0, 1], SOURCE)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("domain", [SOURCE, TARGET])
+    def test_non_finite_row_rejected_by_index(self, value, domain):
+        x = np.ones((4, 2))
+        x[2, 1] = value
+        with pytest.raises(ValueError, match=r"^X row 2 holds a non-finite value"):
+            LabeledDataset(x, [0, 1, 0, 1], domain)
+
 
 class TestShiftSpec:
     @pytest.mark.parametrize(
@@ -43,6 +51,22 @@ class TestShiftSpec:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             ShiftSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # each used to pass and give all-NaN or infinite target rows
+            ("rotation", np.nan),
+            ("rotation", np.inf),
+            ("translation", (1.0, np.nan)),
+            ("translation", (-np.inf,)),
+            ("noise_sigma", np.nan),
+            ("noise_sigma", np.inf),
+        ],
+    )
+    def test_non_finite_shift_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ShiftSpec(**{name: value})
 
 
 class TestGenBlobs:
@@ -85,6 +109,14 @@ class TestGenBlobs:
 
 
 class TestTwoMoons:
+    @pytest.mark.parametrize(
+        "name, value", [("rotation", np.nan), ("rotation", -np.inf), ("noise_sigma", np.inf)]
+    )
+    def test_non_finite_shift_rejected_by_name(self, name, value):
+        kwargs = {"n_per_class": 5, "rotation": 30.0, "noise_sigma": 0.1, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gen_two_moons_shift(**kwargs)
+
     def test_counts(self):
         src, tgt = gen_two_moons_shift(n_per_class=150, rotation=0.0, noise_sigma=0.1, seed=2)
         assert src.n == 300 and tgt.n == 300

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_helpers import admitted_reference, kmeans_reference, seed_centroids_reference
+from graph_helpers import (
+    admitted_reference,
+    kmeans_reference,
+    per_branch_selection,
+    seed_centroids_reference,
+)
 
 from dcp.pseudo_label import (
-    PseudoLabelBatch,
     _admitted,
     class_means,
     kmeans_assign,
@@ -159,69 +163,111 @@ class TestKmeans:
         np.testing.assert_array_equal(out, [[2.0], [7.0], [7.0]])
 
 
+def select(f_adv, f_clu, y_adv, y_clu, bank_adv, bank_clu, t):
+    """``select_high_confidence`` on per-branch inputs, stacked as the trainer stacks them."""
+    return select_high_confidence(
+        np.stack([f_adv, f_clu]), np.stack([y_adv, y_clu]), np.vstack([bank_adv, bank_clu]), t
+    )
+
+
+def accepted(pseudo):
+    """The selected batch rows and their labels."""
+    indices = np.flatnonzero(pseudo >= 0)
+    return indices, pseudo[indices]
+
+
 class TestSelection:
     def test_cold_start_quota_zero_selects_nothing(self):
         # N_b=4, K=2 at T=0: adv quota floor(0.4*4/2)=0 gates everything out.
         feats = np.arange(8, dtype=float).reshape(4, 2)
         bank = np.array([[0.0, 0.0], [10.0, 10.0]])
-        out = select_high_confidence(feats, feats, [0, 0, 1, 1], [0, 0, 1, 1], bank, bank, 0)
-        assert len(out) == 0
+        out = select(feats, feats, [0, 0, 1, 1], [0, 0, 1, 1], bank, bank, 0)
+        assert out.shape == (4,) and (out == -1).all()
 
     def test_large_t_agreeing_branches_select_quota_per_class(self):
         # N_b=10, K=2, T=1000: quotas floor(0.9*5)=4 and floor(0.99995*5)=4.
         feats = np.array([[d] for d in (0.1, 0.2, 0.3, 0.4, 0.5, 9.1, 9.2, 9.3, 9.4, 9.5)])
         labels = np.array([0] * 5 + [1] * 5)
         bank = np.array([[0.0], [10.0]])
-        out = select_high_confidence(feats, feats, labels, labels, bank, bank, 1000)
-        assert len(out) == 8
-        assert (np.bincount(out.labels, minlength=2) == [4, 4]).all()
+        indices, picked = accepted(select(feats, feats, labels, labels, bank, bank, 1000))
+        assert len(indices) == 8
+        assert (np.bincount(picked, minlength=2) == [4, 4]).all()
         # the farthest sample of each class was dropped
-        assert set(out.indices) == {0, 1, 2, 3, 6, 7, 8, 9}
+        assert set(indices) == {0, 1, 2, 3, 6, 7, 8, 9}
 
     def test_total_disagreement_selects_nothing(self):
         feats = np.random.default_rng(0).normal(size=(6, 2))
         bank = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 0, 1, 0, 1])
-        out = select_high_confidence(feats, feats, y, 1 - y, bank, bank, 5000)
-        assert len(out) == 0
+        out = select(feats, feats, y, 1 - y, bank, bank, 5000)
+        assert (out == -1).all()
 
     def test_rank_ties_break_by_batch_index(self):
         feats = np.zeros((4, 1))  # all samples equidistant from the centroid
         labels = np.zeros(4, dtype=int)
         bank = np.array([[1.0], [50.0]])
-        out = select_high_confidence(feats, feats, labels, labels, bank, bank, 1000)
+        indices, _ = accepted(select(feats, feats, labels, labels, bank, bank, 1000))
         # quota floor(0.9*2)=1: only the lowest batch index survives
-        assert list(out.indices) == [0]
+        assert list(indices) == [0]
 
     def test_batch_size_mismatch_rejected(self):
-        bank = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            select_high_confidence(
-                np.zeros((3, 1)), np.zeros((2, 1)), [0, 0, 0], [0, 0], bank, bank, 0
-            )
+        bank = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="must cover one target batch"):
+            select_high_confidence(np.zeros((2, 3, 1)), np.zeros((2, 2), dtype=int), bank, 0)
 
     def test_centroid_shape_mismatch_rejected(self):
-        feats = np.zeros((4, 1))
-        labels = np.zeros(4, dtype=int)
-        with pytest.raises(ValueError, match="centroid shapes differ"):
-            select_high_confidence(
-                feats, feats, labels, labels, np.zeros((2, 1)), np.zeros((3, 1)), 1000
-            )
+        # a 2-row and a 3-row half make a bank with no K
+        feats = np.zeros((2, 4, 1))
+        labels = np.zeros((2, 4), dtype=int)
+        message = r"centroid bank of shape \(5, 1\) is not \(2K x d_f\)"
+        with pytest.raises(ValueError, match=message):
+            select_high_confidence(feats, labels, np.zeros((5, 1)), 1000)
 
-    @pytest.mark.parametrize("branch", ["labels_adv", "labels_clu"])
+    @pytest.mark.parametrize(
+        "branch", ["adversarial", "clustering"], ids=["labels_adv", "labels_clu"]
+    )
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_outside_class_range_rejected(self, branch, bad):
         feats = np.zeros((4, 1))
         bank = np.array([[0.0], [1.0]])
-        labels = {"labels_adv": np.array([0, 1, 0, 1]), "labels_clu": np.array([0, 1, 0, 1])}
+        labels = {"adversarial": np.array([0, 1, 0, 1]), "clustering": np.array([0, 1, 0, 1])}
         labels[branch] = np.array([0, 1, bad, 1])
-        with pytest.raises(ValueError, match=f"{branch} holds label {bad}, outside \\[0, 2\\)"):
-            select_high_confidence(
-                feats, feats, labels["labels_adv"], labels["labels_clu"], bank, bank, 1000
-            )
+        message = f"{branch} branch holds label {bad}, outside \\[0, 2\\)"
+        with pytest.raises(ValueError, match=message):
+            select(feats, feats, labels["adversarial"], labels["clustering"], bank, bank, 1000)
 
-    def test_empty_batch_constructor(self):
-        assert len(PseudoLabelBatch.empty()) == 0
+    def test_same_selection_as_the_per_branch_reference(self):
+        # the stacked selection against the branch-by-branch code it replaced;
+        # odd cases are integer-valued, so that distances tie
+        quota_zero = quota_above_class = ties = 0
+        for case in range(5000):
+            rng = np.random.default_rng(case)
+            n_b, k = int(rng.integers(1, 48)), int(rng.integers(2, 6))
+            d_f, t = int(rng.integers(1, 70)), int(rng.integers(0, 5000))
+            feats = rng.normal(size=(2, n_b, d_f))
+            bank = rng.normal(size=(2 * k, d_f))
+            if case % 2:
+                feats, bank = np.round(2.0 * feats), np.round(2.0 * bank)
+            labels = rng.integers(0, k, size=(2, n_b))
+            if case % 3 == 0:
+                labels[1] = labels[0]  # agreeing branches select more
+            out = select_high_confidence(feats, labels, bank, t)
+            indices, picked = per_branch_selection(
+                feats[0], feats[1], labels[0], labels[1], bank[:k], bank[k:], t
+            )
+            expected = np.full(n_b, -1)
+            expected[indices] = picked
+            assert np.array_equal(out, expected), case
+            quotas = (per_class_quota(tau_adv(t), n_b, k), per_class_quota(tau_clu(t), n_b, k))
+            groups = labels + np.array([[0], [k]])
+            sizes = np.bincount(groups.ravel())
+            dists = np.sqrt(((feats - bank[groups]) ** 2).sum(axis=2))
+            quota_zero += min(quotas) == 0
+            quota_above_class += min(quotas) > sizes[sizes > 0].min()
+            ties += len(set(zip(groups.ravel(), dists.ravel()))) < 2 * n_b
+        # every case kind is well represented
+        kinds = (quota_zero, quota_above_class, ties)
+        assert min(kinds) >= 200, kinds
 
 
 class TestAdmitted:
@@ -236,14 +282,15 @@ class TestAdmitted:
             dists += rng.normal(size=n)
         for quota in range(0, n + 2):
             assert np.array_equal(
-                _admitted(labels, dists, quota, k), admitted_reference(labels, dists, quota, k)
+                _admitted(labels, dists, np.full(k, quota)),
+                admitted_reference(labels, dists, quota, k),
             )
 
     def test_single_member_and_absent_classes(self):
         labels = np.array([2, 0, 0, 0])  # class 1 absent, class 2 one member
         dists = np.array([5.0, 1.0, 1.0, 0.5])
         expected = admitted_reference(labels, dists, 2, 3)
-        assert np.array_equal(_admitted(labels, dists, 2, 3), expected)
+        assert np.array_equal(_admitted(labels, dists, np.full(3, 2)), expected)
         assert list(np.flatnonzero(expected)) == [0, 1, 3]
 
 
@@ -267,13 +314,13 @@ def test_selection_invariants_fuzzed(seed, n_b, k, t):
     bank_adv = rng.normal(size=(k, d_f))
     bank_clu = rng.normal(size=(k, d_f))
 
-    out = select_high_confidence(f_adv, f_clu, y_adv, y_clu, bank_adv, bank_clu, t)
+    indices, labels = accepted(select(f_adv, f_clu, y_adv, y_clu, bank_adv, bank_clu, t))
 
     agreement = set(np.flatnonzero(y_adv == y_clu))
-    assert set(out.indices) <= agreement
-    assert np.array_equal(out.labels, y_adv[out.indices])
+    assert set(indices) <= agreement
+    assert np.array_equal(labels, y_adv[indices])
     quota = min(per_class_quota(tau_adv(t), n_b, k), per_class_quota(tau_clu(t), n_b, k))
-    per_class = np.bincount(out.labels, minlength=k) if len(out) else np.zeros(k, dtype=int)
+    per_class = np.bincount(labels, minlength=k) if len(indices) else np.zeros(k, dtype=int)
     assert (per_class <= quota).all()
 
 
@@ -289,10 +336,10 @@ def test_selection_equivariant_under_batch_permutation(seed, n_b, t):
     bank_adv = rng.normal(size=(k, d_f))
     bank_clu = rng.normal(size=(k, d_f))
 
-    base = select_high_confidence(f_adv, f_clu, y_adv, y_clu, bank_adv, bank_clu, t)
+    base, _ = accepted(select(f_adv, f_clu, y_adv, y_clu, bank_adv, bank_clu, t))
     perm = rng.permutation(n_b)
-    permuted = select_high_confidence(
-        f_adv[perm], f_clu[perm], y_adv[perm], y_clu[perm], bank_adv, bank_clu, t
+    permuted, _ = accepted(
+        select(f_adv[perm], f_clu[perm], y_adv[perm], y_clu[perm], bank_adv, bank_clu, t)
     )
     # distances are continuous so ties have probability zero; map indices back
-    assert set(perm[permuted.indices]) == set(base.indices)
+    assert set(perm[permuted]) == set(base)

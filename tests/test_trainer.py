@@ -12,7 +12,7 @@ from dcp import centroids as cent
 from dcp import losses
 from dcp.datasets import TARGET, LabeledDataset, ShiftSpec, gen_blobs
 from dcp.networks import Mlp, branch_outputs
-from dcp.pseudo_label import PseudoLabelBatch, kmeans_assign
+from dcp.pseudo_label import kmeans_assign
 from dcp.tensor import Tensor, gather_rows, grad_check, weighted_sum
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
@@ -202,6 +202,44 @@ class TestTrainStep:
         keep = ys != 1
         with pytest.raises(ValueError, match="missing class 1"):
             train_step(state, (xs[keep], ys[keep]), tgt_b, tgt_y)
+
+    @staticmethod
+    def _state_snapshot(state):
+        return (
+            [p.values.copy() for net in state.networks.values() for p in net.tensors()],
+            [v.copy() for vel in state.velocity.values() for v in vel],
+            state.t,
+            None if state.banks is None else state.banks.values.copy(),
+        )
+
+    def _assert_state_is(self, state, snapshot):
+        weights, velocity, t, banks = snapshot
+        now = self._state_snapshot(state)
+        assert all(np.array_equal(a, b) for a, b in zip(weights, now[0]))
+        assert all(np.array_equal(a, b) for a, b in zip(velocity, now[1]))
+        assert now[2] == t
+        assert (banks is None and now[3] is None) or np.array_equal(banks, now[3])
+
+    @pytest.mark.parametrize("rows", [11, 13])
+    def test_source_label_count_must_match_rows(self, rows):
+        # a mismatch used to fail inside k-means with numpy's gufunc message
+        state, (xs, ys), tgt_b, tgt_y = self._setup()
+        train_step(state, (xs, ys), tgt_b, tgt_y)
+        before = self._state_snapshot(state)
+        labels = np.resize(ys, rows)
+        with pytest.raises(ValueError, match=f"^{rows} source labels for 12 source rows$"):
+            train_step(state, (xs, labels), tgt_b, tgt_y)
+        self._assert_state_is(state, before)
+
+    def test_true_target_labels_must_cover_the_batch(self):
+        # a short array used to raise IndexError after both updates had moved
+        # the networks, with state.t and state.banks left behind
+        state, src_b, tgt_b, tgt_y = self._setup()
+        train_step(state, src_b, tgt_b, tgt_y)
+        before = self._state_snapshot(state)
+        with pytest.raises(ValueError, match="^11 true target labels for 12 target rows$"):
+            train_step(state, src_b, tgt_b, tgt_y[:-1])
+        self._assert_state_is(state, before)
 
     def test_second_step_can_select(self):
         state, src_b, tgt_b, tgt_y = self._setup()
@@ -399,7 +437,9 @@ class TestTrainStep:
         built = self._nodes_per_step(
             monkeypatch,
             TrainConfig(),
-            lambda live, info: live and len(info.selected) and not info.alignment_skipped,
+            lambda live, info: (
+                live and (info.pseudo_labels >= 0).any() and not info.alignment_skipped
+            ),
         )
         assert built == 27
 
@@ -657,15 +697,14 @@ class TestEvaluate:
 
 class TestPseudoPrecision:
     def test_all_correct(self):
-        batch = PseudoLabelBatch(indices=np.array([0, 2]), labels=np.array([1, 0]))
-        assert pseudo_precision(batch, [1, 9, 0]) == 1.0
+        # rows 0 and 2 selected; row 1 was not, so its true label is never read
+        assert pseudo_precision(np.array([1, -1, 0]), [1, 9, 0]) == 1.0
 
     def test_empty_is_absent(self):
-        assert pseudo_precision(PseudoLabelBatch.empty(), [0, 1]) is None
+        assert pseudo_precision(np.array([-1, -1]), [0, 1]) is None
 
     def test_three_of_four(self):
-        batch = PseudoLabelBatch(indices=np.array([0, 1, 2, 3]), labels=np.array([0, 0, 1, 1]))
-        assert pseudo_precision(batch, [0, 0, 1, 0]) == 0.75
+        assert pseudo_precision(np.array([0, 0, 1, 1]), [0, 0, 1, 0]) == 0.75
 
 
 class TestCheckpoint:
@@ -785,16 +824,14 @@ class TestMainObjectiveGradient:
         return TrainState(config=tiny_config(alpha=0.5), k=3, networks=networks, velocity=velocity)
 
     @staticmethod
-    def _objective(nets, disc, xs, ys, xt, selected, banks, cfg):
+    def _objective(nets, disc, xs, ys, xt, pseudo, banks, cfg):
         k = 3
         fs_adv, ft_adv = nets["adv_extractor"](xs), nets["adv_extractor"](xt)
         fs_clu, ft_clu = nets["clu_extractor"](xs), nets["clu_extractor"](xt)
-        pseudo = np.full(xt.rows, -1)
-        pseudo[selected.indices] = selected.labels
         union = np.concatenate([ys, pseudo])
         fresh = cent.compute_centroids((fs_adv, ft_adv), (fs_clu, ft_clu), union, k)
         banks = cent.update_centroids_ema(banks, fresh, cfg.ema_momentum)
-        picked = selected.indices
+        picked = np.flatnonzero(pseudo >= 0)
         terms = {
             "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
             "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
@@ -802,10 +839,10 @@ class TestMainObjectiveGradient:
             "l_pl": weighted_sum(
                 [
                     losses.source_classification_loss(
-                        gather_rows(nets["adv_head"](ft_adv), picked), selected.labels
+                        gather_rows(nets["adv_head"](ft_adv), picked), pseudo[picked]
                     ),
                     losses.source_classification_loss(
-                        nets["clu_head"](gather_rows(ft_clu, picked)), selected.labels
+                        nets["clu_head"](gather_rows(ft_clu, picked)), pseudo[picked]
                     ),
                 ],
                 [1.0, 1.0],
@@ -826,14 +863,15 @@ class TestMainObjectiveGradient:
             xs, ys, xt = src.X[src_idx], src.y[src_idx], tgt.X[tgt_idx]
             before = copy.deepcopy(state)
             record, info = train_step(state, (xs, ys), xt)
-            if before.banks is not None and len(info.selected) and not info.alignment_skipped:
+            selected = (info.pseudo_labels >= 0).any()
+            if before.banks is not None and selected and not info.alignment_skipped:
                 break
         else:
             pytest.fail("no step selected pseudo-labels with live centroid banks")
 
         # the main phase sees the discriminator after its own update
         disc = state.networks["discriminator"]
-        args = (Tensor(xs), ys, Tensor(xt), info.selected, before.banks, before.config)
+        args = (Tensor(xs), ys, Tensor(xt), info.pseudo_labels, before.banks, before.config)
         _, terms = self._objective(before.networks, disc, *args)
         for name, term in terms.items():
             assert term.item() == getattr(record, name), name
