@@ -53,9 +53,9 @@ class LabeledDataset:
         self.y = np.asarray(self.y, dtype=np.int64).reshape(-1)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
-        finite_rows = np.isfinite(self.X).all(axis=1)
-        if not finite_rows.all():
-            row = int(np.argmin(finite_rows))
+        # one whole-array reduction; the per-row one is several times slower
+        if not np.isfinite(self.X).all():
+            row = int(np.argmin(np.isfinite(self.X).all(axis=1)))
             raise ValueError(f"X row {row} holds a non-finite value: {self.X[row].tolist()}")
         if self.y.shape[0] != self.X.shape[0]:
             raise ValueError(f"{self.y.shape[0]} labels for {self.X.shape[0]} rows")
