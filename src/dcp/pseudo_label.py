@@ -150,6 +150,8 @@ def select_high_confidence(
     groups = labels + np.array([[0], [k]])
     diffs = features - banks[groups]
     dists = np.sqrt((diffs * diffs).sum(axis=2))
-    quotas = np.repeat([per_class_quota(tau(t), n_b, k) for tau in (tau_adv, tau_clu)], k)
+    quota_adv = per_class_quota(tau_adv(t), n_b, k)
+    quota_clu = per_class_quota(tau_clu(t), n_b, k)
+    quotas = np.array([quota_adv] * k + [quota_clu] * k)
     adv, clu = _admitted(groups.ravel(), dists.ravel(), quotas).reshape(2, n_b)
     return np.where(adv & clu & (labels[0] == labels[1]), labels[0], -1)

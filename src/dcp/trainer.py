@@ -329,9 +329,10 @@ def train_step(
 
     # (c) double-threshold screening against the previous iteration's banks
     if cfg.use_pseudo_labels and state.banks is not None:
+        # np.array stacks two same-shaped arrays as np.stack does, in one C call
         pseudo = select_high_confidence(
-            np.stack([ft_adv.values, ft_clu.values]),
-            np.stack([y_adv_target, y_clu_target]),
+            np.array([ft_adv.values, ft_clu.values]),
+            np.array([y_adv_target, y_clu_target]),
             state.banks.values,
             state.t,
         )
