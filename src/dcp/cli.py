@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 missing input file (or a directory where a file
 should be), 2 usage error (bad flags or config, an output directory that
 cannot be created or an output file's path that is not a regular file, or a
-malformed or out-of-range input file), 3 numeric failure during training, 4
-checkpoint version mismatch, 141 stdout closed by its reader (128 + SIGPIPE).
+malformed or out-of-range input file), 3 numeric failure during training
+(the metrics and checkpoint of the good iterations are still written, and the
+manifest gains a ``failure`` entry), 4 checkpoint version mismatch, 141
+stdout closed by its reader (128 + SIGPIPE).
 A gradcheck failure also exits 1.
 Every training run writes exactly one manifest describing the config and
 dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
@@ -23,6 +25,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .datasets import ShiftSpec, gen_blobs, gen_two_moons_shift, load_embeddings, save_embeddings
@@ -235,24 +239,37 @@ def cmd_train(args, parser) -> int:
     target = load_embeddings(target_path)
     out_dir = _out_dir(args.out_dir, parser, "checkpoint.json", "metrics.csv", "manifest.json")
 
-    checkpoint, records = train(config, source, target)
+    failure = None
+    # a numeric failure is reported once, by main, not after numpy's warnings
+    with np.errstate(all="ignore"):
+        try:
+            checkpoint, records = train(config, source, target)
+        except NumericsError as exc:
+            failure, checkpoint, records = exc, exc.checkpoint, exc.records
 
     ckpt_path = out_dir / "checkpoint.json"
     metrics_path = out_dir / "metrics.csv"
     checkpoint.save(ckpt_path)
     write_metrics_csv(records, metrics_path)
-    _write_manifest(
-        out_dir,
-        {
-            "command": "train",
-            "config": config.to_dict(),
-            "inputs": {
-                "source": {"path": str(source_path), "sha256": _sha256(source_path)},
-                "target": {"path": str(target_path), "sha256": _sha256(target_path)},
-            },
-            "outputs": {"checkpoint": ckpt_path.name, "metrics": metrics_path.name},
+    manifest = {
+        "command": "train",
+        "config": config.to_dict(),
+        "inputs": {
+            "source": {"path": str(source_path), "sha256": _sha256(source_path)},
+            "target": {"path": str(target_path), "sha256": _sha256(target_path)},
         },
-    )
+        "outputs": {"checkpoint": ckpt_path.name, "metrics": metrics_path.name},
+    }
+    if failure is not None:
+        # never finite, and JSON has no NaN or infinity: written as text
+        manifest["failure"] = {
+            "iteration": failure.iteration,
+            "loss": failure.loss,
+            "value": str(failure.value),
+        }
+    _write_manifest(out_dir, manifest)
+    if failure is not None:
+        raise failure
     if records:
         last = records[-1]
         # absent when the target carries unknown labels

@@ -9,6 +9,7 @@ accessor so training code cannot touch them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,6 +232,8 @@ def load_embeddings(path) -> LabeledDataset:
                 labels.append(int(row[d]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"{path}:{line_no}: non-finite feature in {row[:d]!r}")
             domain_code = row[d + 1].strip()
             if domain_code not in _CODE_DOMAINS:
                 raise SchemaError(f"{path}:{line_no}: domain must be 's' or 't', got {row[d + 1]!r}")

@@ -63,5 +63,5 @@ def generator_loss(s_target: Tensor) -> Tensor:
 
 
 def source_classification_loss(logits: Tensor, labels) -> Tensor:
-    """Cross entropy of labeled rows: source labels or accepted pseudo-labels."""
+    """Cross entropy of labeled rows: source labels, or pseudo-labels with -1 rows skipped."""
     return softmax_cross_entropy(logits, labels)

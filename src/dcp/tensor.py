@@ -20,7 +20,8 @@ is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
 There is no elementwise arithmetic: the node types here are
-:func:`gather_rows`, :func:`softmax_cross_entropy` and :func:`weighted_sum`.
+:func:`softmax_cross_entropy`, which skips the rows labeled -1, and
+:func:`weighted_sum`.
 A whole network call is one node (``networks.forward``, on the layer kernel
 :func:`linear_values`), and so is each loss term; so are the centroids of
 both classifier branches, stacked as one (2K x d_f) bank, and each of their
@@ -239,41 +240,31 @@ def linear_values(x: np.ndarray, wt: np.ndarray, b: np.ndarray, relu: bool) -> n
     return h
 
 
-def gather_rows(t: Tensor, indices) -> Tensor:
-    """The rows of ``t`` at ``indices``, which must be strictly increasing.
-
-    A selection mask's ``np.flatnonzero`` gives such indices. Because no row
-    repeats, the gradient is the upstream rows added into zeros at
-    ``indices``; every other row gets zero.
-    """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if indices.size and (indices[0] < 0 or indices[-1] >= t.rows):
-        raise IndexError(f"rows {indices[0]}..{indices[-1]} out of range [0, {t.rows})")
-    if (indices[1:] <= indices[:-1]).any():
-        raise ValueError("gather_rows needs strictly increasing row indices")
-
-    def bw(g: np.ndarray) -> None:
-        scattered = np.zeros(t.shape)
-        scattered[indices] += g
-        t._accumulate(scattered)
-
-    return Tensor._node(t.values[indices], (t,), bw)
-
-
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[row, label].
+    """Mean over the labeled rows of -log softmax(logits)[row, label].
 
-    Numerically stabilized by row-max subtraction, so saturated logits do not
-    overflow.
+    A label of -1 marks an unlabeled row, as in ``centroids.compute_centroids``:
+    it is left out of the mean and its gradient row is zero. The loss and the
+    labeled rows' gradient are computed on those rows alone, so they equal the
+    cross entropy of the labeled rows bit for bit. A batch with no labeled row
+    raises. Numerically stabilized by row-max subtraction, so saturated logits
+    do not overflow.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, k = logits.shape
     if labels.shape[0] != n:
         raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
-    out_of_range = (labels < 0) | (labels >= k)
-    if out_of_range.any():
-        raise IndexError(f"label {labels[out_of_range][0]} out of range [0, {k})")
+    lowest = labels.min()
+    if lowest < -1 or labels.max() >= k:
+        bad = labels[(labels < -1) | (labels >= k)][0]
+        raise IndexError(f"label {bad} out of range [-1, {k})")
     v = logits.values
+    labeled = None
+    if lowest < 0:
+        labeled = np.flatnonzero(labels >= 0)
+        if labeled.size == 0:
+            raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
+        v, labels, n = v[labeled], labels[labeled], labeled.size
     z = v - np.maximum.reduce(v, axis=1, keepdims=True)
     ez = np.exp(z)
     sez = np.add.reduce(ez, axis=1)
@@ -283,6 +274,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     local = ez / sez[:, None]
     local[rows, labels] -= 1.0
     local /= n
+    if labeled is not None:
+        local_labeled, local = local, np.zeros(logits.shape)
+        local[labeled] = local_labeled
 
     def bw(g: np.ndarray) -> None:
         logits._accumulate(g[0, 0] * local)

@@ -5,8 +5,9 @@ minimization of L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS); the
 discriminator is frozen during the main step. Pseudo-labels are screened
 against the previous iteration's centroid banks, consumed by this iteration's
 centroid update and by L_PL, and then discarded. L_PL is the cross entropy of
-both classifiers on the accepted target samples: a high-confidence label
-trains the two classifiers as a source label does.
+both classifiers on the target batch with its unaccepted rows (label -1)
+skipped: a high-confidence label trains the two classifiers as a source
+label does.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import losses
 from .datasets import SOURCE, LabeledDataset
 from .networks import Mlp, branch_outputs
 from .pseudo_label import class_means, kmeans_assign, select_high_confidence, tau_adv, tau_clu
-from .tensor import Tensor, gather_rows, weighted_sum
+from .tensor import Tensor, weighted_sum
 
 CHECKPOINT_FORMAT = "dcp-checkpoint-v3"
 
@@ -38,12 +39,19 @@ class NumericsError(RuntimeError):
     """A loss became non-finite at some iteration.
 
     Raised before any update of that iteration is kept, so the state is the
-    one the last good iteration left.
+    one the last good iteration left. ``loss`` names the loss that failed and
+    ``value`` is its value. When ``train`` raises it, ``records`` holds the
+    metrics of the good iterations and ``checkpoint`` the state they left;
+    from ``train_step`` alone both are None.
     """
 
-    def __init__(self, iteration: int, message: str):
-        super().__init__(f"iteration {iteration}: {message}")
+    def __init__(self, iteration: int, loss: str, value: float):
+        super().__init__(f"iteration {iteration}: {loss} is {value}")
         self.iteration = iteration
+        self.loss = loss
+        self.value = value
+        self.records: list[MetricsRecord] | None = None
+        self.checkpoint: Checkpoint | None = None
 
 
 class UnlabeledDatasetError(ValueError):
@@ -261,7 +269,7 @@ def _check_finite(state: TrainState, **losses_by_name: float | None) -> None:
     """Raise NumericsError on the first non-finite loss; absent losses pass."""
     for name, value in losses_by_name.items():
         if value is not None and not np.isfinite(value):
-            raise NumericsError(state.t, f"{name} is {value}")
+            raise NumericsError(state.t, name, value)
 
 
 def train_step(
@@ -338,7 +346,7 @@ def train_step(
         )
     else:
         pseudo = np.full(n_target, -1, dtype=np.int64)
-    picked = np.flatnonzero(pseudo >= 0)
+    n_selected = np.count_nonzero(pseudo >= 0)
 
     # (d) both branches' centroids over source labels plus accepted
     # pseudo-labels, and their alignment losses
@@ -377,15 +385,11 @@ def train_step(
     l_g = losses.generator_loss(disc.detached()(ft_adv))
     terms = [l_c1, l_c2, l_g]
     l_pl = None
-    if picked.size:
+    if n_selected:
         # accepted pseudo-labels train both classifiers on their rows of the
-        # target batch
-        ce_adv = losses.source_classification_loss(
-            gather_rows(logits_t_adv, picked), pseudo[picked]
-        )
-        ce_clu = losses.source_classification_loss(
-            clu_head(gather_rows(ft_clu, picked)), pseudo[picked]
-        )
+        # target batch; the cross entropy skips the rows labeled -1
+        ce_adv = losses.source_classification_loss(logits_t_adv, pseudo)
+        ce_clu = losses.source_classification_loss(clu_head(ft_clu), pseudo)
         l_pl = weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
         terms.append(l_pl)
     weights = [1.0] * len(terms)
@@ -420,7 +424,7 @@ def train_step(
         **main_losses,
         tau_adv=tau_adv(state.t),
         tau_clu=tau_clu(state.t),
-        n_selected=picked.size,
+        n_selected=n_selected,
         pseudo_precision=(
             pseudo_precision(pseudo, target_batch_true_labels)
             if target_batch_true_labels is not None
@@ -481,7 +485,8 @@ def train(
 ) -> tuple["Checkpoint", list[MetricsRecord]]:
     """Run the configured number of iterations and return checkpoint + metrics.
 
-    The whole run is a pure function of (config, dataset contents): batches
+    A ``NumericsError`` carries the checkpoint and metrics of the iterations
+    before the one that failed. The whole run is a pure function of (config, dataset contents): batches
     come from seeded per-epoch shuffles, target accuracy is measured through
     the evaluation-only label accessor, and records at the evaluation cadence
     carry source/target accuracy. Target accuracy and pseudo-label precision
@@ -517,12 +522,17 @@ def train(
     for t in range(config.iterations):
         src_idx = source_sampler.next_batch()
         tgt_idx = target_sampler.next_batch()
-        record, info = train_step(
-            state,
-            (source.X[src_idx], source.y[src_idx]),
-            target.X[tgt_idx],
-            target_batch_true_labels=target_eval_labels[tgt_idx] if target_labeled else None,
-        )
+        try:
+            record, info = train_step(
+                state,
+                (source.X[src_idx], source.y[src_idx]),
+                target.X[tgt_idx],
+                target_batch_true_labels=target_eval_labels[tgt_idx] if target_labeled else None,
+            )
+        except NumericsError as exc:
+            # the state is the last good iteration's: hand it over with its records
+            exc.records, exc.checkpoint = records, _checkpoint(state)
+            raise
         if t % config.eval_every == 0 or t == config.iterations - 1:
             record.source_acc = _dataset_accuracy(state, source.X, source.y)
             if target_labeled:
@@ -530,7 +540,11 @@ def train(
         records.append(record)
         if on_step is not None:
             on_step(state, record, info)
-    return Checkpoint(state.networks["adv_extractor"], state.networks["adv_head"]), records
+    return _checkpoint(state), records
+
+
+def _checkpoint(state: TrainState) -> "Checkpoint":
+    return Checkpoint(state.networks["adv_extractor"], state.networks["adv_head"])
 
 
 def _dataset_accuracy(state: TrainState, x: np.ndarray, y: np.ndarray) -> float:

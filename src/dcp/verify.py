@@ -1,7 +1,8 @@
 """Finite-difference verification of every differentiable training loss.
 
 Each named loss gets fresh random instances per seed; the analytic gradient
-must match central differences within the threshold on every instance. The
+must match central differences within the threshold on every instance.
+L_C1 is also checked with rows labeled -1, the form L_PL takes. The
 centroid losses are checked through the distance matrices, relativization
 and the discrepancy, with respect to the stacked bank of both branches'
 centroids and to one branch's sample features.
@@ -46,7 +47,13 @@ def _build_l_g(rng, d_f, k, n_b) -> list[Instance]:
 def _build_l_c1(rng, d_f, k, n_b) -> list[Instance]:
     logits = Tensor(rng.normal(size=(n_b, k)))
     labels = rng.integers(0, k, size=n_b)
-    return [(lambda x: source_classification_loss(x, labels), logits)]
+    # L_PL's form: about half the rows unlabeled (-1), the first one labeled
+    masked = np.where(rng.random(n_b) < 0.5, -1, labels)
+    masked[0] = labels[0]
+    return [
+        (lambda x: source_classification_loss(x, labels), logits),
+        (lambda x: source_classification_loss(x, masked), logits),
+    ]
 
 
 def _build_l_cc(rng, d_f, k, n_b) -> list[Instance]:

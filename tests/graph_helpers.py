@@ -6,7 +6,15 @@ from dcp.centroids import LOSS_EPS, DegenerateGeometryError, update_centroids_em
 from dcp.losses import CLAMP_EPS
 from dcp.networks import Mlp, forward
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
-from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, linear_values, sigmoid_values
+from dcp.tensor import (
+    SQRT_SHIFT,
+    ShapeError,
+    Tensor,
+    linear_values,
+    sigmoid_values,
+    softmax_cross_entropy,
+    weighted_sum,
+)
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -300,6 +308,42 @@ def per_branch_selection(
 
     selected = np.flatnonzero(adm_adv & adm_clu & (y_adv == y_clu))
     return selected, y_adv[selected]
+
+
+# -- the row gather that the -1-masked cross entropy replaced -----------------
+# L_PL once gathered the selected target rows before each cross entropy; the
+# cross entropy now skips the rows labeled -1 itself. Tests require the same
+# bits from both where the rows are the same.
+
+
+def gather_rows(t: Tensor, indices) -> Tensor:
+    """The rows of ``t`` at ``indices``, which must be strictly increasing.
+
+    A selection mask's ``np.flatnonzero`` gives such indices. Because no row
+    repeats, the gradient is the upstream rows added into zeros at
+    ``indices``; every other row gets zero.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if indices.size and (indices[0] < 0 or indices[-1] >= t.rows):
+        raise IndexError(f"rows {indices[0]}..{indices[-1]} out of range [0, {t.rows})")
+    if (indices[1:] <= indices[:-1]).any():
+        raise ValueError("gather_rows needs strictly increasing row indices")
+
+    def bw(g):
+        scattered = np.zeros(t.shape)
+        scattered[indices] += g
+        t._accumulate(scattered)
+
+    return Tensor._node(t.values[indices], (t,), bw)
+
+
+def gathered_pseudo_label_loss(logits_t_adv: Tensor, clu_head: Mlp, ft_clu: Tensor, pseudo):
+    """L_PL through row gathers: the adversarial logits' selected rows, and the
+    clustering head run on the selected rows of its target features only."""
+    picked = np.flatnonzero(pseudo >= 0)
+    ce_adv = softmax_cross_entropy(gather_rows(logits_t_adv, picked), pseudo[picked])
+    ce_clu = softmax_cross_entropy(clu_head(gather_rows(ft_clu, picked)), pseudo[picked])
+    return weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------

@@ -10,13 +10,16 @@ Criteria 5 and 6 train on separate benchmarks, each from its own fixture:
 - criterion 6 (high-confidence precision) trains the full arm on the default
   shift (rotation 35, translation (1,0), sigma 0.6) over seeds 0-4: 5 runs.
 
-Both fixtures get their runs from ``run_arm`` in
-``scripts/run_transfer_benchmark.py``. Those 25 runs of 1500 iterations
-take 74-94 s on a 2-vCPU Intel Xeon: the whole suite's wall time in
-``test_wall.acceptance`` of ``BENCH_pr8.json`` to ``BENCH_pr10.json``.
+Both fixtures map ``run_arm`` in ``scripts/run_transfer_benchmark.py`` over
+one pool of at most two spawned worker processes, each at one BLAS thread.
+Those 25 runs of 1500 iterations took 73-94 s one after another on a 2-vCPU
+Intel Xeon (``test_wall.acceptance`` of ``BENCH_pr8.json`` to
+``BENCH_pr16.json``); on two workers the gain is parallelism, not step time.
 Every other criterion takes seconds.
 """
 
+import multiprocessing
+import os
 import sys
 import time
 from pathlib import Path
@@ -75,22 +78,48 @@ def report(criterion, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def transfer_runs():
-    return {
-        arm: [
-            run_arm(ShiftSpec(seed=seed, **TRANSFER_BENCHMARK), full, T_MAX, PRECISION_PROBE_T)
-            for seed in TRANSFER_SEEDS
-        ]
-        for arm, full in (("full", True), ("baseline", False))
-    }
+def arm_pool():
+    """At most two spawned workers, each at one BLAS thread, for ``run_arm``.
+
+    One thread gives the same metrics trace as the default thread count. The
+    workers see the transfer script on their import path, and the pool is
+    closed and joined when the module's tests are done.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")
+        patch.syspath_prepend(str(SCRIPTS))
+        pool = multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1))
+    try:
+        yield pool
+    finally:
+        pool.close()
+        pool.join()
 
 
 @pytest.fixture(scope="module")
-def precision_runs():
-    return [
-        run_arm(ShiftSpec(seed=seed, **PRECISION_BENCHMARK), True, T_MAX, PRECISION_PROBE_T)
-        for seed in PRECISION_SEEDS
-    ]
+def transfer_runs(arm_pool):
+    arms = (("full", True), ("baseline", False))
+    runs = arm_pool.starmap(
+        run_arm,
+        [
+            (ShiftSpec(seed=seed, **TRANSFER_BENCHMARK), full, T_MAX, PRECISION_PROBE_T)
+            for _, full in arms
+            for seed in TRANSFER_SEEDS
+        ],
+    )
+    n = len(TRANSFER_SEEDS)
+    return {arm: runs[i * n : (i + 1) * n] for i, (arm, _) in enumerate(arms)}
+
+
+@pytest.fixture(scope="module")
+def precision_runs(arm_pool):
+    return arm_pool.starmap(
+        run_arm,
+        [
+            (ShiftSpec(seed=seed, **PRECISION_BENCHMARK), True, T_MAX, PRECISION_PROBE_T)
+            for seed in PRECISION_SEEDS
+        ],
+    )
 
 
 def test_criterion_1_gradient_correctness():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from operator import setitem
 from pathlib import Path
 
@@ -270,6 +271,24 @@ class TestTrain:
         assert code == 3
         assert "iteration" in capsys.readouterr().err
 
+    def test_numeric_failure_writes_the_good_iterations(self, blob_files, tmp_path, capsys):
+        # lr 1e150 blows up in iteration 1; iteration 0 is the last good state
+        failed, one = tmp_path / "failed", tmp_path / "one"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning precedes the message
+            code = run_cli(self._train_args(blob_files, failed, ("--lr", "1e150")))
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numeric failure: iteration 1: l_d is nan\n"
+        manifest = json.loads((failed / "manifest.json").read_text())
+        assert manifest["failure"] == {"iteration": 1, "loss": "l_d", "value": "nan"}
+        assert manifest["outputs"] == {"checkpoint": "checkpoint.json", "metrics": "metrics.csv"}
+        assert run_cli(self._train_args(blob_files, one, ("--lr", "1e150", "--iters", "1"))) == 0
+        assert "failure" not in json.loads((one / "manifest.json").read_text())
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert (failed / name).read_bytes() == (one / name).read_bytes(), name
+
     def test_target_label_out_of_range_is_usage_error(self, blob_files, tmp_path, capsys):
         bad = relabeled_copy(blob_files / "target.csv", tmp_path / "bad_target.csv", 5)
         args = self._train_args(blob_files, tmp_path / "run")
@@ -277,7 +296,8 @@ class TestTrain:
         assert_usage_error(run_cli(args), capsys, "target label 5 is outside [-1, 3)")
 
     def test_non_finite_feature_is_usage_error(self, blob_files, tmp_path, capsys):
-        # used to fail in step 0 with "numeric failure: iteration 0: l_d is nan"
+        # used to fail in step 0 with "numeric failure: iteration 0: l_d is nan";
+        # the error names the file and line, as the loader's other errors do
         bad = tmp_path / "bad_target.csv"
         lines = (blob_files / "target.csv").read_text().splitlines()
         lines[3] = "nan," + lines[3].split(",", 1)[1]
@@ -285,7 +305,7 @@ class TestTrain:
         out = tmp_path / "run"
         args = self._train_args(blob_files, out)
         args[args.index("--target") + 1] = str(bad)
-        assert_usage_error(run_cli(args), capsys, "X row 2 holds a non-finite value: [nan, ")
+        assert_usage_error(run_cli(args), capsys, "bad_target.csv:4: non-finite feature in ['nan', ")
         assert not out.exists()
 
     def test_malformed_header_is_usage_error(self, blob_files, tmp_path, capsys):

@@ -186,6 +186,13 @@ class TestEmbeddingsRoundTrip:
         with pytest.raises(ParseError, match=":3:"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label,domain\n1.0,2.0,0,t\n3.0,4.0,-1,t\n1.0,{value},1,t\n")
+        with pytest.raises(ParseError, match=f"bad.csv:4: non-finite feature in \\['1.0', '{value}'\\]"):
+            load_embeddings(path)
+
     def test_inconsistent_width_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label,domain\n1.0,2.0,0,s\n1.0,0,s\n")

@@ -5,6 +5,7 @@ import pytest
 from graph_helpers import (
     contract,
     cross_entropy_reference,
+    gather_rows,
     matmul,
     network,
     pairwise_euclidean,
@@ -20,7 +21,6 @@ from dcp.tensor import (
     EvaluationError,
     ShapeError,
     Tensor,
-    gather_rows,
     grad_check,
     linear_values,
     sigmoid_values,
@@ -133,7 +133,8 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(loss.item())
 
     def test_label_out_of_range(self):
-        for label in (2, -1):
+        # -1 marks an unlabeled row; -2 is out of range
+        for label in (2, -2):
             with pytest.raises(IndexError, match=f"label {label} out of range"):
                 softmax_cross_entropy(Tensor([[0.0, 0.0], [0.0, 0.0]]), [0, label])
 
@@ -158,6 +159,47 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 3, size=4)
         report = grad_check(lambda x: softmax_cross_entropy(x, labels), Tensor(logits))
         assert report.max_rel_error < 1e-4
+
+
+class TestMaskedCrossEntropy:
+    """Label -1 marks an unlabeled row: the cross entropy skips it."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(2, 40), rng.integers(2, 6)
+        logits = rng.normal(scale=10.0 ** rng.integers(0, 4), size=(n, k))
+        labels = rng.integers(0, k, size=n)
+        unlabeled = rng.random(n) < rng.uniform(0.1, 0.9)
+        unlabeled[rng.integers(n)] = False  # at least one labeled row
+        labels[unlabeled] = -1
+        return logits, labels
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_the_labeled_subset(self, seed):
+        logits, labels = self._case(seed)
+        upstream = np.random.default_rng(seed + 100).normal(size=(1, 1))
+        kept = np.flatnonzero(labels >= 0)
+        masked, subset = Tensor(logits, requires_grad=True), Tensor(logits[kept], requires_grad=True)
+        masked_loss = softmax_cross_entropy(masked, labels)
+        subset_loss = softmax_cross_entropy(subset, labels[kept])
+        for loss in (masked_loss, subset_loss):
+            contract(loss, upstream).backward()
+        assert np.array_equal(masked_loss.values, subset_loss.values)
+        assert np.array_equal(masked.grad[kept], subset.grad)
+        # unlabeled rows get exactly zero gradient
+        assert not masked.grad[labels < 0].any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_matches_finite_differences(self, seed):
+        logits, labels = self._case(seed)
+        logits /= np.abs(logits).max()  # unsaturated, so differences resolve the slope
+        report = grad_check(lambda x: softmax_cross_entropy(x, labels), Tensor(logits))
+        assert report.max_rel_error < 1e-4
+
+    def test_every_row_unlabeled_raises(self):
+        with pytest.raises(ValueError, match="all 3 labels are -1"):
+            softmax_cross_entropy(Tensor(np.zeros((3, 2))), [-1, -1, -1])
 
 
 class TestPairwiseEuclidean:
@@ -378,6 +420,9 @@ class TestGradientOwnership:
 
 
 class TestGatherRows:
+    """The row gather that L_PL used before the cross entropy took -1 labels;
+    it is the reference for that change."""
+
     def test_values_and_gradient_scatter_into_selected_rows(self):
         t = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         out = gather_rows(t, [0, 2])

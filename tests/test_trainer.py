@@ -6,14 +6,14 @@ import re
 
 import numpy as np
 import pytest
-from graph_helpers import kmeans_reference, network
+from graph_helpers import gathered_pseudo_label_loss, kmeans_reference, network
 
 from dcp import centroids as cent
 from dcp import losses
 from dcp.datasets import TARGET, LabeledDataset, ShiftSpec, gen_blobs
 from dcp.networks import Mlp, branch_outputs
 from dcp.pseudo_label import kmeans_assign
-from dcp.tensor import Tensor, gather_rows, grad_check, weighted_sum
+from dcp.tensor import Tensor, grad_check, weighted_sum
 from dcp.trainer import (
     CHECKPOINT_FORMAT,
     FEATURE_DIM,
@@ -432,8 +432,8 @@ class TestTrainStep:
         # alignment: 11 network calls (4 extractor, 4 head and 3
         # discriminator passes); 2 for both branches' centroids and their
         # EMA blend; 2 relativized distance matrices; 2 alignment losses;
-        # l_d, l_g, l_c1, l_c2; 2 row gathers, 2 cross entropies and 1 sum
-        # for L_PL; 1 weighted sum for the objective
+        # l_d, l_g, l_c1, l_c2; 2 cross entropies, which skip the unselected
+        # rows themselves, and 1 sum for L_PL; 1 weighted sum for the objective
         built = self._nodes_per_step(
             monkeypatch,
             TrainConfig(),
@@ -441,7 +441,7 @@ class TestTrainStep:
                 live and (info.pseudo_labels >= 0).any() and not info.alignment_skipped
             ),
         )
-        assert built == 27
+        assert built == 25
 
     def test_graph_nodes_without_alignment_weight_or_pseudo_labels(self, monkeypatch):
         # alpha=0 and no pseudo-labels, with live banks: 10 network calls
@@ -573,6 +573,24 @@ class TestTrain:
         assert records[0].source_acc is not None
         assert records[1].source_acc is None
         assert records[-1].target_acc is not None
+
+    def test_numeric_failure_carries_the_good_iterations(self):
+        src, tgt = tiny_datasets()
+        cfg = tiny_config(lr=1e150, iterations=6)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as caught:
+            train(cfg, src, tgt)
+        exc = caught.value
+        assert exc.iteration >= 1
+        assert exc.loss in METRICS_FIELDS and not np.isfinite(exc.value)
+        assert str(exc) == f"iteration {exc.iteration}: {exc.loss} is {exc.value}"
+        # the same as a run that stops before the failing iteration
+        with np.errstate(all="ignore"):
+            ckpt, records = train(dataclasses.replace(cfg, iterations=exc.iteration), src, tgt)
+        assert exc.records[:-1] == records[:-1]
+        assert [r.T for r in exc.records] == list(range(exc.iteration))
+        for net in ("adv_extractor", "adv_head"):
+            for a, b in zip(getattr(exc.checkpoint, net).tensors(), getattr(ckpt, net).tensors()):
+                assert np.array_equal(a.values, b.values)
 
     def test_no_shift_transfer_gap_small(self):
         src, tgt = gen_blobs(
@@ -806,7 +824,7 @@ class TestMainObjectiveGradient:
     builds it, checked with respect to every parameter of two tiny
     extractors: through the network nodes, the stacked centroids of both
     branches, the EMA blend, the relativized distance matrices and the
-    pseudo-label row gather.
+    -1-masked cross entropies of L_PL.
     """
 
     def _tiny_state(self) -> TrainState:
@@ -831,19 +849,14 @@ class TestMainObjectiveGradient:
         union = np.concatenate([ys, pseudo])
         fresh = cent.compute_centroids((fs_adv, ft_adv), (fs_clu, ft_clu), union, k)
         banks = cent.update_centroids_ema(banks, fresh, cfg.ema_momentum)
-        picked = np.flatnonzero(pseudo >= 0)
         terms = {
             "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
             "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
             "l_g": losses.generator_loss(disc.detached()(ft_adv)),
             "l_pl": weighted_sum(
                 [
-                    losses.source_classification_loss(
-                        gather_rows(nets["adv_head"](ft_adv), picked), pseudo[picked]
-                    ),
-                    losses.source_classification_loss(
-                        nets["clu_head"](gather_rows(ft_clu, picked)), pseudo[picked]
-                    ),
+                    losses.source_classification_loss(nets["adv_head"](ft_adv), pseudo),
+                    losses.source_classification_loss(nets["clu_head"](ft_clu), pseudo),
                 ],
                 [1.0, 1.0],
             ),
@@ -875,6 +888,13 @@ class TestMainObjectiveGradient:
         _, terms = self._objective(before.networks, disc, *args)
         for name, term in terms.items():
             assert term.item() == getattr(record, name), name
+        # the same L_PL as the row gathers it replaced
+        nets = before.networks
+        ft_adv, ft_clu = nets["adv_extractor"](Tensor(xt)), nets["clu_extractor"](Tensor(xt))
+        gathered = gathered_pseudo_label_loss(
+            nets["adv_head"](ft_adv), nets["clu_head"], ft_clu, info.pseudo_labels
+        )
+        assert gathered.item() == record.l_pl
 
         for net_name in ("adv_extractor", "clu_extractor"):
             net = before.networks[net_name]

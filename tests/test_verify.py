@@ -52,3 +52,18 @@ def test_instances_use_requested_shapes():
     for f, x in verify.LOSS_BUILDERS["l_cs"](rng, d_f=5, k=4, n_b=7):
         assert x.shape in ((8, 5), (7, 5))
         assert f(x).shape == (1, 1)
+
+
+def test_l_c1_checks_rows_labeled_minus_one():
+    # the second instance is L_PL's form: some rows unlabeled, with zero gradient
+    for seed in range(5):
+        instances = verify.LOSS_BUILDERS["l_c1"](np.random.default_rng(seed), d_f=4, k=3, n_b=8)
+        assert len(instances) == 2
+        grads = []
+        for f, x in instances:
+            probe = Tensor(x.values, requires_grad=True)
+            f(probe).backward()
+            grads.append(probe.grad)
+        full, masked = (np.abs(g).sum(axis=1) > 0 for g in grads)
+        assert full.all()
+        assert masked[0] and not masked.all()
