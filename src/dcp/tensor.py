@@ -275,8 +275,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     local[rows, labels] -= 1.0
     local /= n
     if labeled is not None:
-        local_labeled, local = local, np.zeros(logits.shape)
-        local[labeled] = local_labeled
+        full = np.zeros(logits.shape)
+        full[labeled] = local
+        local = full
 
     def bw(g: np.ndarray) -> None:
         logits._accumulate(g[0, 0] * local)

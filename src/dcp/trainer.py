@@ -485,12 +485,13 @@ def train(
 ) -> tuple["Checkpoint", list[MetricsRecord]]:
     """Run the configured number of iterations and return checkpoint + metrics.
 
-    A ``NumericsError`` carries the checkpoint and metrics of the iterations
-    before the one that failed. The whole run is a pure function of (config, dataset contents): batches
+    The whole run is a pure function of (config, dataset contents): batches
     come from seeded per-epoch shuffles, target accuracy is measured through
     the evaluation-only label accessor, and records at the evaluation cadence
     carry source/target accuracy. Target accuracy and pseudo-label precision
-    need every target label; when any is unknown (-1) they are absent.
+    need every target label; when any is unknown (-1) they are absent. A
+    ``NumericsError`` carries the checkpoint and metrics of the iterations
+    before the one that failed.
     """
     if source.domain_tag != SOURCE:
         raise ValueError("first dataset must be the labeled source domain")
