@@ -13,8 +13,8 @@ Criteria 5 and 6 train on separate benchmarks, each from its own fixture:
 Both fixtures map ``run_arm`` in ``scripts/run_transfer_benchmark.py`` over
 one pool of at most two spawned worker processes, each at one BLAS thread.
 Those 25 runs of 1500 iterations took 73-94 s one after another on a 2-vCPU
-Intel Xeon (``test_wall.acceptance`` of ``BENCH_pr8.json`` to
-``BENCH_pr16.json``); on two workers the gain is parallelism, not step time.
+Intel Xeon, and 46 s on two workers (``test_wall.acceptance`` of the
+committed ``BENCH_*.json`` records): the gain is parallelism, not step time.
 Every other criterion takes seconds.
 """
 
