@@ -8,9 +8,14 @@ Runs ``perfbench/run.py`` of the checkout (default: the repository this
 script sits in): ``--trace 0`` on seeds 0-9 of every workload that
 ``BENCHMARK.json`` declares, then ``--trace 1`` on seed 0. Every number in
 the file comes from perfbench's stdout: the median and IQR over seeds of each
-end-to-end metric, the per-layer metrics of the traced run, the quality
-report lines, each seed's metrics-trace hash, and the environment line with
-the BLAS thread count. A short run of seed 0 per workload with
+end-to-end metric, the per-layer metrics of the traced run and its ``wall``
+lines, the quality report lines, each seed's metrics-trace hash, and the
+environment line with the BLAS thread count. The traced run's per-layer
+times are wall times, so they move with the machine's speed; the file also
+keeps each one (every metric in ms) rescaled to perfbench's reference speed
+(its ``REFERENCE_S``, read from the checkout's ``perfbench/workloads.py``)
+by the run's ``wall reference_s`` line, so two records' layer times
+compare. A short run of seed 0 per workload with
 ``OPENBLAS_CORETYPE=Haswell`` adds its trace hash under that kernel. The
 commit is the checkout's git HEAD. The file also holds the median wall time,
 over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
@@ -31,6 +36,7 @@ of the repository this script sits in.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -67,7 +73,40 @@ def parse_run(stdout: str) -> dict:
             run["quality"][name] = None if value == "None" else float(value)
         elif head == "fail_frac":
             run["fail_frac"] = float(rest.split()[0])
+        elif head == "wall":
+            name, value = rest.split()[:2]
+            run.setdefault("wall", {})[name] = float(value)
     return run
+
+
+def perfbench_reference_s(checkout: Path) -> float:
+    """``REFERENCE_S`` of the checkout's ``perfbench/workloads.py``.
+
+    Read from the module's source, not imported: the module imports dcp.
+    """
+    source = (checkout / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "REFERENCE_S"
+        ]:
+            return float(ast.literal_eval(node.value))
+    raise ValueError(f"no REFERENCE_S assignment in {checkout / 'perfbench' / 'workloads.py'}")
+
+
+def at_reference_speed(run: dict, reference_s: float) -> dict:
+    """The run's metrics in ms, rescaled to the speed at which perfbench's
+    ``reference`` takes ``reference_s``.
+
+    Each is multiplied by ``reference_s`` over the run's median reference
+    time, its ``wall reference_s`` line. In a traced run that median is taken
+    over the untraced cycles, which alternate with the traced ones.
+    """
+    scale = reference_s / run["wall"]["reference_s"]
+    return {
+        name: {"value": m["value"] * scale, "unit": m["unit"]}
+        for name, m in run["result"]["metrics"].items()
+        if m["unit"] == "ms"
+    }
 
 
 def summarize(runs: dict[int, dict]) -> dict:
@@ -280,6 +319,10 @@ def main(argv=None) -> int:
         env = env or runs[0]["env"]
         workloads[name] = summarize(runs)
         workloads[name]["per_layer_seed0"] = traced["result"]["metrics"]
+        workloads[name]["traced_wall_seed0"] = traced["wall"]
+        workloads[name]["per_layer_seed0_at_reference_speed"] = at_reference_speed(
+            traced, perfbench_reference_s(checkout)
+        )
         workloads[name]["traced_correct"] = traced["result"]["correct"]
         workloads[name]["haswell_trace_sha256"] = haswell_trace_sha256(checkout, name)
 

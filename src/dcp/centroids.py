@@ -25,8 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import SQRT_SHIFT, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
+# Shift applied inside square roots on the gradient path so that distances and
+# alignment losses keep finite gradients when their argument hits zero
+# (coincident points, perfectly aligned matrices).
+SQRT_SHIFT = 1e-12
 # Shift under the square root of both alignment losses; keeps their gradients
 # finite when the two matrices coincide.
 LOSS_EPS = 1e-12

@@ -302,7 +302,8 @@ def cmd_eval(args, parser) -> int:
     print(f"accuracy {report.accuracy:.4f}")
     counts = report.confusion.sum(axis=1)
     for cls, (acc, n) in enumerate(zip(report.per_class_accuracy, counts)):
-        print(f"class {cls}: accuracy {acc:.4f} ({int(n)} samples)")
+        shown = "absent" if acc is None else f"{acc:.4f}"
+        print(f"class {cls}: accuracy {shown} ({int(n)} samples)")
     return EXIT_OK
 
 

@@ -7,19 +7,28 @@ every optimizer step in the trainer is a minimization. The generator uses the
 non-saturating form, which keeps gradients usable when the discriminator
 dominates early. Source classification is plain softmax cross entropy and is
 reused verbatim for the clustering branch's head and for both heads on
-accepted target pseudo-labels. Each loss is one graph node whose operations
-run in a fixed order, on which the pinned metrics traces depend.
+accepted target pseudo-labels, whose unselected rows it skips. Each loss is
+one graph node, defined here with its formula, whose operations run in a
+fixed order, on which the pinned metrics traces depend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, sigmoid_values, softmax_cross_entropy
+from .tensor import ShapeError, Tensor
 
 # Verdicts are squeezed into [CLAMP_EPS, 1 - CLAMP_EPS] before any log, so the
 # losses stay finite for every logit, saturated ones included.
 CLAMP_EPS = 1e-7
+
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function on a plain array."""
+    # Split by sign to avoid overflow in exp for large |x|.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _verdicts(s: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,5 +72,46 @@ def generator_loss(s_target: Tensor) -> Tensor:
 
 
 def source_classification_loss(logits: Tensor, labels) -> Tensor:
-    """Cross entropy of labeled rows: source labels, or pseudo-labels with -1 rows skipped."""
-    return softmax_cross_entropy(logits, labels)
+    """Mean over the labeled rows of -log softmax(logits)[row, label].
+
+    Source labels label every row; pseudo-labels mark a row that was not
+    selected with -1, as in ``centroids.compute_centroids``, and such a row
+    is left out of the mean and its gradient row is zero. The loss and the
+    labeled rows' gradient are computed on those rows alone, so they equal the
+    cross entropy of the labeled rows bit for bit. A batch with no labeled row
+    raises. Numerically stabilized by row-max subtraction, so saturated logits
+    do not overflow.
+    """
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n, k = logits.shape
+    if labels.shape[0] != n:
+        raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
+    lowest = labels.min()
+    if lowest < -1 or labels.max() >= k:
+        bad = labels[(labels < -1) | (labels >= k)][0]
+        raise IndexError(f"label {bad} out of range [-1, {k})")
+    v = logits.values
+    labeled = None
+    if lowest < 0:
+        labeled = np.flatnonzero(labels >= 0)
+        if labeled.size == 0:
+            raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
+        v, labels, n = v[labeled], labels[labeled], labeled.size
+    z = v - np.maximum.reduce(v, axis=1, keepdims=True)
+    ez = np.exp(z)
+    sez = np.add.reduce(ez, axis=1)
+    rows = np.arange(n)
+    # the label entries of z - log(sez), then their mean
+    loss = -(np.add.reduce(z[rows, labels] - np.log(sez)) / n)
+    local = ez / sez[:, None]
+    local[rows, labels] -= 1.0
+    local /= n
+    if labeled is not None:
+        full = np.zeros(logits.shape)
+        full[labeled] = local
+        local = full
+
+    def bw(g: np.ndarray) -> None:
+        logits._accumulate(g[0, 0] * local)
+
+    return Tensor._node(np.array([[loss]]), (logits,), bw)

@@ -1,11 +1,13 @@
 """Small fully connected networks: feature extractors, heads, discriminator.
 
-A network is its weights: each layer is a weight (out x in) and a bias
-(out x 1), and the layer widths are the weight shapes. Every network ends in
-a linear layer, so it gives logits: the heads' class logits and the
-discriminator's domain logit. Both branches of the model use structurally
-identical extractors with independent parameters; architecture defaults live
-in the trainer.
+A network is its weights: each layer is a C-contiguous weight (in x out) and
+a bias (1 x out), the layout its products read (``x @ W``, ``a.T @ g``,
+``g @ W.T``), so no network call copies a weight; checkpoint files keep
+(out x in) and transpose at load and save. Every network ends in a linear
+layer, so it gives logits: the heads' class logits and the discriminator's
+domain logit. Both branches of the model use structurally identical
+extractors with independent parameters; architecture defaults live in the
+trainer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, linear_values
+from .tensor import ShapeError, Tensor
 
 # Rows per block of the graph-free forward. At the trainer's feature width a
 # block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
@@ -32,8 +34,8 @@ class Mlp:
     """Per-layer weight and bias tensors; callable on a batch tensor.
 
     Hidden layers are relu and the output layer is linear. The layer shapes
-    are checked here and nowhere else: ``Tensor.update_values`` keeps every
-    shape, so they cannot change later.
+    are checked here, and no forward checks them again: ``Tensor.update_values``
+    keeps every shape, so they cannot change later.
     """
 
     weights: list[Tensor]
@@ -43,12 +45,12 @@ class Mlp:
         if not self.weights or len(self.weights) != len(self.biases):
             raise ShapeError(f"{len(self.weights)} weights but {len(self.biases)} biases")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i > 0 and w.cols != self.weights[i - 1].rows:
+            if i > 0 and w.rows != self.weights[i - 1].cols:
                 raise ShapeError(
-                    f"weights do not chain: weight {i} takes {w.cols} inputs "
-                    f"but weight {i - 1} gives {self.weights[i - 1].rows}"
+                    f"weights do not chain: weight {i} takes {w.rows} inputs "
+                    f"but weight {i - 1} gives {self.weights[i - 1].cols}"
                 )
-            if b.shape != (w.rows, 1):
+            if b.shape != (1, w.cols):
                 raise ShapeError(f"bias {i} has shape {b.shape} but weight {i} is {w.shape}")
 
     @classmethod
@@ -63,18 +65,19 @@ class Mlp:
         weights, biases = [], []
         for w_in, w_out in zip(widths[:-1], widths[1:]):
             bound = np.sqrt(6.0 / (w_in + w_out))
+            # drawn (out x in), the order the seeded numbers have always filled
             w = rng.uniform(-bound, bound, size=(w_out, w_in))
-            weights.append(Tensor(w, requires_grad=True))
-            biases.append(Tensor(np.zeros((w_out, 1)), requires_grad=True))
+            weights.append(Tensor(w.T, requires_grad=True))
+            biases.append(Tensor(np.zeros((1, w_out)), requires_grad=True))
         return cls(weights, biases)
 
     @property
     def d_in(self) -> int:
-        return self.weights[0].cols
+        return self.weights[0].rows
 
     @property
     def d_out(self) -> int:
-        return self.weights[-1].rows
+        return self.weights[-1].cols
 
     def tensors(self) -> list[Tensor]:
         """``[W1, b1, W2, b2, ...]``: the parameters in layer order."""
@@ -90,20 +93,28 @@ class Mlp:
         return Mlp([w.detached() for w in self.weights], [b.detached() for b in self.biases])
 
 
-def _value_layers(net: Mlp) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """Each layer's ``(contiguous w.T, b, relu)``, the operands of ``linear_values``."""
-    last = len(net.weights) - 1
-    return [
-        (np.ascontiguousarray(w.values.T), b.values, i < last)
-        for i, (w, b) in enumerate(zip(net.weights, net.biases))
-    ]
+def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ w + b``, then relu if asked, on plain arrays.
+
+    ``w`` is a layer's (in x out) weight and ``b`` its (1 x out) bias. The
+    bias add and the relu work in place on the fresh product, with the same
+    operations in the same order as ``np.maximum(x @ w + b, 0.0)``. This is
+    the layer of the graph node and of the graph-free forward, so both give
+    the same bits.
+    """
+    h = x @ w
+    h += b
+    if relu:
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
-def _activations(layers, x: np.ndarray) -> list[np.ndarray]:
+def _activations(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
     """The input, then each layer's output: the one layer loop of both forwards."""
     acts = [x]
-    for wt, b, relu in layers:
-        acts.append(linear_values(acts[-1], wt, b, relu))
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        acts.append(linear_values(acts[-1], w.values, b.values, i < last))
     return acts
 
 
@@ -117,7 +128,7 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
     """
     if x.cols != net.d_in:
         raise ShapeError(f"input has {x.cols} columns, the network takes {net.d_in}")
-    acts = _activations(_value_layers(net), x.values)
+    acts = _activations(net, x.values)
     layers = tuple(zip(net.weights, net.biases))
     last = len(layers) - 1
     # layer i passes a gradient down when x or a parameter below it takes one
@@ -130,13 +141,13 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
             w, b = layers[i]
             if i < last:
                 g = g * (acts[i + 1] > 0.0)
-            g_in = g @ w.values if takes_input_grad[i] else None
+            g_in = g @ w.values.T if takes_input_grad[i] else None
             if i == 0 and g_in is not None:
                 x._accumulate(g_in)
             if w.requires_grad:
-                w._accumulate((acts[i].T @ g).T)
+                w._accumulate(acts[i].T @ g)
             if b.requires_grad:
-                b._accumulate(np.add.reduce(g, axis=0, keepdims=True).T)
+                b._accumulate(np.add.reduce(g, axis=0, keepdims=True))
             if g_in is None:
                 return
             g = g_in
@@ -149,8 +160,7 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
 
     Evaluation only: records no graph, and runs on plain arrays in blocks of
     ``EVAL_BLOCK_ROWS`` rows; a last block of one row joins the block before
-    it. Each weight's transpose is copied once per call, before the block
-    loop, and every layer adds its bias and applies its relu in place. The
+    it. Every layer adds its bias and applies its relu in place, and the
     layer loop is the graph forward's, so each block's logits equal, bit for
     bit, those of the graph forward on that block's rows. A graph forward on
     more rows than a block can round differently: OpenBLAS may split its
@@ -160,7 +170,6 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
     for net, d_in in ((extractor, x.shape[1]), (head, extractor.d_out)):
         if d_in != net.d_in:
             raise ShapeError(f"input has {d_in} columns, the network takes {net.d_in}")
-    extractor_layers, head_layers = _value_layers(extractor), _value_layers(head)
     n = x.shape[0]
     logits = np.empty((n, head.d_out))
     lo = 0
@@ -171,7 +180,7 @@ def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:
             # which rounds differently from a row of a matrix product: the
             # last row joins its block instead
             hi = n
-        features = _activations(extractor_layers, x[lo:hi])[-1]
-        logits[lo:hi] = _activations(head_layers, features)[-1]
+        features = _activations(extractor, x[lo:hi])[-1]
+        logits[lo:hi] = _activations(head, features)[-1]
         lo = hi
     return logits

@@ -19,15 +19,16 @@ rule refers to its own output node and a graph holds no reference cycle: it
 is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
-There is no elementwise arithmetic: the node types here are
-:func:`softmax_cross_entropy`, which skips the rows labeled -1, and
-:func:`weighted_sum`.
-A whole network call is one node (``networks.forward``, on the layer kernel
-:func:`linear_values`), and so is each loss term; so are the centroids of
-both classifier branches, stacked as one (2K x d_f) bank, and each of their
-relativized distance matrices (``centroids``, on the distance kernel
-``centroids.distance_values``). All are built through :meth:`Tensor._node`
-in the module that states their formula.
+This module is the engine only, with :func:`weighted_sum` its one node type
+and no elementwise arithmetic. A whole network call is one node
+(``networks.forward``), and so is each loss term (``losses``); so are the
+centroids of both classifier branches, stacked as one (2K x d_f) bank, and
+each of their relativized distance matrices (``centroids``). All are built
+through :meth:`Tensor._node` in the module that states their formula.
+
+A tensor's values are always C-contiguous, whatever the memory order of the
+array it was built from: BLAS may round a product differently when an
+operand's order differs.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Shift applied inside square roots on the gradient path so that distances and
-# alignment losses keep finite gradients when their argument hits zero
-# (coincident points, perfectly aligned matrices).
-SQRT_SHIFT = 1e-12
-
-
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
@@ -53,7 +48,7 @@ class EvaluationError(RuntimeError):
 
 
 def _as_matrix(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -211,78 +206,6 @@ class Tensor:
 
 
 # -- free-standing primitives ---------------------------------------------
-
-
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function on a plain array."""
-    # Split by sign to avoid overflow in exp for large |x|.
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def linear_values(x: np.ndarray, wt: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    """``x @ wt + b.T``, then relu if asked, on plain arrays.
-
-    ``wt`` is the weight's contiguous transpose (in x out), and ``b`` is the
-    bias (out x 1). The caller makes that copy, so a forward over many row
-    blocks makes it once: BLAS may round a strided operand differently, and
-    the pinned metrics traces were recorded with this layout. The bias add
-    and the relu work in place on the fresh product, with the same operations
-    in the same order as ``np.maximum(x @ wt + b.T, 0.0)``. This is the layer
-    of the graph node and of the graph-free forward in ``networks``, so both
-    give the same bits.
-    """
-    h = x @ wt
-    h += b.T
-    if relu:
-        np.maximum(h, 0.0, out=h)
-    return h
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the labeled rows of -log softmax(logits)[row, label].
-
-    A label of -1 marks an unlabeled row, as in ``centroids.compute_centroids``:
-    it is left out of the mean and its gradient row is zero. The loss and the
-    labeled rows' gradient are computed on those rows alone, so they equal the
-    cross entropy of the labeled rows bit for bit. A batch with no labeled row
-    raises. Numerically stabilized by row-max subtraction, so saturated logits
-    do not overflow.
-    """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, k = logits.shape
-    if labels.shape[0] != n:
-        raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
-    lowest = labels.min()
-    if lowest < -1 or labels.max() >= k:
-        bad = labels[(labels < -1) | (labels >= k)][0]
-        raise IndexError(f"label {bad} out of range [-1, {k})")
-    v = logits.values
-    labeled = None
-    if lowest < 0:
-        labeled = np.flatnonzero(labels >= 0)
-        if labeled.size == 0:
-            raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
-        v, labels, n = v[labeled], labels[labeled], labeled.size
-    z = v - np.maximum.reduce(v, axis=1, keepdims=True)
-    ez = np.exp(z)
-    sez = np.add.reduce(ez, axis=1)
-    rows = np.arange(n)
-    # the label entries of z - log(sez), then their mean
-    loss = -(np.add.reduce(z[rows, labels] - np.log(sez)) / n)
-    local = ez / sez[:, None]
-    local[rows, labels] -= 1.0
-    local /= n
-    if labeled is not None:
-        full = np.zeros(logits.shape)
-        full[labeled] = local
-        local = full
-
-    def bw(g: np.ndarray) -> None:
-        logits._accumulate(g[0, 0] * local)
-
-    return Tensor._node(np.array([[loss]]), (logits,), bw)
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:

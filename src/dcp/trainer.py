@@ -559,13 +559,14 @@ def _dataset_accuracy(state: TrainState, x: np.ndarray, y: np.ndarray) -> float:
 @dataclass
 class EvalReport:
     accuracy: float
-    per_class_accuracy: np.ndarray
+    # None (absent, not zero) for a class with no rows in the dataset
+    per_class_accuracy: list[float | None]
     confusion: np.ndarray
 
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,
-            "per_class_accuracy": self.per_class_accuracy.tolist(),
+            "per_class_accuracy": self.per_class_accuracy,
             "confusion": self.confusion.tolist(),
         }
 
@@ -585,13 +586,10 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
     logits = branch_outputs(checkpoint.adv_extractor, checkpoint.adv_head, dataset.X)
     predicted = logits.argmax(axis=1)
     confusion = np.bincount(labels * k + predicted, minlength=k * k).reshape(k, k)
-    row_totals = confusion.sum(axis=1)
-    per_class = np.divide(
-        np.diag(confusion),
-        row_totals,
-        out=np.zeros(k),
-        where=row_totals > 0,
-    )
+    per_class = [
+        float(correct / total) if total else None
+        for correct, total in zip(np.diag(confusion), confusion.sum(axis=1))
+    ]
     return EvalReport(
         # the correct count is an integer, so this equals the mean of
         # ``predicted == labels`` bit for bit
@@ -609,9 +607,12 @@ class Checkpoint:
     """The adversarial branch, extractor then head: the networks ``evaluate`` reads.
 
     Layer widths are the weight shapes, and the class count is the head's
-    output width. Both networks are relu in hidden layers and linear at the
-    output. The clustering branch, the discriminator, optimizer velocity and
-    centroid banks are not kept, so a run cannot be resumed from a checkpoint.
+    output width. The file keeps each weight as (out x in) rows and each bias
+    as an (out x 1) column, the transposes of the networks' layout; ``save``
+    and ``load`` transpose at that boundary. Both networks are relu in hidden
+    layers and linear at the output. The clustering branch, the
+    discriminator, optimizer velocity and centroid banks are not kept, so a
+    run cannot be resumed from a checkpoint.
     """
 
     adv_extractor: Mlp
@@ -626,8 +627,8 @@ class Checkpoint:
         for f in fields(self):
             net = getattr(self, f.name)
             payload[f.name] = {
-                "weights": [w.values.tolist() for w in net.weights],
-                "biases": [b.values.tolist() for b in net.biases],
+                "weights": [w.values.T.tolist() for w in net.weights],
+                "biases": [b.values.T.tolist() for b in net.biases],
             }
         Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
@@ -653,21 +654,28 @@ class Checkpoint:
 
 
 def _decode_network(name: str, data) -> Mlp:
-    """The network that ``data`` encodes, with its layer widths read off its weights."""
+    """The network that ``data`` encodes, transposed from the file's layout;
+    its errors name shapes as the file holds them."""
     _require_keys(data, ("weights", "biases"), f"network {name!r}")
     for key in ("weights", "biases"):
         if not isinstance(data[key], list):
             raise ValueError(f"network {name!r}: {key} is not a JSON list")
     try:
-        weights = [Tensor(w, requires_grad=True) for w in data["weights"]]
-        biases = [Tensor(b, requires_grad=True) for b in data["biases"]]
-        net = Mlp(weights, biases)
+        weights = [Tensor(w).values for w in data["weights"]]
+        biases = [Tensor(b).values for b in data["biases"]]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if b.shape != (w.shape[0], 1):
+                raise ValueError(f"bias {i} has shape {b.shape} but weight {i} is {w.shape}")
+        net = Mlp(
+            [Tensor(w.T, requires_grad=True) for w in weights],
+            [Tensor(b.T, requires_grad=True) for b in biases],
+        )
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects, shapes
         raise ValueError(f"network {name!r}: {exc}") from exc
     # a JSON null becomes NaN in a float64 array; NaN and Infinity are valid to Python's JSON reader
     for i, (w, b) in enumerate(zip(weights, biases)):
-        for what, t in (("weight", w), ("bias", b)):
-            if not np.isfinite(t.values).all():
+        for what, values in (("weight", w), ("bias", b)):
+            if not np.isfinite(values).all():
                 raise ValueError(f"network {name!r}: {what} {i} has a non-finite entry")
     return net
 

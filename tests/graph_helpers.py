@@ -2,19 +2,11 @@
 
 import numpy as np
 
-from dcp.centroids import LOSS_EPS, DegenerateGeometryError, update_centroids_ema
-from dcp.losses import CLAMP_EPS
-from dcp.networks import Mlp, forward
+from dcp.centroids import LOSS_EPS, SQRT_SHIFT, DegenerateGeometryError, update_centroids_ema
+from dcp.losses import CLAMP_EPS, sigmoid_values, source_classification_loss
+from dcp.networks import Mlp, forward, linear_values
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
-from dcp.tensor import (
-    SQRT_SHIFT,
-    ShapeError,
-    Tensor,
-    linear_values,
-    sigmoid_values,
-    softmax_cross_entropy,
-    weighted_sum,
-)
+from dcp.tensor import ShapeError, Tensor, weighted_sum
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -31,10 +23,21 @@ def contract(t: Tensor, weights) -> Tensor:
     return Tensor._node(np.array([[(t.values * w).sum()]]), (t,), bw)
 
 
+def squared_norm(x: Tensor) -> Tensor:
+    """``sum(x * x)`` as one 1 x 1 node, with the gradient ``2x``: the quadratic
+    the engine's tests differentiate."""
+
+    def bw(g):
+        x._accumulate(g[0, 0] * 2.0 * x.values)
+
+    return Tensor._node(np.array([[(x.values * x.values).sum()]]), (x,), bw)
+
+
 def network(x: Tensor, weights, biases) -> Tensor:
     """``networks.forward`` over the given layer tensors: one graph node.
 
-    Layer widths come from the weights, each (out x in); hidden layers are relu.
+    Layer widths come from the weights, each (in x out), and each bias is
+    (1 x out); hidden layers are relu.
     """
     return forward(Mlp(list(weights), list(biases)), x)
 
@@ -45,16 +48,17 @@ def network(x: Tensor, weights, biases) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """One layer as one node: ``x @ w.T + b.T``, then relu if asked."""
-    h = linear_values(x.values, np.ascontiguousarray(w.values.T), b.values, relu)
+    """One layer as one node: ``x @ w + b``, then relu if asked, on an
+    (in x out) weight and a (1 x out) bias."""
+    h = linear_values(x.values, w.values, b.values, relu)
 
     def bw(g):
         if relu:
             g = g * (h > 0.0)
         if x.requires_grad:
-            x._accumulate(g @ w.values)
-        w._accumulate((x.values.T @ g).T)
-        b._accumulate(g.sum(axis=0, keepdims=True).T)
+            x._accumulate(g @ w.values.T)
+        w._accumulate(x.values.T @ g)
+        b._accumulate(g.sum(axis=0, keepdims=True))
 
     return Tensor._node(h, (x, w, b), bw)
 
@@ -341,8 +345,8 @@ def gathered_pseudo_label_loss(logits_t_adv: Tensor, clu_head: Mlp, ft_clu: Tens
     """L_PL through row gathers: the adversarial logits' selected rows, and the
     clustering head run on the selected rows of its target features only."""
     picked = np.flatnonzero(pseudo >= 0)
-    ce_adv = softmax_cross_entropy(gather_rows(logits_t_adv, picked), pseudo[picked])
-    ce_clu = softmax_cross_entropy(clu_head(gather_rows(ft_clu, picked)), pseudo[picked])
+    ce_adv = source_classification_loss(gather_rows(logits_t_adv, picked), pseudo[picked])
+    ce_clu = source_classification_loss(clu_head(gather_rows(ft_clu, picked)), pseudo[picked])
     return weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
 
 

@@ -37,6 +37,7 @@ from dcp.centroids import (
     loss_cs,
 )
 from dcp.datasets import ShiftSpec
+from dcp.networks import linear_values
 from dcp.pseudo_label import (
     kmeans_assign,
     per_class_quota,
@@ -44,7 +45,7 @@ from dcp.pseudo_label import (
     tau_adv,
     tau_clu,
 )
-from dcp.tensor import Tensor, linear_values
+from dcp.tensor import Tensor
 from dcp.verify import run_gradcheck
 
 # both arms of criteria 5 and 6 run through the transfer script's runner
@@ -190,7 +191,7 @@ def test_criterion_3_oracle_equivalence():
             for j in range(3):
                 loops[i, j] = sum(a[i, t] * b[t, j] for t in range(5))
         # the layer kernel's product, with a zero bias and no relu
-        product = linear_values(a, b, np.zeros((3, 1)), relu=False)
+        product = linear_values(a, b, np.zeros((1, 3)), relu=False)
         worst_matmul = max(worst_matmul, np.abs(product - loops).max())
 
         p = rng.normal(size=(4, 3))

@@ -14,6 +14,7 @@ from graph_helpers import (
 
 from dcp.centroids import (
     LOSS_EPS,
+    SQRT_SHIFT,
     DegenerateGeometryError,
     centroid_centroid_matrix,
     centroid_sample_matrix,
@@ -23,7 +24,7 @@ from dcp.centroids import (
     loss_cs,
     update_centroids_ema,
 )
-from dcp.tensor import SQRT_SHIFT, ShapeError, Tensor, grad_check, weighted_sum
+from dcp.tensor import ShapeError, Tensor, grad_check, weighted_sum
 
 
 def centroid_oracle(features, labels, k):
@@ -490,17 +491,17 @@ class TestEndToEndGradient:
         n_b, d_in, d_f, k = 6, 3, 4, 2
         x = Tensor(rng.normal(size=(n_b, d_in)))
         labels = np.array([0, 1, 0, 1, 0, 1])
-        w_other = Tensor(rng.normal(size=(d_in, d_f)).T)
-        zero_bias = Tensor(np.zeros((d_f, 1)))
+        w_other = Tensor(rng.normal(size=(d_in, d_f)))
+        zero_bias = Tensor(np.zeros((1, d_f)))
         identity = Tensor(np.eye(d_f))
 
         def alignment(w):
-            feats = network(x, [w, identity], [zero_bias, zero_bias])  # relu(x @ w.T)
+            feats = network(x, [w, identity], [zero_bias, zero_bias])  # relu(x @ w)
             feats_other = sigmoid(network(x, [w_other], [zero_bias]))
             banks = compute_centroids((feats,), (feats_other,), labels, k)
             cc = loss_cc(centroid_centroid_matrix(banks))
             cs = loss_cs(centroid_sample_matrix(banks, feats, feats_other))
             return weighted_sum([cc, cs], [0.1, 0.1])
 
-        report = grad_check(alignment, Tensor(rng.normal(size=(d_f, d_in))), h=1e-6)
+        report = grad_check(alignment, Tensor(rng.normal(size=(d_f, d_in)).T), h=1e-6)
         assert report.max_rel_error < 1e-4

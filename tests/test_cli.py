@@ -346,6 +346,24 @@ class TestEval:
         report = json.loads((trained / "report.json").read_text())
         assert sum(sum(row) for row in report["confusion"]) == 90
 
+    def test_class_without_rows_is_absent(self, trained, blob_files, tmp_path, capsys):
+        # not a fake 0.0: the data holds no row of class 2
+        target = load_embeddings(blob_files / "target.csv")
+        kept = target.y != 2
+        data = tmp_path / "no_class_2.csv"
+        save_embeddings(dataclasses.replace(target, X=target.X[kept], y=target.y[kept]), data)
+        code = run_cli(
+            ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--data", str(data),
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "class 2: accuracy absent (0 samples)"
+        assert all(" accuracy 0." in line or " accuracy 1." in line for line in lines[1:3])
+        per_class = json.loads((tmp_path / "report.json").read_text())["per_class_accuracy"]
+        assert per_class[2] is None
+        assert all(isinstance(acc, float) for acc in per_class[:2])
+
     def test_deterministic_report(self, trained, blob_files, tmp_path):
         a, b = tmp_path / "ra", tmp_path / "rb"
         for out in (a, b):
@@ -375,10 +393,10 @@ class TestEval:
             "d_in": 2,
             "networks": {
                 name: {
-                    "layer_widths": [net.d_in] + [w.rows for w in net.weights],
+                    "layer_widths": [net.d_in] + [w.cols for w in net.weights],
                     "output_activation": "sigmoid" if name == "discriminator" else "none",
-                    "weights": [w.values.tolist() for w in net.weights],
-                    "biases": [b.values.tolist() for b in net.biases],
+                    "weights": [w.values.T.tolist() for w in net.weights],
+                    "biases": [b.values.T.tolist() for b in net.biases],
                 }
                 for name, net in state.networks.items()
             },

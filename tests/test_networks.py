@@ -19,22 +19,23 @@ class TestMlp:
 
     def test_weight_and_bias_counts_differ(self):
         with pytest.raises(ShapeError, match="2 weights but 1 biases"):
-            Mlp(_zeros((4, 3), (2, 4)), _zeros((4, 1)))
+            Mlp(_zeros((3, 4), (4, 2)), _zeros((1, 4)))
 
     def test_weights_do_not_chain(self):
         with pytest.raises(ShapeError, match="weight 1 takes 5 inputs but weight 0 gives 4"):
-            Mlp(_zeros((4, 3), (2, 5)), _zeros((4, 1), (2, 1)))
+            Mlp(_zeros((3, 4), (5, 2)), _zeros((1, 4), (1, 2)))
 
-    @pytest.mark.parametrize("bias_shape", [(3, 1), (1, 4), (4, 2)])
+    # a weight is (in x out) and its bias (1 x out)
+    @pytest.mark.parametrize("bias_shape", [(1, 3), (4, 1), (2, 4)])
     def test_bias_does_not_match_its_weight(self, bias_shape):
         with pytest.raises(ShapeError, match="bias 0 has shape"):
-            Mlp(_zeros((4, 3)), _zeros(bias_shape))
+            Mlp(_zeros((3, 4)), _zeros(bias_shape))
 
     def test_a_network_is_its_weights_and_biases(self):
         assert [f.name for f in fields(Mlp)] == ["weights", "biases"]
 
     def test_widths_read_off_the_weights(self):
-        net = Mlp(_zeros((4, 3), (2, 4)), _zeros((4, 1), (2, 1)))
+        net = Mlp(_zeros((3, 4), (4, 2)), _zeros((1, 4), (1, 2)))
         assert (net.d_in, net.d_out) == (3, 2)
         assert net.tensors() == [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
 
@@ -79,7 +80,7 @@ class TestForward:
     def test_identity_network(self):
         net = Mlp(
             weights=[Tensor(np.eye(2), requires_grad=True)],
-            biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
+            biases=[Tensor(np.zeros((1, 2)), requires_grad=True)],
         )
         x = np.random.default_rng(0).normal(size=(5, 2))
         out = forward(net, Tensor(x))
@@ -87,10 +88,10 @@ class TestForward:
 
     def test_relu_kills_negative_preactivations(self):
         net = Mlp.create((2, 3, 2), seed=0)
-        net = Mlp(net.weights, [Tensor(np.full((3, 1), -100.0), requires_grad=True), net.biases[1]])
+        net = Mlp(net.weights, [Tensor(np.full((1, 3), -100.0), requires_grad=True), net.biases[1]])
         out = forward(net, Tensor([[0.1, -0.2]]))
         # hidden layer is all zeros, so the output is exactly the final bias
-        np.testing.assert_array_equal(out.values, net.biases[1].values.T)
+        np.testing.assert_array_equal(out.values, net.biases[1].values)
 
     def test_batch_decomposable(self):
         mlp = Mlp.create((3, 5, 2), seed=4)
@@ -175,10 +176,11 @@ class TestNetworkNode:
             assert report.max_rel_error < 1e-6, wrt
 
     def test_shared_input_and_weight_sum_both_gradients(self):
-        # x @ x.T through one layer: x is the input and the weight, gradient 2x
-        x = Tensor([[1.0, 2.0]], requires_grad=True)
-        forward(Mlp(weights=[x], biases=[Tensor([[0.0]])]), x).backward()
-        np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
+        # x @ x through one layer: x is the input and the weight, so the sum's
+        # gradient is ones @ x.T (as input) plus x.T @ ones (as weight)
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        contract(forward(Mlp(weights=[x], biases=[Tensor([[0.0, 0.0]])]), x), 1.0).backward()
+        np.testing.assert_array_equal(x.grad, [[3.0 + 4.0, 7.0 + 4.0], [3.0 + 6.0, 7.0 + 6.0]])
 
     def test_detached_network_shares_values_and_takes_no_gradient(self):
         mlp = Mlp.create((3, 5, 1), seed=0)
@@ -195,7 +197,7 @@ class TestNetworkNode:
 def _identity_network():
     return Mlp(
         weights=[Tensor(np.eye(2), requires_grad=True)],
-        biases=[Tensor(np.zeros((2, 1)), requires_grad=True)],
+        biases=[Tensor(np.zeros((1, 2)), requires_grad=True)],
     )
 
 

@@ -88,6 +88,8 @@ def _perfbench_stdout(seed, train_s, correct=True):
             "cycles untraced=3 traced=0 iterations_timed=4500",
             f"metrics_trace_sha256 hash{seed}",
             f"metric train_s {train_s!r} s",
+            "wall train_s 7.5 s",
+            "wall reference_s 0.0003 s",
             f"quality target_acc 0.95 fraction (seed {seed}; reported, not gated)",
             "quality pseudo_precision_t200 None fraction",
             "fail_frac 0.0 fraction (0 of 3 operations)",
@@ -111,6 +113,34 @@ def test_bench_record_summarizes_perfbench_stdout():
     assert summary["correct_runs"] == 3 and summary["runs"] == 4
     assert summary["metrics_trace_sha256"][3] == "hash3"
     assert summary["fail_frac"][0] == 0.0
+    assert runs[0]["wall"] == {"train_s": 7.5, "reference_s": 0.0003}
+
+
+def test_bench_record_rescales_per_layer_times_to_the_reference_speed():
+    bench_record = _import_script("bench_record")
+    run = bench_record.parse_run(_perfbench_stdout(0, 5.0))
+    run["result"]["metrics"] = {
+        "tensor.backward.main_ms_per_step": {"value": 0.6, "unit": "ms"},
+        "networks.branch_outputs.ms_per_call": {"value": 0.9, "unit": "ms"},
+        "tensor.nodes_per_step": {"value": 24.99, "unit": "count"},
+    }
+    # the run's reference took 0.3 ms, twice the reference speed's 0.15 ms
+    rescaled = bench_record.at_reference_speed(run, 1.5e-4)
+    assert rescaled == {
+        "tensor.backward.main_ms_per_step": {"value": pytest.approx(0.3), "unit": "ms"},
+        "networks.branch_outputs.ms_per_call": {"value": pytest.approx(0.45), "unit": "ms"},
+    }
+
+
+def test_bench_record_reads_the_reference_speed_from_perfbench():
+    bench_record = _import_script("bench_record")
+    perfbench = str(SCRIPTS.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(perfbench)
+    assert bench_record.perfbench_reference_s(SCRIPTS.parent) == workloads.REFERENCE_S
 
 
 def test_bench_record_times_the_cli_train_and_eval():

@@ -11,34 +11,21 @@ from graph_helpers import (
     pairwise_euclidean,
     sigmoid,
     sigmoid_reference,
+    squared_norm,
     vstack,
 )
 
 from dcp.centroids import centroid_centroid_matrix, centroid_sample_matrix, compute_centroids
-from dcp.losses import generator_loss
-from dcp.networks import Mlp, forward
-from dcp.tensor import (
-    EvaluationError,
-    ShapeError,
-    Tensor,
-    grad_check,
-    linear_values,
-    sigmoid_values,
-    softmax_cross_entropy,
-    weighted_sum,
-)
-
-
-def squared_norm(x: Tensor) -> Tensor:
-    """sum(x * x) of a 1 x n row, as a one-layer network with x as input and weight."""
-    return network(x, [x], [Tensor([[0.0]])])
+from dcp.losses import generator_loss, sigmoid_values, source_classification_loss
+from dcp.networks import Mlp, forward, linear_values
+from dcp.tensor import EvaluationError, ShapeError, Tensor, grad_check, weighted_sum
 
 
 def relu_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """relu(x @ w.T + b.T): a relu hidden layer followed by an identity layer."""
-    out_width = w.rows
+    """relu(x @ w + b): a relu hidden layer followed by an identity layer."""
+    out_width = w.cols
     identity = Tensor(np.eye(out_width))
-    return network(x, [w, identity], [b, Tensor(np.zeros((out_width, 1)))])
+    return network(x, [w, identity], [b, Tensor(np.zeros((1, out_width)))])
 
 
 def matmul_oracle(a, b):
@@ -93,7 +80,7 @@ class TestMatmul:
 
 class TestActivations:
     def test_relu_definition(self):
-        out = relu_layer(Tensor([[-2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros((2, 1))))
+        out = relu_layer(Tensor([[-2.0, 3.0]]), Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))
         np.testing.assert_array_equal(out.values, [[0.0, 3.0]])
 
     def test_sigmoid_at_zero(self):
@@ -120,15 +107,15 @@ class TestActivations:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_two_classes(self):
-        loss = softmax_cross_entropy(Tensor([[1.0, 1.0]]), [0])
+        loss = source_classification_loss(Tensor([[1.0, 1.0]]), [0])
         assert abs(loss.item() - 0.69314718055994531) < 1e-12
 
     def test_hand_softmax(self):
-        loss = softmax_cross_entropy(Tensor([[0.0, np.log(3.0)]]), [1])
+        loss = source_classification_loss(Tensor([[0.0, np.log(3.0)]]), [1])
         assert abs(loss.item() - 0.28768207245178093) < 1e-9
 
     def test_saturated_logits_no_overflow(self):
-        loss = softmax_cross_entropy(Tensor([[50.0, 0.0], [0.0, 50.0]]), [0, 1])
+        loss = source_classification_loss(Tensor([[50.0, 0.0], [0.0, 50.0]]), [0, 1])
         assert loss.item() < 1e-20
         assert np.isfinite(loss.item())
 
@@ -136,7 +123,7 @@ class TestSoftmaxCrossEntropy:
         # -1 marks an unlabeled row; -2 is out of range
         for label in (2, -2):
             with pytest.raises(IndexError, match=f"label {label} out of range"):
-                softmax_cross_entropy(Tensor([[0.0, 0.0], [0.0, 0.0]]), [0, label])
+                source_classification_loss(Tensor([[0.0, 0.0], [0.0, 0.0]]), [0, label])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_identical_to_log_probs_reference(self, seed):
@@ -146,7 +133,7 @@ class TestSoftmaxCrossEntropy:
         logits[0] = 1e3 * np.sign(logits[0])  # a saturated row
         labels = rng.integers(0, k, size=n)
         x = Tensor(logits, requires_grad=True)
-        loss = softmax_cross_entropy(x, labels)
+        loss = source_classification_loss(x, labels)
         loss.backward()
         expected_loss, expected_grad = cross_entropy_reference(logits, labels)
         assert np.array_equal(loss.values, [[expected_loss]])
@@ -157,7 +144,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(4, 3))
         labels = rng.integers(0, 3, size=4)
-        report = grad_check(lambda x: softmax_cross_entropy(x, labels), Tensor(logits))
+        report = grad_check(lambda x: source_classification_loss(x, labels), Tensor(logits))
         assert report.max_rel_error < 1e-4
 
 
@@ -181,8 +168,8 @@ class TestMaskedCrossEntropy:
         upstream = np.random.default_rng(seed + 100).normal(size=(1, 1))
         kept = np.flatnonzero(labels >= 0)
         masked, subset = Tensor(logits, requires_grad=True), Tensor(logits[kept], requires_grad=True)
-        masked_loss = softmax_cross_entropy(masked, labels)
-        subset_loss = softmax_cross_entropy(subset, labels[kept])
+        masked_loss = source_classification_loss(masked, labels)
+        subset_loss = source_classification_loss(subset, labels[kept])
         for loss in (masked_loss, subset_loss):
             contract(loss, upstream).backward()
         assert np.array_equal(masked_loss.values, subset_loss.values)
@@ -194,12 +181,12 @@ class TestMaskedCrossEntropy:
     def test_gradient_matches_finite_differences(self, seed):
         logits, labels = self._case(seed)
         logits /= np.abs(logits).max()  # unsaturated, so differences resolve the slope
-        report = grad_check(lambda x: softmax_cross_entropy(x, labels), Tensor(logits))
+        report = grad_check(lambda x: source_classification_loss(x, labels), Tensor(logits))
         assert report.max_rel_error < 1e-4
 
     def test_every_row_unlabeled_raises(self):
         with pytest.raises(ValueError, match="all 3 labels are -1"):
-            softmax_cross_entropy(Tensor(np.zeros((3, 2))), [-1, -1, -1])
+            source_classification_loss(Tensor(np.zeros((3, 2))), [-1, -1, -1])
 
 
 class TestPairwiseEuclidean:
@@ -265,7 +252,7 @@ class TestBackward:
     def test_relu_matmul_chain_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(3, 3)))
-        zero = Tensor(np.zeros((3, 1)))
+        zero = Tensor(np.zeros((1, 3)))
 
         def f(x):
             return contract(relu_layer(x, w, zero), 1.0)
@@ -281,8 +268,8 @@ class TestCompositionGradients:
         m = int(rng.integers(1, 8))
         n = int(rng.integers(1, 8))
         p = int(rng.integers(1, 8))
-        w = Tensor(rng.normal(size=(p, n)))
-        bias = Tensor(rng.normal(size=(p, 1)))
+        w = Tensor(rng.normal(size=(p, n)).T)
+        bias = Tensor(rng.normal(size=(p, 1)).T)
         anchors = rng.normal(size=(3, p)) + 3.0
         spread = rng.normal(size=(3, m))
         labels = rng.integers(0, p, size=m)
@@ -296,7 +283,7 @@ class TestCompositionGradients:
             return weighted_sum(
                 [
                     contract(relative, np.vstack([spread, spread[::-1]])),
-                    softmax_cross_entropy(relu_layer(x, w, bias), labels),
+                    source_classification_loss(relu_layer(x, w, bias), labels),
                     contract(pairwise_euclidean(stacked, Tensor(np.zeros((1, n)))), 1.0),
                 ],
                 [1.0, 0.5, 0.25],
@@ -328,14 +315,14 @@ class TestBroadcasting:
     """The broadcasts the remaining nodes make: a layer's bias, a relativizing divisor."""
 
     def test_row_vector_add(self):
-        bias = Tensor([[10.0], [20.0]])
+        bias = Tensor([[10.0, 20.0]])
         out = network(Tensor([[1.0, 2.0], [3.0, 4.0]]), [Tensor(np.eye(2))], [bias])
         np.testing.assert_array_equal(out.values, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_col_vector_add_gradient_reduces(self):
-        b = Tensor([[1.0], [2.0]], requires_grad=True)
+        b = Tensor([[1.0, 2.0]], requires_grad=True)
         contract(network(Tensor(np.ones((3, 2))), [Tensor(np.zeros((2, 2)))], [b]), 1.0).backward()
-        np.testing.assert_allclose(b.grad, [[3.0], [3.0]])
+        np.testing.assert_allclose(b.grad, [[3.0, 3.0]])
 
     def test_cross_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -463,8 +450,10 @@ class TestLinear:
     def _operands(self, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(5, 3))
-        w = rng.normal(size=(4, 3))
-        b = rng.normal(size=(4, 1))
+        # (in x out) and (1 x out), C-contiguous, from the numbers once drawn
+        # as the (out x in) weight and (out x 1) bias
+        w = rng.normal(size=(4, 3)).T.copy()
+        b = rng.normal(size=(4, 1)).T.copy()
         return x, w, b, rng.normal(size=(5, 4))
 
     @staticmethod
@@ -487,17 +476,18 @@ class TestLinear:
 
     @staticmethod
     def _transpose_matmul_add_chain(x, w, b, weights, relu):
-        """The chain the layer replaced, (matmul(x, w.T) + b.T).relu(), then
-        (out * weights).sum(), as numpy: its value and the gradients of x, w, b."""
-        w_t = np.ascontiguousarray(w.T)  # the T nodes stored contiguous copies
-        b_t = np.ascontiguousarray(b.T)
-        pre = x @ w_t + b_t
+        """The chain the layer replaced, (matmul(x, w) + b).relu(), then
+        (out * weights).sum(), as numpy: its value and the gradients of x, w, b.
+
+        With the weight stored (in x out), the chain's transpose nodes are
+        gone: it multiplies by ``w`` as stored and by its transposed view.
+        """
+        pre = x @ w + b
         out = np.maximum(pre, 0.0) if relu else pre
         g = np.full(out.shape, 1.0) * weights  # sum, then product
         if relu:
             g = g * (pre > 0.0)
-        g_b_t = g.sum(axis=0, keepdims=True)  # broadcast add reduces to b.T's shape
-        return out, g @ w_t.T, (x.T @ g).T, g_b_t.T
+        return out, g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_bit_identical_to_transpose_matmul_add_chain(self, relu):
@@ -512,12 +502,11 @@ class TestLinear:
     @pytest.mark.parametrize("relu", [False, True])
     def test_kernel_is_the_expression_and_leaves_operands_alone(self, relu):
         x, w, b, _ = self._operands(seed=2)
-        wt = np.ascontiguousarray(w.T)
-        operands = [v.copy() for v in (x, wt, b)]
-        pre = x @ wt + b.T
+        operands = [v.copy() for v in (x, w, b)]
+        pre = x @ w + b
         expected = np.maximum(pre, 0.0) if relu else pre
-        assert np.array_equal(linear_values(x, wt, b, relu), expected)
-        assert all(np.array_equal(v, c) for v, c in zip((x, wt, b), operands))
+        assert np.array_equal(linear_values(x, w, b, relu), expected)
+        assert all(np.array_equal(v, c) for v, c in zip((x, w, b), operands))
 
     def test_shape_errors(self):
         x, w, b, _ = self._operands()
@@ -529,8 +518,8 @@ class TestLinear:
         with pytest.raises(ShapeError, match="columns"):
             layer(np.ones((5, 4)), [w], [b])
         with pytest.raises(ShapeError, match="columns"):
-            layer(x, [w.T], [b[:3]])
-        with pytest.raises(ShapeError, match=re.escape("bias 0 has shape (1, 4)")):
+            layer(x, [w.T], [b[:, :3]])
+        with pytest.raises(ShapeError, match=re.escape("bias 0 has shape (4, 1)")):
             layer(x, [w], [b.T])
         with pytest.raises(ShapeError, match="weight 1 takes 3 inputs but weight 0 gives 4"):
             layer(x, [w, w], [b, b])
@@ -587,7 +576,7 @@ class TestWeightedSum:
         def f(probe):
             inputs = [Tensor(v) for v in logits]
             inputs[wrt] = probe
-            terms = [softmax_cross_entropy(x, labels) for x in inputs]
+            terms = [source_classification_loss(x, labels) for x in inputs]
             return weighted_sum(terms, [1.0, 0.3, 0.3])
 
         report = grad_check(f, Tensor(logits[wrt]))
@@ -641,6 +630,25 @@ class TestDeterminismAndImmutability:
         first = matmul(Tensor(a), Tensor(b)).values
         second = matmul(Tensor(a), Tensor(b)).values
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("rows", [5, 36])
+    def test_network_bits_do_not_depend_on_the_weights_memory_order(self, rows):
+        # weights drawn (out x in) and stored as their transposes: a view, or a
+        # copy; an extractor and a head's widths, where a Fortran-ordered
+        # weight changes the 5-row input gradient's bits on some kernels
+        rng = np.random.default_rng(rows)
+        drawn = [rng.normal(size=(64, 2)), rng.normal(size=(64, 64)), rng.normal(size=(3, 64))]
+        x, upstream = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 3))
+        results = []
+        for store in (np.transpose, lambda a: np.ascontiguousarray(a.T)):
+            weights = [Tensor(store(a), requires_grad=True) for a in drawn]
+            biases = [Tensor(np.zeros((1, w.cols)), requires_grad=True) for w in weights]
+            tx = Tensor(x, requires_grad=True)
+            out = network(tx, weights, biases)
+            contract(out, upstream).backward()
+            assert all(w.values.flags.c_contiguous for w in weights)
+            results.append([out.values, tx.grad, *(t.grad for t in weights + biases)])
+        assert all(np.array_equal(a, b) for a, b in zip(*results, strict=True))
 
     def test_values_are_frozen(self):
         t = Tensor([[1.0]])

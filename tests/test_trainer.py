@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from graph_helpers import gathered_pseudo_label_loss, kmeans_reference, network
+from graph_helpers import gathered_pseudo_label_loss, kmeans_reference, squared_norm
 
 from dcp import centroids as cent
 from dcp import losses
@@ -147,7 +147,7 @@ class TestSgdMomentum:
 
     def test_apply_updates_tensor_and_zeroes_grad(self):
         t = Tensor([[1.0, 1.0]], requires_grad=True)
-        network(t, [t], [Tensor([[0.0]])]).backward()  # t @ t.T: the gradient is 2t
+        squared_norm(t).backward()  # the gradient is 2t
         velocity = [np.zeros(t.shape)]
         apply_sgd_update([t], velocity, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(t.values, [[0.8, 0.8]])
@@ -549,8 +549,8 @@ class TestTrain:
         src, tgt = tiny_datasets()
         ckpt, records = train(tiny_config(iterations=0), src, tgt)
         assert records == []
-        assert [w.shape for w in ckpt.adv_extractor.weights] == [(64, 2), (64, 64)]
-        assert [w.shape for w in ckpt.adv_head.weights] == [(3, 64)]
+        assert [w.shape for w in ckpt.adv_extractor.weights] == [(2, 64), (64, 64)]
+        assert [w.shape for w in ckpt.adv_head.weights] == [(64, 3)]
         assert ckpt.k == 3
 
     def test_metrics_t_column_is_contiguous(self):
@@ -679,15 +679,15 @@ class TestEvaluate:
     def test_per_class_accuracy_bounds(self):
         ckpt, src, _ = self._checkpoint(iterations=5)
         report = evaluate(ckpt, src)
-        assert ((report.per_class_accuracy >= 0) & (report.per_class_accuracy <= 1)).all()
+        assert all(0.0 <= acc <= 1.0 for acc in report.per_class_accuracy)
 
     @staticmethod
     def _four_class_checkpoint():
         # class 2's logit is always lowest on positive inputs: never predicted
-        extractor = Mlp([Tensor(np.eye(2))], [Tensor(np.zeros((2, 1)))])
+        extractor = Mlp([Tensor(np.eye(2))], [Tensor(np.zeros((1, 2)))])
         head = Mlp(
-            [Tensor([[1.0, 0.0], [0.0, 1.0], [-5.0, -5.0], [0.6, 0.6]])],
-            [Tensor(np.zeros((4, 1)))],
+            [Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [-5.0, -5.0], [0.6, 0.6]]).T)],
+            [Tensor(np.zeros((1, 4)))],
         )
         return Checkpoint(extractor, head)
 
@@ -700,7 +700,8 @@ class TestEvaluate:
         assert 2 not in predicted and {0, 1, 3} <= set(predicted.tolist())
         report = evaluate(ckpt, data)
         assert report.accuracy == float((predicted == data.y).mean())
-        assert report.per_class_accuracy[2] == 0.0 and report.per_class_accuracy[3] == 0.0
+        # class 2 has rows and none is predicted right; class 3 has no rows
+        assert report.per_class_accuracy[2] == 0.0 and report.per_class_accuracy[3] is None
         assert report.confusion[3].sum() == 0 and report.confusion[:, 2].sum() == 0
 
     def test_label_error_names_the_first_label_outside_the_classes(self):
@@ -746,6 +747,33 @@ class TestCheckpoint:
         assert saved["format"] == CHECKPOINT_FORMAT == "dcp-checkpoint-v3"
         for name in ("adv_extractor", "adv_head"):
             assert set(saved[name]) == {"weights", "biases"}
+
+    def test_v3_file_keeps_out_by_in_weights(self, tmp_path):
+        # written by hand: each weight as (out x in) rows, each bias an (out x 1) column
+        w1, b1 = [[1.0, 0.0], [0.0, 1.0], [0.5, -1.0]], [[0.0], [0.5], [-1.0]]
+        w2, b2 = [[1.0, 0.5, 0.0], [0.0, 2.0, -1.0], [-1.0, 0.0, 3.0]], [[0.0], [-0.5], [1.0]]
+        payload = {
+            "format": "dcp-checkpoint-v3",
+            "adv_extractor": {"weights": [w1], "biases": [b1]},
+            "adv_head": {"weights": [w2], "biases": [b2]},
+        }
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        ckpt = Checkpoint.load(path)
+        x = np.array([[2.0, 0.0], [0.0, 2.0], [-1.0, -3.0], [1.0, 1.0], [0.5, 3.0]])
+        # one layer each, so both are linear; every product here is exact
+        features = x @ np.array(w1).T + np.array(b1).T
+        logits = features @ np.array(w2).T + np.array(b2).T
+        assert np.array_equal(branch_outputs(ckpt.adv_extractor, ckpt.adv_head, x), logits)
+        labels = np.array([0, 1, 2, 2, 1])
+        report = evaluate(ckpt, LabeledDataset(x, labels, TARGET))
+        predicted = logits.argmax(axis=1)
+        assert report.accuracy == float((predicted == labels).mean()) == 0.8
+        expected = np.bincount(labels * 3 + predicted, minlength=9).reshape(3, 3)
+        np.testing.assert_array_equal(report.confusion, expected)
+        resaved = tmp_path / "resaved.json"
+        ckpt.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.json"
