@@ -86,9 +86,7 @@ def perfbench_reference_s(checkout: Path) -> float:
     """
     source = (checkout / "perfbench" / "workloads.py").read_text(encoding="utf-8")
     for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
-            "REFERENCE_S"
-        ]:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["REFERENCE_S"]:
             return float(ast.literal_eval(node.value))
     raise ValueError(f"no REFERENCE_S assignment in {checkout / 'perfbench' / 'workloads.py'}")
 

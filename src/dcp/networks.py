@@ -65,7 +65,7 @@ class Mlp:
         weights, biases = [], []
         for w_in, w_out in zip(widths[:-1], widths[1:]):
             bound = np.sqrt(6.0 / (w_in + w_out))
-            # drawn (out x in), the order the seeded numbers have always filled
+            # drawn (out x in), the order in which a seed's numbers fill a weight
             w = rng.uniform(-bound, bound, size=(w_out, w_in))
             weights.append(Tensor(w.T, requires_grad=True))
             biases.append(Tensor(np.zeros((1, w_out)), requires_grad=True))
