@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2, help="feature dimension (blobs only)")
     p.add_argument("--n-per-class", type=int, default=200)
     p.add_argument("--rotation", type=float, default=35.0, help="target rotation in degrees")
-    p.add_argument("--translation", default="1,0", help="target translation, comma-separated")
+    p.add_argument(
+        "--translation", help="target translation, comma-separated (blobs only; default 1,0)"
+    )
     p.add_argument("--noise-sigma", type=float, default=0.6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -157,6 +159,8 @@ def cmd_gen_data(args, parser) -> int:
             parser.error("moons data always has 2 classes; drop --k or pass --k 2")
         if args.dim != 2:
             parser.error("moons data is 2-D; drop --dim or pass --dim 2")
+        if args.translation is not None:
+            parser.error("moons data is never translated; drop --translation")
     try:
         if args.kind == "blobs":
             spec = ShiftSpec(
@@ -164,7 +168,11 @@ def cmd_gen_data(args, parser) -> int:
                 d=args.dim,
                 n_per_class=args.n_per_class,
                 rotation=args.rotation,
-                translation=_parse_translation(args.translation, parser),
+                translation=(
+                    ShiftSpec.translation
+                    if args.translation is None
+                    else _parse_translation(args.translation, parser)
+                ),
                 noise_sigma=args.noise_sigma,
                 seed=args.seed,
             )

@@ -47,7 +47,6 @@ class LabeledDataset:
     X: np.ndarray
     y: np.ndarray = field(repr=False)
     domain_tag: str
-    name: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -152,10 +151,9 @@ def gen_blobs(spec: ShiftSpec) -> tuple[LabeledDataset, LabeledDataset]:
     x_src = draw(src_seq)
     x_tgt = draw(tgt_seq) @ _rotation_matrix(spec.d, spec.rotation).T
     x_tgt = x_tgt + _padded(spec.translation, spec.d)
-    tag = f"blobs-k{spec.k}-rot{spec.rotation:g}-seed{spec.seed}"
     return (
-        LabeledDataset(x_src, labels.copy(), SOURCE, name=f"{tag}-source"),
-        LabeledDataset(x_tgt, labels.copy(), TARGET, name=f"{tag}-target"),
+        LabeledDataset(x_src, labels.copy(), SOURCE),
+        LabeledDataset(x_tgt, labels.copy(), TARGET),
     )
 
 
@@ -184,10 +182,9 @@ def gen_two_moons_shift(
     x_tgt = draw(tgt_seq)
     center = x_tgt.mean(axis=0)
     x_tgt = (x_tgt - center) @ _rotation_matrix(2, rotation).T + center
-    tag = f"moons-rot{rotation:g}-seed{seed}"
     return (
-        LabeledDataset(x_src, labels.copy(), SOURCE, name=f"{tag}-source"),
-        LabeledDataset(x_tgt, labels.copy(), TARGET, name=f"{tag}-target"),
+        LabeledDataset(x_src, labels.copy(), SOURCE),
+        LabeledDataset(x_tgt, labels.copy(), TARGET),
     )
 
 
@@ -250,5 +247,4 @@ def load_embeddings(path) -> LabeledDataset:
         X=np.array(rows),
         y=np.array(labels),
         domain_tag=_CODE_DOMAINS[domains[0]],
-        name=path.stem,
     )

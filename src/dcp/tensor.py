@@ -20,7 +20,8 @@ is freed by reference counting as soon as the last tensor of it is dropped,
 without waiting for the cyclic garbage collector.
 
 This module is the engine only, with :func:`weighted_sum` its one node type
-and no elementwise arithmetic. A whole network call is one node
+and no elementwise arithmetic; the trainer's whole objective is one weighted
+sum, over every loss term. A whole network call is one node
 (``networks.forward``), and so is each loss term (``losses``); so are the
 centroids of both classifier branches, stacked as one (2K x d_f) bank, and
 each of their relativized distance matrices (``centroids``). All are built
@@ -34,7 +35,6 @@ operand's order differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,11 +49,7 @@ class EvaluationError(RuntimeError):
 
 def _as_matrix(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
+    if arr.ndim != 2:
         raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError("tensors must be non-empty")
@@ -209,22 +205,17 @@ class Tensor:
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
-    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` over 1 x 1 terms.
-
-    Neighbouring terms with one weight are added before they are scaled, so
-    ``[a, b, c], [1, w, w]`` gives ``a + w * (b + c)``, as in ``alpha * (L_CC
-    + L_CS)``. Each term's gradient is the output's times its weight.
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` over 1 x 1 terms,
+    added left to right. Each term's gradient is the output's times its weight.
     """
     terms = tuple(terms)
     weights = tuple(float(w) for w in weights)
     shapes = [t.shape for t in terms]
     if not terms or len(terms) != len(weights) or set(shapes) != {(1, 1)}:
         raise ShapeError(f"weighted_sum needs 1x1 terms, one weight each; got {shapes}, {weights}")
-    total = None
-    for w, run in groupby(zip(terms, weights), key=lambda term_weight: term_weight[1]):
-        run_values = [t.values for t, _ in run]
-        part = sum(run_values[1:], run_values[0]) * w
-        total = part if total is None else total + part
+    total = terms[0].values * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        total = total + t.values * w
 
     def bw(g: np.ndarray) -> None:
         for t, w in zip(terms, weights):

@@ -4,10 +4,12 @@ Each iteration runs one discriminator minimization followed by one main
 minimization of L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS); the
 discriminator is frozen during the main step. Pseudo-labels are screened
 against the previous iteration's centroid banks, consumed by this iteration's
-centroid update and by L_PL, and then discarded. L_PL is the cross entropy of
-both classifiers on the target batch with its unaccepted rows (label -1)
-skipped: a high-confidence label trains the two classifiers as a source
-label does.
+centroid update and by L_PL, and then discarded. L_PL is the sum of both
+classifiers' cross entropies on the target batch with its unaccepted rows
+(label -1) skipped: a high-confidence label trains the two classifiers as a
+source label does. The main objective is one ``weighted_sum`` node whose
+terms are L_C1, L_C2, L_G, the two cross entropies of L_PL, and L_CC and L_CS
+at weight alpha.
 """
 
 from __future__ import annotations
@@ -386,12 +388,12 @@ def train_step(
     terms = [l_c1, l_c2, l_g]
     l_pl = None
     if n_selected:
-        # accepted pseudo-labels train both classifiers on their rows of the
-        # target batch; the cross entropy skips the rows labeled -1
+        # L_PL: accepted pseudo-labels train both classifiers on their rows of
+        # the target batch; the cross entropy skips the rows labeled -1
         ce_adv = losses.source_classification_loss(logits_t_adv, pseudo)
         ce_clu = losses.source_classification_loss(clu_head(ft_clu), pseudo)
-        l_pl = weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
-        terms.append(l_pl)
+        l_pl = ce_adv.item() + ce_clu.item()
+        terms += [ce_adv, ce_clu]
     weights = [1.0] * len(terms)
     if not alignment_skipped and cfg.alpha > 0.0:
         terms += [l_cc_tensor, l_cs_tensor]
@@ -404,7 +406,7 @@ def train_step(
         "l_c2": l_c2.item(),
         "l_cc": None if alignment_skipped else l_cc_tensor.item(),
         "l_cs": None if alignment_skipped else l_cs_tensor.item(),
-        "l_pl": None if l_pl is None else l_pl.item(),
+        "l_pl": l_pl,
     }
     try:
         _check_finite(state, **main_losses)
@@ -486,9 +488,9 @@ def train(
     """Run the configured number of iterations and return checkpoint + metrics.
 
     The whole run is a pure function of (config, dataset contents): batches
-    come from seeded per-epoch shuffles, target accuracy is measured through
-    the evaluation-only label accessor, and records at the evaluation cadence
-    carry source/target accuracy. Target accuracy and pseudo-label precision
+    come from seeded per-epoch shuffles, and records at the evaluation
+    cadence carry the source and target accuracy that :func:`evaluate` gives
+    the state's checkpoint. Target accuracy and pseudo-label precision
     need every target label; when any is unknown (-1) they are absent. A
     ``NumericsError`` carries the checkpoint and metrics of the iterations
     before the one that failed.
@@ -497,6 +499,8 @@ def train(
         raise ValueError("first dataset must be the labeled source domain")
     if source.d != target.d:
         raise ValueError(f"source dimension {source.d} != target dimension {target.d}")
+    if target.n == 0:
+        raise ValueError("target dataset has no rows; training samples its batches from them")
     k = source.n_classes
     if config.batch_size < k:
         raise ValueError(
@@ -535,9 +539,10 @@ def train(
             exc.records, exc.checkpoint = records, _checkpoint(state)
             raise
         if t % config.eval_every == 0 or t == config.iterations - 1:
-            record.source_acc = _dataset_accuracy(state, source.X, source.y)
+            checkpoint = _checkpoint(state)
+            record.source_acc = evaluate(checkpoint, source).accuracy
             if target_labeled:
-                record.target_acc = _dataset_accuracy(state, target.X, target_eval_labels)
+                record.target_acc = evaluate(checkpoint, target).accuracy
         records.append(record)
         if on_step is not None:
             on_step(state, record, info)
@@ -546,11 +551,6 @@ def train(
 
 def _checkpoint(state: TrainState) -> "Checkpoint":
     return Checkpoint(state.networks["adv_extractor"], state.networks["adv_head"])
-
-
-def _dataset_accuracy(state: TrainState, x: np.ndarray, y: np.ndarray) -> float:
-    logits = branch_outputs(state.networks["adv_extractor"], state.networks["adv_head"], x)
-    return float((logits.argmax(axis=1) == y).mean())
 
 
 # -- evaluation ----------------------------------------------------------------

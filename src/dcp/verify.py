@@ -99,7 +99,6 @@ def run_gradcheck(
     d_f: int = 4,
     k: int = 3,
     n_b: int = 8,
-    h: float = 1e-6,
     builders: dict[str, Builder] | None = None,
 ) -> list[GradCheckRow]:
     """One row per loss with the worst relative error over all seeded instances."""
@@ -112,7 +111,7 @@ def run_gradcheck(
         for seed in range(n_seeds):
             rng = np.random.default_rng(seed)
             for f, x in builder(rng, d_f, k, n_b):
-                report = grad_check(f, x, h=h)
+                report = grad_check(f, x)
                 worst = max(worst, report.max_rel_error)
         rows.append(
             GradCheckRow(loss=name, max_rel_error=worst, threshold=threshold, passed=worst < threshold)

@@ -89,6 +89,17 @@ class TestGenData:
             run_cli(["gen-data", "--kind", "moons", "--k", "3", "--out-dir", str(tmp_path)])
         assert_subcommand_usage_error(exc, capsys, "gen-data")
 
+    @pytest.mark.parametrize("translation", ["9,9", "abc"])
+    def test_moons_rejects_translation(self, translation, tmp_path, capsys):
+        # it used to exit 0 and ignore the flag
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-data", "--kind", "moons", "--translation", translation,
+                     "--out-dir", str(out)])
+        _, err = assert_subcommand_usage_error(exc, capsys, "gen-data")
+        assert "drop --translation" in err
+        assert not out.exists()
+
     def test_moons_writes_two_class_data(self, tmp_path):
         # without --k it used to exit 2: --k defaulted to 3, the blobs' class count
         for name, k_args in (("no-k", []), ("k2", ["--k", "2"])):

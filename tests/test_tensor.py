@@ -526,12 +526,13 @@ class TestLinear:
 
 
 class TestWeightedSum:
-    # the deleted chains: L_PL = a + b, and the main objective
-    # l_c1 + l_c2 + l_g + l_pl + (l_cc + l_cs) * alpha
+    # an objective with weight 1 on its first four terms and alpha on the
+    # last two, as on l_cc and l_cs: each term times its weight, added left
+    # to right, and the gradient each term takes from a unit upstream
     @staticmethod
     def _objective_chain(values, alpha):
         c1, c2, g, pl, cc, cs = (np.array([[v]]) for v in values)
-        total = ((c1 + c2) + g) + pl + (cc + cs) * alpha
+        total = c1 * 1.0 + c2 * 1.0 + g * 1.0 + pl * 1.0 + cc * alpha + cs * alpha
         upstream = np.full((1, 1), 1.0)
         return total, [upstream] * 4 + [upstream * alpha] * 2
 
@@ -550,8 +551,8 @@ class TestWeightedSum:
         assert all(np.array_equal(a, b) for a, b in zip(grads, chain_grads))
 
     def test_alpha_one_is_one_run(self):
-        # with every weight equal the six terms are one run, added left to
-        # right; the gradients are still the chain's
+        # with every weight 1 the six terms are added left to right as they
+        # are; the gradients are still the chain's
         values = np.random.default_rng(1).uniform(0.0, 3.0, size=6)
         total, grads = self._fused(values, [1.0] * 6)
         _, chain_grads = self._objective_chain(values, 1.0)

@@ -432,8 +432,8 @@ class TestTrainStep:
         # alignment: 11 network calls (4 extractor, 4 head and 3
         # discriminator passes); 2 for both branches' centroids and their
         # EMA blend; 2 relativized distance matrices; 2 alignment losses;
-        # l_d, l_g, l_c1, l_c2; 2 cross entropies, which skip the unselected
-        # rows themselves, and 1 sum for L_PL; 1 weighted sum for the objective
+        # l_d, l_g, l_c1, l_c2; L_PL's 2 cross entropies, which skip the
+        # unselected rows themselves; 1 weighted sum for the whole objective
         built = self._nodes_per_step(
             monkeypatch,
             TrainConfig(),
@@ -441,7 +441,7 @@ class TestTrainStep:
                 live and (info.pseudo_labels >= 0).any() and not info.alignment_skipped
             ),
         )
-        assert built == 25
+        assert built == 24
 
     def test_graph_nodes_without_alignment_weight_or_pseudo_labels(self, monkeypatch):
         # alpha=0 and no pseudo-labels, with live banks: 10 network calls
@@ -628,6 +628,13 @@ class TestTrain:
         with pytest.raises(ValueError, match=rf"target label {bad} is outside \[-1, 3\)"):
             train(tiny_config(), src, dataclasses.replace(tgt, y=y))
 
+    def test_empty_target_rejected(self):
+        # an empty pool would be refilled forever by the batch sampler
+        src, tgt = tiny_datasets()
+        empty = dataclasses.replace(tgt, X=np.zeros((0, 2)), y=np.zeros(0))
+        with pytest.raises(ValueError, match="target dataset has no rows"):
+            train(tiny_config(iterations=1), src, empty)
+
     def test_batch_size_must_cover_classes(self):
         src, tgt = tiny_datasets()
         with pytest.raises(ValueError, match="stratify"):
@@ -803,6 +810,14 @@ class TestCheckpoint:
             (
                 lambda p: p["adv_head"].update(weights=[[["x"]]]),
                 "network 'adv_head': could not convert string to float",
+            ),
+            (
+                # one flat row with a 1 x 1 bias once loaded as a one-class head
+                lambda p: p["adv_head"].update(
+                    weights=[p["adv_head"]["weights"][0][0]],
+                    biases=[p["adv_head"]["biases"][0][:1]],
+                ),
+                "network 'adv_head': tensors are 2-D, got array of shape (64,)",
             ),
         ]
         for breakage, message in breakages:
