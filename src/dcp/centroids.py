@@ -135,7 +135,7 @@ def _relative_distances(
     """
     k = banks.rows // 2
     c = banks.values.reshape(2, k, -1)
-    b = c if samples is None else np.stack([t.values for t in samples])
+    b = c if samples is None else np.array([t.values for t in samples])
     d, sq = distance_values(c, b)
     scale = 1.0 / (k * k - k) if samples is None else 1.0 / (k * b.shape[1])
     # The diagonal of a centroid-centroid matrix is exactly zero, so the full

@@ -1,9 +1,10 @@
 """Small fully connected networks: feature extractors, heads, discriminator.
 
 A network is its weights: each layer is a C-contiguous weight (in x out) and
-a bias (1 x out), the layout its products read (``x @ W``, ``a.T @ g``,
-``g @ W.T``), so no network call copies a weight; checkpoint files keep
-(out x in) and transpose at load and save. Every network ends in a linear
+a bias (1 x out), the layout its products read (``x @ W`` forward, and
+``a.T @ g`` and ``g @ W.T`` in the backward rule, which calls ``np.dot`` for
+them), so no network call copies a weight; checkpoint files keep (out x in)
+and transpose at load and save. Every network ends in a linear
 layer, so it gives logits: the heads' class logits and the discriminator's
 domain logit. Both branches of the model use structurally identical
 extractors with independent parameters; architecture defaults live in the
@@ -100,7 +101,9 @@ def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np
     bias add and the relu work in place on the fresh product, with the same
     operations in the same order as ``np.maximum(x @ w + b, 0.0)``. This is
     the layer of the graph node and of the graph-free forward, so both give
-    the same bits.
+    the same bits. The product stays the ``@`` ufunc: ``np.dot``, which the
+    backward rule calls, gives the same bits at the model's layer shapes but
+    was slower on the graph-free forward's 128-row blocks.
     """
     h = x @ w
     h += b
@@ -124,7 +127,9 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
     The node's parents are ``(x, W1, b1, W2, b2, ...)``. Its backward walks the
     layers in reverse with the per-layer rules (relu mask, then the input,
     weight and bias gradients of each layer, in that order), and computes
-    only the gradients some parent can take.
+    only the gradients some parent can take. It masks in place only the
+    input gradients it made itself; the gradient it is handed and the saved
+    activations are left as they are.
     """
     if x.cols != net.d_in:
         raise ShapeError(f"input has {x.cols} columns, the network takes {net.d_in}")
@@ -140,19 +145,22 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
         for i in range(last, -1, -1):
             w, b = layers[i]
             if i < last:
-                g = g * (acts[i + 1] > 0.0)
-            g_in = g @ w.values.T if takes_input_grad[i] else None
+                # g is the input gradient made by the layer above: masked in
+                # place, never the caller's gradient
+                g *= acts[i + 1] > 0.0
+            g_in = np.dot(g, w.values.T) if takes_input_grad[i] else None
             if i == 0 and g_in is not None:
                 x._accumulate(g_in)
             if w.requires_grad:
-                w._accumulate(acts[i].T @ g)
+                w._accumulate(np.dot(acts[i].T, g))
             if b.requires_grad:
                 b._accumulate(np.add.reduce(g, axis=0, keepdims=True))
             if g_in is None:
                 return
             g = g_in
 
-    return Tensor._node(acts[-1], (x, *net.tensors()), bw)
+    # (x, W1, b1, W2, b2, ...)
+    return Tensor._node(acts[-1], sum(layers, (x,)), bw)
 
 
 def branch_outputs(extractor: Mlp, head: Mlp, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ at weight alpha.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -192,13 +193,17 @@ def apply_sgd_update(
 ) -> None:
     """Step every parameter tensor in place and zero its gradient.
 
-    Momentum SGD: v <- momentum * v + grad; p <- p - lr * v. A parameter
-    without a gradient takes a zero one.
+    Momentum SGD: v <- momentum * v + grad; p <- p - lr * v. Each velocity
+    array is updated in place (``v *= momentum; v += grad``, the same two
+    roundings), so a caller that keeps an earlier velocity must copy it. A
+    parameter without a gradient takes a zero one.
     """
     for i, p in enumerate(params):
         grad = p.grad if p.grad is not None else np.zeros(p.shape)
-        velocity[i] = momentum * velocity[i] + grad
-        p.update_values(p.values - lr * velocity[i])
+        v = velocity[i]
+        v *= momentum
+        v += grad
+        p.update_values(p.values - lr * v)
         p.zero_grad()
 
 
@@ -270,7 +275,7 @@ def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
 def _check_finite(state: TrainState, **losses_by_name: float | None) -> None:
     """Raise NumericsError on the first non-finite loss; absent losses pass."""
     for name, value in losses_by_name.items():
-        if value is not None and not np.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise NumericsError(state.t, name, value)
 
 
@@ -376,7 +381,11 @@ def train_step(
     l_d = losses.discriminator_loss(s_source, s_target)
     _check_finite(state, l_d=l_d.item())
     disc_params = disc.tensors()
-    disc_before = ([p.values for p in disc_params], list(state.velocity["discriminator"]))
+    disc_before = (
+        [p.values for p in disc_params],
+        # copies: the update changes the velocity arrays in place
+        [v.copy() for v in state.velocity["discriminator"]],
+    )
     l_d.backward()
     _update_networks(state, ("discriminator",))
 

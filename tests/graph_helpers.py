@@ -4,7 +4,7 @@ import numpy as np
 
 from dcp.centroids import LOSS_EPS, SQRT_SHIFT, DegenerateGeometryError, update_centroids_ema
 from dcp.losses import CLAMP_EPS, sigmoid_values, source_classification_loss
-from dcp.networks import Mlp, forward, linear_values
+from dcp.networks import Mlp, forward
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
 from dcp.tensor import ShapeError, Tensor, weighted_sum
 
@@ -49,8 +49,14 @@ def network(x: Tensor, weights, biases) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One layer as one node: ``x @ w + b``, then relu if asked, on an
-    (in x out) weight and a (1 x out) bias."""
-    h = linear_values(x.values, w.values, b.values, relu)
+    (in x out) weight and a (1 x out) bias.
+
+    The forward is its own ``@`` expression, not ``linear_values``, so the
+    reference shares no kernel with the network node it is compared with.
+    """
+    h = x.values @ w.values + b.values
+    if relu:
+        h = np.maximum(h, 0.0)
 
     def bw(g):
         if relu:

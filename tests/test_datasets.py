@@ -24,6 +24,17 @@ class TestLabeledDataset:
         ds = LabeledDataset(np.ones((3, 2)), [0, 1, 2], TARGET)
         assert list(ds.eval_labels()) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "labels, row", [([0.0, 1.7, 2.2], 1), ([0.0, 1.0, -0.5], 2), ([np.nan, 1.0, 2.0], 0)]
+    )
+    def test_non_integral_label_rejected_by_row(self, labels, row):
+        with pytest.raises(ValueError, match=rf"^label row {row} is not an integer"):
+            LabeledDataset(np.zeros((3, 2)), labels, TARGET)
+
+    def test_integral_float_labels_accepted(self):
+        ds = LabeledDataset(np.zeros((3, 2)), [0.0, 1.0, -1.0], TARGET)
+        assert ds.y.dtype == np.int64 and list(ds.y) == [0, 1, -1]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.ones((3, 2)), [0, 1], SOURCE)

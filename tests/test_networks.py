@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from graph_helpers import contract, layer_chain
 
+from dcp import networks
 from dcp.networks import EVAL_BLOCK_ROWS, Mlp, branch_outputs, forward
 from dcp.tensor import ShapeError, Tensor, grad_check
 
@@ -159,6 +160,30 @@ class TestNetworkNode:
         # a gradient exactly where a parent takes one
         takes = [x_grad] + [params_grad] * (2 * len(net.weights))
         assert [g is not None for g in node[1:]] == takes
+
+    @pytest.mark.parametrize("spec", NODE_SPECS)
+    def test_backward_writes_only_into_its_own_arrays(self, spec, monkeypatch):
+        # the rule masks its input gradients in place; the gradient it is
+        # handed and the activations it saved must come through unchanged
+        saved = []
+        activations = networks._activations
+
+        def keep(net, x):
+            acts = activations(net, x)
+            saved.append(acts)
+            return acts
+
+        x, net, upstream = _node_operands(spec, 3, x_grad=True, params_grad=True)
+        with monkeypatch.context() as m:
+            m.setattr(networks, "_activations", keep)
+            out = forward(net, x)
+        (acts,) = saved
+        kept = [a.copy() for a in acts]
+        g = upstream.copy()
+        out._backward_fn(g)
+        assert np.array_equal(g, upstream)
+        assert all(np.array_equal(a, k) for a, k in zip(acts, kept))
+        assert all(t.grad is not None for t in (x, *net.tensors()))
 
     @pytest.mark.parametrize("spec", NODE_SPECS)
     def test_gradient_matches_finite_differences(self, spec):

@@ -259,3 +259,84 @@ def test_bench_record_finds_the_newest_committed_record_below_its_label(label, e
     bench_record = _import_script("bench_record")
     found = bench_record.previous_record(label)
     assert (found and found.name) == expected
+
+
+def _pairs_run(seed, train_s, eval_s, sha="same", correct=True):
+    run = _import_script("bench_record").parse_run(_perfbench_stdout(seed, train_s, correct))
+    run["result"]["metrics"]["eval_s"] = {"value": eval_s, "unit": "s"}
+    run["metrics_trace_sha256"] = sha
+    return run
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, capsys):
+    bench_pairs = _import_script("bench_pairs")
+    # a repository whose HEAD is the parent and whose working tree is faster
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True)
+
+    git("init", "-q")
+    spec = {"run_seconds": 55, "workloads": [{"name": "blobs"}], "end_to_end": [
+        {"name": "train_s", "better": "lower"}, {"name": "eval_s", "better": "lower"},
+        {"name": "iter_ms_p50", "better": "lower"}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    (repo / "side.txt").write_text("parent\n", encoding="utf-8")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one")
+    (repo / "side.txt").write_text("tree\n", encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    calls = []
+    parent_train = [6.0, 5.0, 7.0, 9.0]
+
+    def fake_run_perfbench(checkout, workload, seed, seconds, trace, env=None):
+        side = (checkout / "side.txt").read_text(encoding="utf-8").strip()
+        calls.append((side, workload, seed, seconds, trace))
+        i = seed - 40
+        if side == "parent":
+            return _pairs_run(seed, parent_train[i], 1.0)
+        # faster on three pairs of four, and the same eval time
+        return _pairs_run(seed, parent_train[i] - (1.0 if i < 3 else -1.0), 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run_perfbench)
+    assert bench_pairs.main(["--parent", "HEAD", "--label", "t", "--pairs", "4",
+                             "--first-seed", "40", "--seconds", "2"]) == 0
+    # the parent first on even pairs, the tree first on odd ones; one seed a pair
+    assert [(side, seed) for side, _, seed, _, _ in calls] == [
+        ("parent", 40), ("tree", 40), ("tree", 41), ("parent", 41),
+        ("parent", 42), ("tree", 42), ("tree", 43), ("parent", 43),
+    ]
+    assert {(w, s, t) for _, w, _, s, t in calls} == {("blobs", 2.0, 0)}
+
+    record = json.loads((repo / "PAIRS_t.json").read_text(encoding="utf-8"))
+    assert len(record["parent_commit"]) == 40 and record["tree_git_status"] == [" M side.txt"]
+    blobs = record["workloads"]["blobs"]
+    assert blobs["seeds"] == [40, 41, 42, 43]
+    assert blobs["first"] == ["parent", "tree", "parent", "tree"]
+    assert blobs["all_correct"] and blobs["same_trace_hash"]
+    train_s = blobs["metrics"]["train_s"]
+    assert train_s["parent_median"] == 6.5 and train_s["tree_median"] == 5.5
+    assert train_s["parent_iqr"] == 7.5 - 5.75
+    assert (train_s["wins"], train_s["pairs"]) == (3, 4)
+    # equal values are not wins; a metric the runs lack is left out
+    assert blobs["metrics"]["eval_s"]["wins"] == 0
+    assert set(blobs["metrics"]) == {"train_s", "eval_s"}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "blobs: every run correct: True; every pair's trace hash equal: True"
+    assert out[1] == ("blobs train_s: parent 6.5 tree 5.5 (-15.4%), parent IQR 26.9%, "
+                      "tree lower in 3 of 4 pairs")
+
+
+def test_bench_pairs_flags_a_failed_run_and_a_changed_trace():
+    bench_pairs = _import_script("bench_pairs")
+    pairs = [
+        {"seed": 0, "first": "parent", "parent": _pairs_run(0, 5.0, 1.0),
+         "tree": _pairs_run(0, 4.0, 1.0, sha="other")},
+        {"seed": 1, "first": "tree", "parent": _pairs_run(1, 5.0, 1.0),
+         "tree": _pairs_run(1, 4.0, 1.0, correct=False)},
+    ]
+    comparison = bench_pairs.compare(pairs, {"train_s": "higher"})
+    assert not comparison["all_correct"] and not comparison["same_trace_hash"]
+    assert comparison["metrics"]["train_s"]["wins"] == 0

@@ -447,14 +447,14 @@ class TestLinear:
     """The layer kernel ``linear_values`` through the network node: one layer,
     or a relu layer followed by an identity layer."""
 
-    def _operands(self, seed=0):
+    def _operands(self, seed=0, rows=5, w_in=3, w_out=4):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(5, 3))
+        x = rng.normal(size=(rows, w_in))
         # (in x out) and (1 x out), C-contiguous, from the numbers once drawn
         # as the (out x in) weight and (out x 1) bias
-        w = rng.normal(size=(4, 3)).T.copy()
-        b = rng.normal(size=(4, 1)).T.copy()
-        return x, w, b, rng.normal(size=(5, 4))
+        w = rng.normal(size=(w_out, w_in)).T.copy()
+        b = rng.normal(size=(w_out, 1)).T.copy()
+        return x, w, b, rng.normal(size=(rows, w_out))
 
     @staticmethod
     def _layer(x, w, b, relu):
@@ -489,9 +489,23 @@ class TestLinear:
             g = g * (pre > 0.0)
         return out, g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)
 
-    @pytest.mark.parametrize("relu", [False, True])
-    def test_bit_identical_to_transpose_matmul_add_chain(self, relu):
-        x, w, b, weights = self._operands(seed=1)
+    # (relu, rows, in, out): the first two cases keep the ids of the one
+    # 5-row (3 -> 4) layer these tests pinned at first; the rest are the
+    # model's layers (extractor 2 -> 64 -> 64, head 64 -> 3, discriminator
+    # 64 -> 32 -> 1) at one and two rows, a training batch and an
+    # evaluation block. The network node multiplies with ``np.dot``, which
+    # takes a 1-row or 1-column operand to a vector kernel, and the
+    # references multiply with ``@``.
+    LAYER_CASES = [pytest.param(relu, 5, 3, 4, id=str(relu)) for relu in (False, True)] + [
+        pytest.param(relu, rows, w_in, w_out, id=f"{relu}-{rows}x{w_in}x{w_out}")
+        for relu in (False, True)
+        for w_in, w_out in ((2, 64), (64, 64), (64, 3), (64, 32), (32, 1))
+        for rows in (1, 2, 36, 128)
+    ]
+
+    @pytest.mark.parametrize("relu, rows, w_in, w_out", LAYER_CASES)
+    def test_bit_identical_to_transpose_matmul_add_chain(self, relu, rows, w_in, w_out):
+        x, w, b, weights = self._operands(1, rows, w_in, w_out)
         tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
         out = self._layer(tx, tw, tb, relu)
         contract(out, weights).backward()
@@ -499,9 +513,9 @@ class TestLinear:
         for fused_value, chain_value in zip([out.values, tx.grad, tw.grad, tb.grad], chain):
             assert np.array_equal(fused_value, chain_value)
 
-    @pytest.mark.parametrize("relu", [False, True])
-    def test_kernel_is_the_expression_and_leaves_operands_alone(self, relu):
-        x, w, b, _ = self._operands(seed=2)
+    @pytest.mark.parametrize("relu, rows, w_in, w_out", LAYER_CASES)
+    def test_kernel_is_the_expression_and_leaves_operands_alone(self, relu, rows, w_in, w_out):
+        x, w, b, _ = self._operands(2, rows, w_in, w_out)
         operands = [v.copy() for v in (x, w, b)]
         pre = x @ w + b
         expected = np.maximum(pre, 0.0) if relu else pre
