@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """Time the working tree against a parent revision in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --label pr20
-    python3 scripts/bench_pairs.py --parent 7d9f613 --label pr20 --pairs 4 \\
-        --workload blobs-ablation --first-seed 200
+    python3 scripts/bench_pairs.py --parent HEAD~1 --label pr20 [--first-seed 200]
 
 Extracts the parent revision with ``git archive`` into a temporary directory
 and runs ``perfbench/run.py --trace 0`` of that copy and of the working tree
-in pairs, for each workload that ``BENCHMARK.json`` declares (or those given
-with ``--workload``). Both runs of a pair train the same seed, seed
-``--first-seed`` + the pair's index; the parent runs first on even pairs and
-the working tree on odd ones, so neither side always runs on a warmer
-machine. Each run lasts ``BENCHMARK.json``'s ``run_seconds`` unless
-``--seconds`` is given.
+in ten pairs for each workload that ``BENCHMARK.json`` declares. Both runs
+of a pair train the same seed; the seeds run on from ``--first-seed``
+across pairs and workloads. The parent runs first on even pairs and the
+working tree on odd ones, so neither side always runs on a warmer machine.
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``.
 
 For each workload and end-to-end metric it prints the inputs of the gain
 rule: both sides' medians, the parent's spread between quartiles (IQR), and
@@ -39,6 +36,7 @@ from bench_record import git_state, run_perfbench
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "tree")
+PAIRS = 10
 
 
 def archive(checkout: Path, revision: str, dest: Path) -> str:
@@ -56,12 +54,12 @@ def archive(checkout: Path, revision: str, dest: Path) -> str:
     return commit
 
 
-def run_pairs(checkouts: dict, workload: str, pairs: int, first_seed: int, seconds: float) -> list:
-    """``pairs`` alternating pairs of runs of ``checkouts["parent"]`` and
+def run_pairs(checkouts: dict, workload: str, first_seed: int, seconds: float) -> list:
+    """``PAIRS`` alternating pairs of runs of ``checkouts["parent"]`` and
     ``checkouts["tree"]``; each pair is ``{"seed", "first", "parent", "tree"}``
     with every run as ``bench_record.parse_run`` returns it."""
     out = []
-    for i in range(pairs):
+    for i in range(PAIRS):
         seed = first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
@@ -77,11 +75,8 @@ def compare(pairs: list, better: dict) -> dict:
     metrics = {}
     for name, direction in better.items():
         values = {
-            side: [p[side]["result"]["metrics"].get(name, {}).get("value") for p in pairs]
-            for side in SIDES
+            side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES
         }
-        if any(v is None for side in SIDES for v in values[side]):
-            continue
         parent, tree = (np.array(values[side]) for side in SIDES)
         q1, q3 = np.percentile(parent, [25, 75])
         wins = tree < parent if direction == "lower" else tree > parent
@@ -128,13 +123,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Alternating perfbench pairs: parent vs tree.")
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--first-seed", type=int, default=100)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commit, git_status = git_state(ROOT)
 
@@ -142,15 +133,15 @@ def main(argv=None) -> int:
         "label": args.label,
         "tree_commit": commit,
         "tree_git_status": git_status,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         record["parent_commit"] = archive(ROOT, args.parent, Path(tmp))
         checkouts = {"parent": Path(tmp), "tree": ROOT}
-        for i, workload in enumerate(args.workload or names):
-            first_seed = args.first_seed + i * args.pairs
-            pairs = run_pairs(checkouts, workload, args.pairs, first_seed, args.seconds)
+        for i, workload in enumerate(names):
+            first_seed = args.first_seed + i * PAIRS
+            pairs = run_pairs(checkouts, workload, first_seed, seconds)
             comparison = compare(pairs, better)
             record["workloads"][workload] = {
                 "seeds": [p["seed"] for p in pairs],

@@ -278,9 +278,8 @@ def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, cap
         subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True)
 
     git("init", "-q")
-    spec = {"run_seconds": 55, "workloads": [{"name": "blobs"}], "end_to_end": [
-        {"name": "train_s", "better": "lower"}, {"name": "eval_s", "better": "lower"},
-        {"name": "iter_ms_p50", "better": "lower"}]}
+    spec = {"run_seconds": 2, "workloads": [{"name": "blobs"}], "end_to_end": [
+        {"name": "train_s", "better": "lower"}, {"name": "eval_s", "better": "lower"}]}
     (repo / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
     (repo / "side.txt").write_text("parent\n", encoding="utf-8")
     git("add", ".")
@@ -289,7 +288,7 @@ def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, cap
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
 
     calls = []
-    parent_train = [6.0, 5.0, 7.0, 9.0]
+    parent_train = [6.0, 5.0, 7.0, 9.0, 8.0, 6.5, 5.5, 7.5, 4.0, 6.0]
 
     def fake_run_perfbench(checkout, workload, seed, seconds, trace, env=None):
         side = (checkout / "side.txt").read_text(encoding="utf-8").strip()
@@ -297,36 +296,37 @@ def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, cap
         i = seed - 40
         if side == "parent":
             return _pairs_run(seed, parent_train[i], 1.0)
-        # faster on three pairs of four, and the same eval time
-        return _pairs_run(seed, parent_train[i] - (1.0 if i < 3 else -1.0), 1.0)
+        # faster on nine pairs of ten, and the same eval time
+        return _pairs_run(seed, parent_train[i] - (1.0 if i < 9 else -1.0), 1.0)
 
     monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run_perfbench)
-    assert bench_pairs.main(["--parent", "HEAD", "--label", "t", "--pairs", "4",
-                             "--first-seed", "40", "--seconds", "2"]) == 0
-    # the parent first on even pairs, the tree first on odd ones; one seed a pair
+    assert bench_pairs.main(["--parent", "HEAD", "--label", "t", "--first-seed", "40"]) == 0
+    # ten pairs of BENCHMARK.json's run length; the parent first on even
+    # pairs, the tree first on odd ones; one seed a pair
     assert [(side, seed) for side, _, seed, _, _ in calls] == [
-        ("parent", 40), ("tree", 40), ("tree", 41), ("parent", 41),
-        ("parent", 42), ("tree", 42), ("tree", 43), ("parent", 43),
+        (side, 40 + i) for i in range(10)
+        for side in (("parent", "tree") if i % 2 == 0 else ("tree", "parent"))
     ]
-    assert {(w, s, t) for _, w, _, s, t in calls} == {("blobs", 2.0, 0)}
+    assert {(w, s, t) for _, w, _, s, t in calls} == {("blobs", 2, 0)}
 
     record = json.loads((repo / "PAIRS_t.json").read_text(encoding="utf-8"))
     assert len(record["parent_commit"]) == 40 and record["tree_git_status"] == [" M side.txt"]
+    assert record["seconds"] == 2
     blobs = record["workloads"]["blobs"]
-    assert blobs["seeds"] == [40, 41, 42, 43]
-    assert blobs["first"] == ["parent", "tree", "parent", "tree"]
+    assert blobs["seeds"] == list(range(40, 50))
+    assert blobs["first"] == ["parent", "tree"] * 5
     assert blobs["all_correct"] and blobs["same_trace_hash"]
     train_s = blobs["metrics"]["train_s"]
-    assert train_s["parent_median"] == 6.5 and train_s["tree_median"] == 5.5
-    assert train_s["parent_iqr"] == 7.5 - 5.75
-    assert (train_s["wins"], train_s["pairs"]) == (3, 4)
-    # equal values are not wins; a metric the runs lack is left out
+    assert train_s["parent_median"] == 6.25 and train_s["tree_median"] == 5.75
+    assert train_s["parent_iqr"] == 7.375 - 5.625
+    assert (train_s["wins"], train_s["pairs"]) == (9, 10)
+    # equal values are not wins
     assert blobs["metrics"]["eval_s"]["wins"] == 0
     assert set(blobs["metrics"]) == {"train_s", "eval_s"}
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "blobs: every run correct: True; every pair's trace hash equal: True"
-    assert out[1] == ("blobs train_s: parent 6.5 tree 5.5 (-15.4%), parent IQR 26.9%, "
-                      "tree lower in 3 of 4 pairs")
+    assert out[1] == ("blobs train_s: parent 6.25 tree 5.75 (-8.0%), parent IQR 28.0%, "
+                      "tree lower in 9 of 10 pairs")
 
 
 def test_bench_pairs_flags_a_failed_run_and_a_changed_trace():
