@@ -50,14 +50,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y).reshape(-1)
+        y = np.asarray(self.y)
         if y.dtype.kind == "f":
             # the int64 cast below would truncate 1.7 to 1 without a word
+            y = y.reshape(-1)
             fractional = ~np.isfinite(y) | (np.floor(y) != y)
             if fractional.any():
                 row = int(np.argmax(fractional))
                 raise ValueError(f"label row {row} is not an integer: {y[row]!r}")
-        self.y = np.asarray(y, dtype=np.int64)
+        self.y = np.asarray(y, dtype=np.int64).reshape(-1)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         # one whole-array reduction; the per-row one is several times slower

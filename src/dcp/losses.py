@@ -10,6 +10,13 @@ reused verbatim for the clustering branch's head and for both heads on
 accepted target pseudo-labels, whose unselected rows it skips. Each loss is
 one graph node, defined here with its formula, whose operations run in a
 fixed order, on which the pinned metrics traces depend.
+
+The kernels are written for the trainer's small batches, where each numpy
+call costs more than its arithmetic: the discriminator loss stacks its
+source and target logits by rows, so one call takes both halves' verdicts,
+clamp and log, and its gradients are the row halves of one fresh array; the
+backward rules scale that array in place. Every element still goes through
+the same roundings in the same order as the per-half formulas.
 """
 
 from __future__ import annotations
@@ -25,17 +32,21 @@ CLAMP_EPS = 1e-7
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function on a plain array."""
-    # Split by sign to avoid overflow in exp for large |x|.
+    # Split by sign to avoid overflow in exp for large |x|: e / (1 + e) with
+    # e = exp(-|x|) below zero, and 1 / (1 + e) from zero up, divided into e.
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=x >= 0)
+    return e
 
 
-def _verdicts(s: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _verdicts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clipped verdicts of the logits, where none was clipped, and the unclipped verdicts."""
-    p = sigmoid_values(s.values)
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    return np.clip(p, lo, hi), (p >= lo) & (p <= hi), p
+    p = sigmoid_values(x)
+    clipped = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    # a verdict is left as it is exactly where it lies inside the clamp
+    return clipped, clipped == p, p
 
 
 def discriminator_loss(s_source: Tensor, s_target: Tensor) -> Tensor:
@@ -43,30 +54,43 @@ def discriminator_loss(s_source: Tensor, s_target: Tensor) -> Tensor:
 
     -(mean log ds + mean log(1 - dt)) over the clamped verdicts of the source
     and target logits, one graph node. Zero at perfect discrimination
-    (source verdicts near 1, target near 0).
+    (source verdicts near 1, target near 0). The logits are stacked by rows,
+    source first, so one pass takes every verdict and its log, and both
+    gradients are row slices of one fresh array.
     """
-    ds, ds_unclipped, ps = _verdicts(s_source)
-    dt, dt_unclipped, pt = _verdicts(s_target)
-    dt_complement = 1.0 - dt
-    loss = -(np.log(ds).sum() * (1.0 / ds.size) + np.log(dt_complement).sum() * (1.0 / dt.size))
+    ns, n_source, n_target = s_source.rows, s_source.values.size, s_target.values.size
+    d, unclipped, p = _verdicts(np.concatenate((s_source.values, s_target.values)))
+    # the target rows become 1 - dt, so one log covers both halves
+    np.subtract(1.0, d[ns:], out=d[ns:])
+    logs = np.log(d)
+    loss = -(logs[:ns].sum() * (1.0 / n_source) + logs[ns:].sum() * (1.0 / n_target))
 
     def bw(g: np.ndarray) -> None:
         g_neg = g[0, 0] * -1.0
-        s_source._accumulate(g_neg * (1.0 / ds.size) / ds * ds_unclipped * ps * (1.0 - ps))
-        s_target._accumulate(
-            -(g_neg * (1.0 / dt.size) / dt_complement) * dt_unclipped * pt * (1.0 - pt)
-        )
+        grad = np.empty(d.shape)
+        np.divide(g_neg * (1.0 / n_source), d[:ns], out=grad[:ns])
+        # -(c / x) is (-c) / x exactly: rounding is symmetric in the sign
+        np.divide(-(g_neg * (1.0 / n_target)), d[ns:], out=grad[ns:])
+        grad *= unclipped
+        grad *= p
+        grad *= 1.0 - p
+        s_source._accumulate(grad[:ns])
+        s_target._accumulate(grad[ns:])
 
     return Tensor._node(np.array([[loss]]), (s_source, s_target), bw)
 
 
 def generator_loss(s_target: Tensor) -> Tensor:
     """Non-saturating generator loss -mean log dt: drives target verdicts toward 1."""
-    dt, unclipped, p = _verdicts(s_target)
+    dt, unclipped, p = _verdicts(s_target.values)
     loss = -(np.log(dt).sum() * (1.0 / dt.size))
 
     def bw(g: np.ndarray) -> None:
-        s_target._accumulate(g[0, 0] * -1.0 * (1.0 / dt.size) / dt * unclipped * p * (1.0 - p))
+        grad = g[0, 0] * -1.0 * (1.0 / dt.size) / dt
+        grad *= unclipped
+        grad *= p
+        grad *= 1.0 - p
+        s_target._accumulate(grad)
 
     return Tensor._node(np.array([[loss]]), (s_target,), bw)
 

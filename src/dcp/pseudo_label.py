@@ -56,11 +56,15 @@ def class_means(x: np.ndarray, labels: np.ndarray, counts: np.ndarray, out: np.n
     ``counts`` is ``np.bincount(labels)``; a class with count 0 keeps its row
     of ``out``. The counted classes' row sums are one product of their
     one-hot indicator rows with ``x``, the construction of
-    ``centroids.compute_centroids``.
+    ``centroids.compute_centroids``. When every class is counted, the means
+    are divided straight into ``out``, with no gather or scatter of rows.
     """
     counted = np.flatnonzero(counts)
     onehot = labels == counted[:, None]
-    out[counted] = onehot @ x / counts[counted, None]
+    if counted.size == counts.size:
+        np.divide(onehot @ x, counts[:, None], out=out)
+    else:
+        out[counted] = onehot @ x / counts[counted, None]
 
 
 def kmeans_assign(

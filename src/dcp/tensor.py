@@ -207,21 +207,23 @@ class Tensor:
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` over 1 x 1 terms,
     added left to right. Each term's gradient is the output's times its weight.
+    The forward adds Python floats: the same double roundings as the 1 x 1
+    arrays, with no array made per term.
     """
     terms = tuple(terms)
     weights = tuple(float(w) for w in weights)
     shapes = [t.shape for t in terms]
     if not terms or len(terms) != len(weights) or set(shapes) != {(1, 1)}:
         raise ShapeError(f"weighted_sum needs 1x1 terms, one weight each; got {shapes}, {weights}")
-    total = terms[0].values * weights[0]
+    total = terms[0].values.item() * weights[0]
     for t, w in zip(terms[1:], weights[1:]):
-        total = total + t.values * w
+        total = total + t.values.item() * w
 
     def bw(g: np.ndarray) -> None:
         for t, w in zip(terms, weights):
             t._accumulate(g * w)
 
-    return Tensor._node(total, terms, bw)
+    return Tensor._node(np.array([[total]]), terms, bw)
 
 
 # -- finite-difference verification ----------------------------------------

@@ -195,15 +195,18 @@ def apply_sgd_update(
 
     Momentum SGD: v <- momentum * v + grad; p <- p - lr * v. Each velocity
     array is updated in place (``v *= momentum; v += grad``, the same two
-    roundings), so a caller that keeps an earlier velocity must copy it. A
-    parameter without a gradient takes a zero one.
+    roundings), so a caller that keeps an earlier velocity must copy it. The
+    new parameter is ``p - lr * v`` computed into the fresh ``lr * v``, again
+    the same roundings. A parameter without a gradient takes a zero one.
     """
     for i, p in enumerate(params):
         grad = p.grad if p.grad is not None else np.zeros(p.shape)
         v = velocity[i]
         v *= momentum
         v += grad
-        p.update_values(p.values - lr * v)
+        step = lr * v
+        np.subtract(p.values, step, out=step)
+        p.update_values(step)
         p.zero_grad()
 
 
@@ -258,10 +261,12 @@ def pseudo_precision(pseudo_labels: np.ndarray, true_labels) -> float | None:
     nothing was selected.
     """
     picked = pseudo_labels >= 0
-    if not picked.any():
+    n_picked = np.count_nonzero(picked)
+    if not n_picked:
         return None
     true_labels = np.asarray(true_labels, dtype=np.int64).reshape(-1)
-    return float((pseudo_labels[picked] == true_labels[picked]).mean())
+    # two exact counts, divided once: the mean of the boolean matches, bit for bit
+    return float(np.count_nonzero(picked & (pseudo_labels == true_labels)) / n_picked)
 
 
 def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
@@ -621,11 +626,19 @@ class Checkpoint:
     and ``load`` transpose at that boundary. Both networks are relu in hidden
     layers and linear at the output. The clustering branch, the
     discriminator, optimizer velocity and centroid banks are not kept, so a
-    run cannot be resumed from a checkpoint.
+    run cannot be resumed from a checkpoint. A checkpoint is a snapshot: it
+    holds its own copy of each weight, made when it is built, and each bias's
+    frozen array, so training on does not change it.
     """
 
     adv_extractor: Mlp
     adv_head: Mlp
+
+    def __post_init__(self):
+        self.adv_extractor, self.adv_head = (
+            Mlp([_cache_aligned(w.values) for w in net.weights], [b.detached() for b in net.biases])
+            for net in (self.adv_extractor, self.adv_head)
+        )
 
     @property
     def k(self) -> int:
@@ -660,6 +673,22 @@ class Checkpoint:
                 f"but 'adv_head' takes {head.d_in}"
             )
         return cls(extractor, head)
+
+
+def _cache_aligned(values: np.ndarray) -> Tensor:
+    """A constant tensor over a copy of ``values`` that starts on a 64-byte boundary.
+
+    numpy aligns an array to 16 bytes only, so where a trained weight lands
+    depends on every allocation before it. ``evaluate``'s 64 x 64 product over
+    128-row blocks ran about 5% faster with its weight on a 64-byte (cache
+    line) boundary than at any other offset (interleaved, in-process), with
+    the same bits.
+    """
+    buf = np.empty(values.size + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start : start + values.size].reshape(values.shape)
+    out[...] = values
+    return Tensor._node(out, (), None)
 
 
 def _decode_network(name: str, data) -> Mlp:

@@ -112,6 +112,21 @@ class TestDiscriminatorLoss:
         for fused, expected in zip([loss.values, ss.grad, st.grad], chain):
             assert np.array_equal(fused, expected)
 
+    @pytest.mark.parametrize("target_shape", [(7, 2), (2, 2), (1, 2)])
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    def test_bit_identical_to_deleted_chain_on_multi_column_logits(self, target_shape, upstream):
+        # the node stacks both logit arrays by rows: with two columns and
+        # unequal row counts, a split by element count would take the wrong
+        # rows for either half
+        vs = np.array(EDGE_LOGITS).reshape(5, 2)
+        vt = np.random.default_rng(6).normal(scale=20.0, size=target_shape)
+        ss, st = Tensor(vs, requires_grad=True), Tensor(vt, requires_grad=True)
+        loss = discriminator_loss(ss, st)
+        weighted_sum([loss], [upstream]).backward()
+        chain = discriminator_chain(vs, vt, upstream)
+        for fused, expected in zip([loss.values, ss.grad, st.grad], chain):
+            assert np.array_equal(fused, expected)
+
     def test_boundary_inputs_stay_finite(self):
         loss = discriminator_loss(Tensor([[-800.0], [800.0]]), Tensor([[-800.0], [800.0]]))
         assert np.isfinite(loss.item())

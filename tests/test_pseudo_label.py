@@ -157,6 +157,23 @@ class TestKmeans:
         assert np.abs(out - reference).max() <= bound
         assert np.array_equal(out[0], reference[0])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("all_counted", [True, False])
+    def test_class_means_bit_identical_to_gathered_formula(self, seed, all_counted):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        # every class present, or all but the last
+        present = k if all_counted else k - 1
+        labels = np.concatenate([np.arange(present), rng.integers(0, present, size=34)])
+        x = rng.normal(scale=10.0, size=(labels.shape[0], 64))
+        counts = np.bincount(labels, minlength=k)
+        out = np.full((k, 64), 7.0)
+        class_means(x, labels, counts, out)
+        counted = np.flatnonzero(counts)
+        expected = np.full((k, 64), 7.0)
+        expected[counted] = (labels == counted[:, None]) @ x / counts[counted, None]
+        assert np.array_equal(out, expected)
+
     def test_class_means_leaves_uncounted_rows(self):
         out = np.full((3, 1), 7.0)
         class_means(np.array([[1.0], [3.0]]), np.array([0, 0]), np.array([2, 0, 0]), out)

@@ -16,7 +16,12 @@ from graph_helpers import (
 )
 
 from dcp.centroids import centroid_centroid_matrix, centroid_sample_matrix, compute_centroids
-from dcp.losses import generator_loss, sigmoid_values, source_classification_loss
+from dcp.losses import (
+    discriminator_loss,
+    generator_loss,
+    sigmoid_values,
+    source_classification_loss,
+)
 from dcp.networks import Mlp, forward, linear_values
 from dcp.tensor import EvaluationError, ShapeError, Tensor, grad_check, weighted_sum
 
@@ -370,20 +375,27 @@ class TestGradientOwnership:
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        s = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        t = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         # each block is both branches' features: it takes two row slices of
-        # one product; the bank is both operands of its distances
+        # one product; the bank is both operands of its distances; the
+        # discriminator loss hands ``s`` and ``t`` two row slices of one array
         stacked = compute_centroids((a, b), (a, b), [0, 1, 0, 1, 1], k=2)
         dists = centroid_centroid_matrix(c)
-        # ``a`` and ``c`` have a second consumer whose rule runs after the
-        # centroids' and the distances': it adds into their gradients in place
+        disc = discriminator_loss(s, t)
+        # ``a``, ``c`` and ``s`` have a second consumer whose rule runs after
+        # the centroids', the distances' and the discriminator loss's: it adds
+        # into their gradients in place
         loss = weighted_sum(
             [
                 contract(a, rng.normal(size=a.shape)),
                 contract(c, rng.normal(size=c.shape)),
+                contract(s, rng.normal(size=s.shape)),
                 contract(stacked, rng.normal(size=stacked.shape)),
                 contract(dists, rng.normal(size=dists.shape)),
+                disc,
             ],
-            [1.0, 1.0, 1.0, 1.0],
+            [1.0] * 6,
         )
         # snapshot each node's gradient as its rule receives it
         seen = {}
@@ -400,10 +412,14 @@ class TestGradientOwnership:
         assert set(seen) == {id(node) for node in nodes}
         for node in nodes:
             assert np.array_equal(node.grad, seen[id(node)])
-        tensors = [a, b, c, *nodes]
-        for i, t in enumerate(tensors):
+        tensors = [a, b, c, s, t, *nodes]
+        for i, x in enumerate(tensors):
             for u in tensors[i + 1 :]:
-                assert not np.shares_memory(t.grad, u.grad)
+                assert not np.shares_memory(x.grad, u.grad)
+        # the add into ``s``'s half left ``t``'s half as the loss alone gives it
+        s_alone, t_alone = (Tensor(x.values, requires_grad=True) for x in (s, t))
+        discriminator_loss(s_alone, t_alone).backward()
+        assert np.array_equal(t.grad, t_alone.grad)
 
 
 class TestGatherRows:
@@ -575,6 +591,29 @@ class TestWeightedSum:
             left_to_right = left_to_right + v
         assert np.array_equal(total, [[left_to_right]])
         assert all(np.array_equal(a, b) for a, b in zip(grads, chain_grads))
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ([np.inf, 1.0, 2.0], [1.0, 1.0, 0.1]),
+            ([1.0, -np.inf, np.inf], [1.0, 1.0, 1.0]),
+            ([np.inf, 2.0], [0.0, 1.0]),
+            ([np.nan, 1.0], [1.0, 1.0]),
+            ([1.0, -np.nan], [1.0, 0.37]),
+            ([-0.0, -0.0, -0.0], [1.0, 1.0, 0.1]),
+            ([-0.0, 0.0], [1.0, 1.0]),
+            ([0.0, 2.0], [-1.0, 0.0]),
+        ],
+    )
+    def test_forward_bit_identical_to_array_chain_on_special_values(self, values, weights):
+        # the forward adds Python floats; the chain is the 1 x 1 array form it
+        # replaced, compared as raw bits, so a NaN's sign and a zero's count
+        out = weighted_sum([Tensor([[v]]) for v in values], weights)
+        with np.errstate(invalid="ignore"):
+            chain = np.array([[values[0]]]) * weights[0]
+            for v, w in zip(values[1:], weights[1:]):
+                chain = chain + np.array([[v]]) * w
+        assert np.array_equal(out.values.view(np.uint64), chain.view(np.uint64))
 
     def test_bit_identical_to_pseudo_label_sum(self):
         a, b = np.random.default_rng(2).uniform(0.0, 3.0, size=2)

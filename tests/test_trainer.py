@@ -145,6 +145,22 @@ class TestSgdMomentum:
         p2, v = _sgd_step(p1, g, v, lr, momentum=0.5)
         np.testing.assert_allclose(p2, -lr * g * (1.0 + 1.5))
 
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_bit_identical_to_momentum_formula_over_layer_shapes(self, with_grad):
+        cfg = TrainConfig()
+        networks = init_state(cfg, k=3, d_in=2).networks.values()
+        params = [p for net in networks for p in net.tensors()]
+        rng = np.random.default_rng(7)
+        velocity = [rng.normal(size=p.shape) for p in params]
+        grads = [rng.normal(size=p.shape) if with_grad else np.zeros(p.shape) for p in params]
+        expected_v = [cfg.momentum * v + g for v, g in zip(velocity, grads)]
+        expected_p = [p.values - cfg.lr * v for p, v in zip(params, expected_v)]
+        for p, g in zip(params, grads):
+            p.grad = g.copy() if with_grad else None
+        apply_sgd_update(params, velocity, cfg.lr, cfg.momentum)
+        assert all(np.array_equal(v, e) for v, e in zip(velocity, expected_v))
+        assert all(np.array_equal(p.values, e) for p, e in zip(params, expected_p))
+
     def test_apply_updates_tensor_and_zeroes_grad(self):
         t = Tensor([[1.0, 1.0]], requires_grad=True)
         squared_norm(t).backward()  # the gradient is 2t
@@ -732,8 +748,68 @@ class TestPseudoPrecision:
     def test_three_of_four(self):
         assert pseudo_precision(np.array([0, 0, 1, 1]), [0, 0, 1, 0]) == 0.75
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_mean_of_matches(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, share in ((1, 0.5), (7, 0.6), (36, 0.3), (36, 0.0), (1000, 0.9)):
+            true = rng.integers(0, 3, size=n)
+            pseudo = np.where(rng.random(n) < share, rng.integers(0, 3, size=n), -1)
+            picked = pseudo >= 0
+            result = pseudo_precision(pseudo, true)
+            if not picked.any():
+                assert result is None
+                continue
+            expected = float((pseudo[picked] == true[picked]).mean())
+            assert type(result) is float
+            bits = (np.float64(v).view(np.uint64) for v in (result, expected))
+            assert np.array_equal(*bits)
+
+
+def _placed(values, offset):
+    """A copy of ``values`` that starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(values.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + values.size].reshape(values.shape)
+    out[...] = values
+    return out
+
 
 class TestCheckpoint:
+    def test_snapshot_of_aligned_weight_copies(self):
+        state = init_state(TrainConfig(), k=3, d_in=2)
+        nets = (state.networks["adv_extractor"], state.networks["adv_head"])
+        ckpt = Checkpoint(*nets)
+        for net, kept in zip(nets, (ckpt.adv_extractor, ckpt.adv_head)):
+            for w, c in zip(net.weights, kept.weights):
+                assert c.values.ctypes.data % 64 == 0
+                assert np.array_equal(c.values, w.values)
+                assert not np.shares_memory(c.values, w.values)
+            assert all(c.values is b.values for b, c in zip(net.biases, kept.biases))
+        kept = (ckpt.adv_extractor, ckpt.adv_head)
+        before = [t.values.copy() for net in kept for t in net.tensors()]
+        # training on swaps the networks' arrays; the snapshot keeps its own
+        for net in nets:
+            for t in net.tensors():
+                t.update_values(t.values + 1.0)
+        after = [t.values for net in kept for t in net.tensors()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("offset", range(8, 64, 8))
+    def test_evaluation_bits_do_not_depend_on_weight_placement(self, offset):
+        # the checkpoint places each weight on a 64-byte boundary; the logits
+        # of weights placed at any other offset are the same, bit for bit
+        state = init_state(TrainConfig(), k=3, d_in=2)
+        nets = (state.networks["adv_extractor"], state.networks["adv_head"])
+        ckpt = Checkpoint(*nets)
+        placed = [Mlp([Tensor(w.values) for w in net.weights], net.biases) for net in nets]
+        for net in placed:
+            for w in net.weights:
+                w.update_values(_placed(w.values, offset))
+                assert w.values.ctypes.data % 64 == offset
+        x = np.random.default_rng(offset).normal(scale=3.0, size=(600, 2))
+        expected = branch_outputs(ckpt.adv_extractor, ckpt.adv_head, x)
+        assert np.array_equal(branch_outputs(*placed, x), expected)
+
     def test_round_trip_reproduces_forward_bit_identically(self, tmp_path):
         src, tgt = tiny_datasets()
         ckpt, _ = train(tiny_config(iterations=6), src, tgt)
