@@ -11,12 +11,9 @@ accepted target pseudo-labels, whose unselected rows it skips. Each loss is
 one graph node, defined here with its formula, whose operations run in a
 fixed order, on which the pinned metrics traces depend.
 
-The kernels are written for the trainer's small batches, where each numpy
-call costs more than its arithmetic: the discriminator loss stacks its
-source and target logits by rows, so one call takes both halves' verdicts,
-clamp and log, and its gradients are the row halves of one fresh array; the
-backward rules scale that array in place. Every element still goes through
-the same roundings in the same order as the per-half formulas.
+The kernels are written for the trainer's small batches, where a numpy call
+costs more than its arithmetic, so they make few calls and few temporaries;
+every element still takes the roundings of the formula, in its order.
 """
 
 from __future__ import annotations
