@@ -3,10 +3,17 @@
 import numpy as np
 
 from dcp.centroids import LOSS_EPS, SQRT_SHIFT, DegenerateGeometryError, update_centroids_ema
-from dcp.losses import CLAMP_EPS, sigmoid_values, source_classification_loss
+from dcp.losses import (
+    CLAMP_EPS,
+    discriminator_loss,
+    generator_loss,
+    sigmoid_values,
+    source_classification_loss,
+)
 from dcp.networks import Mlp, forward
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
 from dcp.tensor import ShapeError, Tensor, weighted_sum
+from dcp.trainer import MetricsRecord, NumericsError, StepInfo, apply_sgd_update
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -233,8 +240,8 @@ def discrepancy(m_cluster: Tensor, m_adv: Tensor) -> Tensor:
     return Tensor._node(np.sqrt(shifted) * scale, (m_adv, m_cluster), bw)
 
 
-def per_branch_alignment(features, labels, k, banks=None, theta=0.7):
-    """L_CC, L_CS and both branches' banks, built as a training step built them.
+def per_branch_banks(features, labels, k, banks=None, theta=0.7):
+    """Both branches' banks, fresh or blended into the previous ones.
 
     ``features`` is ``(fs_adv, ft_adv, fs_clu, ft_clu)``; ``banks`` is the
     previous ``(bank_adv, bank_clu)``, or None at the first step.
@@ -243,10 +250,20 @@ def per_branch_alignment(features, labels, k, banks=None, theta=0.7):
     fresh_adv = branch_centroids(vstack([fs_adv, ft_adv]), labels, k)
     fresh_clu = branch_centroids(vstack([fs_clu, ft_clu]), labels, k)
     if banks is None:
-        bank_adv, bank_clu = fresh_adv, fresh_clu
-    else:
-        bank_adv = update_centroids_ema(banks[0], fresh_adv, theta)
-        bank_clu = update_centroids_ema(banks[1], fresh_clu, theta)
+        return fresh_adv, fresh_clu
+    return (
+        update_centroids_ema(banks[0], fresh_adv, theta),
+        update_centroids_ema(banks[1], fresh_clu, theta),
+    )
+
+
+def per_branch_alignment(features, labels, k, banks=None, theta=0.7):
+    """L_CC, L_CS and both branches' banks, built as a training step built them.
+
+    The arguments are those of ``per_branch_banks``.
+    """
+    _, ft_adv, _, ft_clu = features
+    bank_adv, bank_clu = per_branch_banks(features, labels, k, banks, theta)
     m_cc_adv = branch_cc_matrix(bank_adv)
     m_cc_clu = branch_cc_matrix(bank_clu)
     m_cs_adv = branch_cs_matrix(bank_adv, ft_adv)
@@ -425,3 +442,137 @@ def cross_entropy_reference(logits, labels):
     local[np.arange(n), labels] -= 1.0
     local /= n
     return loss, local
+
+
+# -- a whole training step from the references ---------------------------------
+# ``trainer.train_step`` rebuilt from the pieces above: ``layer_chain`` for
+# every network call, ``seed_centroids_reference`` and ``kmeans_reference``
+# for the clustering, ``per_branch_selection`` and ``per_branch_alignment``
+# for the two branches, and cross entropies over ``cross_entropy_reference``.
+# Tests run ``train`` with it in place of ``train_step`` and require the same
+# records and weights, bit for bit.
+
+
+def reference_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """The cross entropy of the labeled rows (label >= 0) as one node.
+
+    The loss and the labeled rows' gradient come from
+    ``cross_entropy_reference`` on those rows alone; the gradient is scattered
+    into zeros, so every row labeled -1 gets a zero one.
+    """
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    picked = np.flatnonzero(labels >= 0)
+    loss, local = cross_entropy_reference(logits.values[picked], labels[picked])
+
+    def bw(g):
+        full = np.zeros(logits.shape)
+        full[picked] = g[0, 0] * local
+        logits._accumulate(full)
+
+    return Tensor._node(np.array([[loss]]), (logits,), bw)
+
+
+def _require_finite(state, **named):
+    for name, value in named.items():
+        if value is not None and not np.isfinite(value):
+            raise NumericsError(state.t, name, value)
+
+
+def _update(state, names):
+    for name in names:
+        net, cfg = state.networks[name], state.config
+        apply_sgd_update(net.tensors(), state.velocity[name], cfg.lr, cfg.momentum)
+
+
+def reference_train_step(state, source_batch, target_batch, target_batch_true_labels=None):
+    """One iteration of ``train_step``'s method from the reference pieces.
+
+    It changes ``state`` as ``train_step`` does and returns the same record and
+    step info. ``state.banks`` holds the previous ``(bank_adv, bank_clu)``
+    here, not their stack. Inputs are not checked, and a non-finite loss
+    raises ``NumericsError`` without undoing the discriminator's update,
+    which no checkpoint keeps.
+    """
+    cfg, k = state.config, state.k
+    xs_values, ys = source_batch
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+    xs, xt = Tensor(xs_values), Tensor(target_batch)
+    nets = state.networks
+    disc = nets["discriminator"]
+
+    fs_adv, ft_adv = layer_chain(nets["adv_extractor"], xs), layer_chain(nets["adv_extractor"], xt)
+    fs_clu, ft_clu = layer_chain(nets["clu_extractor"], xs), layer_chain(nets["clu_extractor"], xt)
+    logits_t_adv = layer_chain(nets["adv_head"], ft_adv)
+    y_adv = logits_t_adv.values.argmax(axis=1)
+    seeds = seed_centroids_reference(fs_clu.values, ys, k)
+    y_clu, _ = kmeans_reference(ft_clu.values, seeds, cfg.kmeans_max_iters)
+
+    pseudo = np.full(xt.rows, -1, dtype=np.int64)
+    if cfg.use_pseudo_labels and state.banks is not None:
+        bank_adv, bank_clu = state.banks
+        picked, labels = per_branch_selection(
+            ft_adv.values, ft_clu.values, y_adv, y_clu, bank_adv.values, bank_clu.values, state.t
+        )
+        pseudo[picked] = labels
+    picked = np.flatnonzero(pseudo >= 0)
+
+    union = np.concatenate([ys, pseudo])
+    features = (fs_adv, ft_adv, fs_clu, ft_clu)
+    try:
+        l_cc, l_cs, *banks = per_branch_alignment(features, union, k, state.banks, cfg.ema_momentum)
+        skipped = False
+    except DegenerateGeometryError:
+        # the banks still advance; only the alignment losses are skipped
+        l_cc = l_cs = None
+        banks = per_branch_banks(features, union, k, state.banks, cfg.ema_momentum)
+        skipped = True
+
+    l_d = discriminator_loss(
+        layer_chain(disc, fs_adv.detached()), layer_chain(disc, ft_adv.detached())
+    )
+    _require_finite(state, l_d=l_d.item())
+    l_d.backward()
+    _update(state, ("discriminator",))
+
+    l_c1 = reference_cross_entropy(layer_chain(nets["adv_head"], fs_adv), ys)
+    l_c2 = reference_cross_entropy(layer_chain(nets["clu_head"], fs_clu), ys)
+    l_g = generator_loss(layer_chain(disc.detached(), ft_adv))
+    terms, l_pl = [l_c1, l_c2, l_g], None
+    if picked.size:
+        ce_adv = reference_cross_entropy(logits_t_adv, pseudo)
+        ce_clu = reference_cross_entropy(layer_chain(nets["clu_head"], ft_clu), pseudo)
+        l_pl = ce_adv.item() + ce_clu.item()
+        terms += [ce_adv, ce_clu]
+    weights = [1.0] * len(terms)
+    if not skipped and cfg.alpha > 0.0:
+        terms += [l_cc, l_cs]
+        weights += [cfg.alpha, cfg.alpha]
+    main_losses = {
+        "l_g": l_g.item(),
+        "l_c1": l_c1.item(),
+        "l_c2": l_c2.item(),
+        "l_cc": None if skipped else l_cc.item(),
+        "l_cs": None if skipped else l_cs.item(),
+        "l_pl": l_pl,
+    }
+    _require_finite(state, **main_losses)
+    weighted_sum(terms, weights).backward()
+    _update(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+
+    precision = None
+    if target_batch_true_labels is not None and picked.size:
+        true_labels = np.asarray(target_batch_true_labels, dtype=np.int64).reshape(-1)
+        precision = float(np.mean(pseudo[picked] == true_labels[picked]))
+    record = MetricsRecord(
+        T=state.t,
+        l_d=l_d.item(),
+        **main_losses,
+        tau_adv=tau_adv(state.t),
+        tau_clu=tau_clu(state.t),
+        n_selected=picked.size,
+        pseudo_precision=precision,
+    )
+    state.banks = tuple(bank.detached() for bank in banks)
+    state.t += 1
+    info = StepInfo(pseudo, y_adv, y_clu, skipped, target_batch_true_labels)
+    return record, info

@@ -6,10 +6,15 @@ import re
 
 import numpy as np
 import pytest
-from graph_helpers import gathered_pseudo_label_loss, kmeans_reference, squared_norm
+from graph_helpers import (
+    gathered_pseudo_label_loss,
+    kmeans_reference,
+    reference_train_step,
+    squared_norm,
+)
 
 from dcp import centroids as cent
-from dcp import losses
+from dcp import losses, trainer
 from dcp.datasets import TARGET, LabeledDataset, ShiftSpec, gen_blobs
 from dcp.networks import Mlp, branch_outputs
 from dcp.pseudo_label import kmeans_assign
@@ -26,6 +31,7 @@ from dcp.trainer import (
     TrainState,
     UnlabeledDatasetError,
     apply_sgd_update,
+    derived_seeds,
     evaluate,
     init_state,
     pseudo_precision,
@@ -1028,3 +1034,34 @@ class TestMainObjectiveGradient:
 
                 report = grad_check(f, base)
                 assert report.max_rel_error < 1e-4, (net_name, i, report)
+
+
+class TestWholeStepReference:
+    """``train`` with ``reference_train_step`` in place of ``train_step`` gives
+    the same run, bit for bit: every record and every final weight and bias."""
+
+    # the README's harder shift, on which both arms still learn
+    HARD_SHIFT = dict(k=3, n_per_class=200, rotation=50.0, translation=(2.0, -1.0), noise_sigma=0.9)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "arm", [{}, {"alpha": 0.0, "use_pseudo_labels": False}], ids=["full", "ablation"]
+    )
+    def test_same_records_and_weights(self, seed, arm, monkeypatch):
+        source, target = gen_blobs(ShiftSpec(seed=seed, **self.HARD_SHIFT))
+        config = TrainConfig(iterations=300, **derived_seeds(seed), **arm)
+        runs = []
+        for step in (train_step, reference_train_step):
+            monkeypatch.setattr(trainer, "train_step", step)
+            states = []
+            _, records = train(config, source, target, on_step=lambda s, *_: states.append(s))
+            runs.append(([r.csv_row() for r in records], states[-1].networks))
+        (rows, nets), (ref_rows, ref_nets) = runs
+        assert rows == ref_rows
+        if arm:
+            assert all(row[METRICS_FIELDS.index("n_selected")] == "0" for row in rows)
+        else:
+            assert any(row[METRICS_FIELDS.index("l_pl")] for row in rows)
+        for name, net in nets.items():
+            for a, b in zip(net.tensors(), ref_nets[name].tensors(), strict=True):
+                assert np.array_equal(a.values, b.values), name
