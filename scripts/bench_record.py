@@ -12,10 +12,9 @@ end-to-end metric, the per-layer metrics of the traced run and its ``wall``
 lines, the quality report lines, each seed's metrics-trace hash, and the
 environment line with the BLAS thread count. The traced run's per-layer
 times are wall times, so they move with the machine's speed; the file also
-keeps each one (every metric in ms) rescaled to perfbench's reference speed
-(its ``REFERENCE_S``, read from the checkout's ``perfbench/workloads.py``)
-by the run's ``wall reference_s`` line, so two records' layer times
-compare. A short run of seed 0 per workload with
+keeps each in-step layer's share of the step (``STEP_LAYERS``), which a
+uniformly slower machine does not move, so two records' layers compare. A
+short run of seed 0 per workload with
 ``OPENBLAS_CORETYPE=Haswell`` adds its trace hash under that kernel. The
 commit is the checkout's git HEAD. The file also holds the median wall time,
 over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
@@ -36,7 +35,6 @@ of the repository this script sits in.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import re
@@ -56,6 +54,20 @@ HASWELL_SECONDS = 1
 # The tier-1 test command (see ROADMAP.md), without the paths it is given.
 PYTEST_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 ACCEPTANCE_TESTS = ("tests/test_acceptance.py",)
+# The traced run's in-step times, in ms per step: every traced layer's self
+# time inside ``train_step`` and both backward passes, which run the graph's
+# rules. Together they cover the step.
+STEP_LAYERS = (
+    "trainer.train_step.self_ms_per_step",
+    "networks.forward.self_ms_per_step",
+    "losses.self_ms_per_step",
+    "centroids.self_ms_per_step",
+    "pseudo_label.kmeans_assign.self_ms_per_step",
+    "pseudo_label.select_high_confidence.self_ms_per_step",
+    "trainer.apply_sgd_update.self_ms_per_step",
+    "tensor.backward.disc_ms_per_step",
+    "tensor.backward.main_ms_per_step",
+)
 
 
 def parse_run(stdout: str) -> dict:
@@ -79,32 +91,11 @@ def parse_run(stdout: str) -> dict:
     return run
 
 
-def perfbench_reference_s(checkout: Path) -> float:
-    """``REFERENCE_S`` of the checkout's ``perfbench/workloads.py``.
-
-    Read from the module's source, not imported: the module imports dcp.
-    """
-    source = (checkout / "perfbench" / "workloads.py").read_text(encoding="utf-8")
-    for node in ast.parse(source).body:
-        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["REFERENCE_S"]:
-            return float(ast.literal_eval(node.value))
-    raise ValueError(f"no REFERENCE_S assignment in {checkout / 'perfbench' / 'workloads.py'}")
-
-
-def at_reference_speed(run: dict, reference_s: float) -> dict:
-    """The run's metrics in ms, rescaled to the speed at which perfbench's
-    ``reference`` takes ``reference_s``.
-
-    Each is multiplied by ``reference_s`` over the run's median reference
-    time, its ``wall reference_s`` line. In a traced run that median is taken
-    over the untraced cycles, which alternate with the traced ones.
-    """
-    scale = reference_s / run["wall"]["reference_s"]
-    return {
-        name: {"value": m["value"] * scale, "unit": m["unit"]}
-        for name, m in run["result"]["metrics"].items()
-        if m["unit"] == "ms"
-    }
+def step_shares(run: dict) -> dict:
+    """Each of the traced run's ``STEP_LAYERS`` times divided by their sum."""
+    times = {name: run["result"]["metrics"][name]["value"] for name in STEP_LAYERS}
+    total = sum(times.values())
+    return {name: t / total for name, t in times.items()}
 
 
 def summarize(runs: dict[int, dict]) -> dict:
@@ -318,9 +309,7 @@ def main(argv=None) -> int:
         workloads[name] = summarize(runs)
         workloads[name]["per_layer_seed0"] = traced["result"]["metrics"]
         workloads[name]["traced_wall_seed0"] = traced["wall"]
-        workloads[name]["per_layer_seed0_at_reference_speed"] = at_reference_speed(
-            traced, perfbench_reference_s(checkout)
-        )
+        workloads[name]["per_layer_seed0_step_shares"] = step_shares(traced)
         workloads[name]["traced_correct"] = traced["result"]["correct"]
         workloads[name]["haswell_trace_sha256"] = haswell_trace_sha256(checkout, name)
 

@@ -7,13 +7,16 @@ every optimizer step in the trainer is a minimization. The generator uses the
 non-saturating form, which keeps gradients usable when the discriminator
 dominates early. Source classification is plain softmax cross entropy and is
 reused verbatim for the clustering branch's head and for both heads on
-accepted target pseudo-labels, whose unselected rows it skips. Each loss is
-one graph node, defined here with its formula, whose operations run in a
-fixed order, on which the pinned metrics traces depend.
+accepted target pseudo-labels, whose unselected rows (label -1) it leaves
+out of the mean and the gradient. Each loss is one graph node, defined here
+with its formula, whose operations run in a fixed order, on which the pinned
+metrics traces depend.
 
 The kernels are written for the trainer's small batches, where a numpy call
-costs more than its arithmetic, so they make few calls and few temporaries;
-every element still takes the roundings of the formula, in its order.
+costs more than its arithmetic, so they make few calls and few temporaries,
+and each has one path for every input: a row labeled -1 takes the same
+operations as the others, and only the result leaves it out. Every element
+still takes the roundings of the formula, in its order.
 """
 
 from __future__ import annotations
@@ -97,40 +100,35 @@ def source_classification_loss(logits: Tensor, labels) -> Tensor:
 
     Source labels label every row; pseudo-labels mark a row that was not
     selected with -1, as in ``centroids.compute_centroids``, and such a row
-    is left out of the mean and its gradient row is zero. The loss and the
-    labeled rows' gradient are computed on those rows alone, so they equal the
-    cross entropy of the labeled rows bit for bit. A batch with no labeled row
-    raises. Numerically stabilized by row-max subtraction, so saturated logits
-    do not overflow.
+    is left out of the mean and its gradient row is zero. Every row takes the
+    same operations; the mean adds the labeled rows' terms alone, in row
+    order, so the loss and the labeled rows' gradient equal the cross entropy
+    of the labeled rows bit for bit, whatever the -1 rows hold. A batch with
+    no labeled row raises. Numerically stabilized by row-max subtraction, so
+    saturated logits do not overflow.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, k = logits.shape
     if labels.shape[0] != n:
         raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
-    lowest = labels.min()
-    if lowest < -1 or labels.max() >= k:
+    if labels.min() < -1 or labels.max() >= k:
         bad = labels[(labels < -1) | (labels >= k)][0]
         raise IndexError(f"label {bad} out of range [-1, {k})")
+    unlabeled = labels < 0
+    rows = np.flatnonzero(~unlabeled)
+    if rows.size == 0:
+        raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
     v = logits.values
-    labeled = None
-    if lowest < 0:
-        labeled = np.flatnonzero(labels >= 0)
-        if labeled.size == 0:
-            raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
-        v, labels, n = v[labeled], labels[labeled], labeled.size
     z = v - np.maximum.reduce(v, axis=1, keepdims=True)
     ez = np.exp(z)
     sez = np.add.reduce(ez, axis=1)
-    rows = np.arange(n)
-    # the label entries of z - log(sez), then their mean
-    loss = -(np.add.reduce(z[rows, labels] - np.log(sez)) / n)
+    hit = labels[rows]
+    # the labeled rows' entries of z - log(sez), then their mean
+    loss = -(np.add.reduce(z[rows, hit] - np.log(sez[rows])) / rows.size)
     local = ez / sez[:, None]
-    local[rows, labels] -= 1.0
-    local /= n
-    if labeled is not None:
-        full = np.zeros(logits.shape)
-        full[labeled] = local
-        local = full
+    local[rows, hit] -= 1.0
+    local /= rows.size
+    local[unlabeled] = 0.0
 
     def bw(g: np.ndarray) -> None:
         logits._accumulate(g[0, 0] * local)

@@ -126,20 +126,18 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
 
     The node's parents are ``(x, W1, b1, W2, b2, ...)``. Its backward walks the
     layers in reverse with the per-layer rules (relu mask, then the input,
-    weight and bias gradients of each layer, in that order), and computes
-    only the gradients some parent can take. It masks in place only the
-    input gradients it made itself; the gradient it is handed and the saved
-    activations are left as they are.
+    weight and bias gradients of each layer, in that order). A parameter's
+    gradient is computed only where it takes one, and the first layer's
+    input gradient only where ``x`` takes one; every other layer passes its
+    input gradient down. It masks in place only the input gradients it made
+    itself; the gradient it is handed and the saved activations are left as
+    they are.
     """
     if x.cols != net.d_in:
         raise ShapeError(f"input has {x.cols} columns, the network takes {net.d_in}")
     acts = _activations(net, x.values)
     layers = tuple(zip(net.weights, net.biases))
     last = len(layers) - 1
-    # layer i passes a gradient down when x or a parameter below it takes one
-    takes_input_grad = [x.requires_grad]
-    for w, b in layers:
-        takes_input_grad.append(takes_input_grad[-1] or w.requires_grad or b.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         for i in range(last, -1, -1):
@@ -148,15 +146,13 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
                 # g is the input gradient made by the layer above: masked in
                 # place, never the caller's gradient
                 g *= acts[i + 1] > 0.0
-            g_in = np.dot(g, w.values.T) if takes_input_grad[i] else None
+            g_in = np.dot(g, w.values.T) if i > 0 or x.requires_grad else None
             if i == 0 and g_in is not None:
                 x._accumulate(g_in)
             if w.requires_grad:
                 w._accumulate(np.dot(acts[i].T, g))
             if b.requires_grad:
                 b._accumulate(np.add.reduce(g, axis=0, keepdims=True))
-            if g_in is None:
-                return
             g = g_in
 
     # (x, W1, b1, W2, b2, ...)

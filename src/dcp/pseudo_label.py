@@ -54,17 +54,13 @@ def class_means(x: np.ndarray, labels: np.ndarray, counts: np.ndarray, out: np.n
     """Set ``out[c]`` to the mean of the rows of ``x`` labeled ``c``, for every c counted.
 
     ``counts`` is ``np.bincount(labels)``; a class with count 0 keeps its row
-    of ``out``. The counted classes' row sums are one product of their
-    one-hot indicator rows with ``x``, the construction of
-    ``centroids.compute_centroids``. When every class is counted, the means
-    are divided straight into ``out``, with no gather or scatter of rows.
+    of ``out``. The row sums are one product of every class's one-hot
+    indicator row with ``x``, the construction of
+    ``centroids.compute_centroids``, divided into ``out`` where a class is
+    counted.
     """
-    counted = np.flatnonzero(counts)
-    onehot = labels == counted[:, None]
-    if counted.size == counts.size:
-        np.divide(onehot @ x, counts[:, None], out=out)
-    else:
-        out[counted] = onehot @ x / counts[counted, None]
+    onehot = labels == np.arange(counts.size)[:, None]
+    np.divide(onehot @ x, counts[:, None], out=out, where=counts[:, None] > 0)
 
 
 def kmeans_assign(

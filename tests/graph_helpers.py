@@ -13,7 +13,7 @@ from dcp.losses import (
 from dcp.networks import Mlp, forward
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
 from dcp.tensor import ShapeError, Tensor, weighted_sum
-from dcp.trainer import MetricsRecord, NumericsError, StepInfo, apply_sgd_update
+from dcp.trainer import MetricsRecord, StepInfo, _check_finite, _update_networks
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -472,18 +472,6 @@ def reference_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor._node(np.array([[loss]]), (logits,), bw)
 
 
-def _require_finite(state, **named):
-    for name, value in named.items():
-        if value is not None and not np.isfinite(value):
-            raise NumericsError(state.t, name, value)
-
-
-def _update(state, names):
-    for name in names:
-        net, cfg = state.networks[name], state.config
-        apply_sgd_update(net.tensors(), state.velocity[name], cfg.lr, cfg.momentum)
-
-
 def reference_train_step(state, source_batch, target_batch, target_batch_true_labels=None):
     """One iteration of ``train_step``'s method from the reference pieces.
 
@@ -510,10 +498,10 @@ def reference_train_step(state, source_batch, target_batch, target_batch_true_la
     pseudo = np.full(xt.rows, -1, dtype=np.int64)
     if cfg.use_pseudo_labels and state.banks is not None:
         bank_adv, bank_clu = state.banks
-        picked, labels = per_branch_selection(
+        rows, labels = per_branch_selection(
             ft_adv.values, ft_clu.values, y_adv, y_clu, bank_adv.values, bank_clu.values, state.t
         )
-        pseudo[picked] = labels
+        pseudo[rows] = labels
     picked = np.flatnonzero(pseudo >= 0)
 
     union = np.concatenate([ys, pseudo])
@@ -530,9 +518,9 @@ def reference_train_step(state, source_batch, target_batch, target_batch_true_la
     l_d = discriminator_loss(
         layer_chain(disc, fs_adv.detached()), layer_chain(disc, ft_adv.detached())
     )
-    _require_finite(state, l_d=l_d.item())
+    _check_finite(state, l_d=l_d.item())
     l_d.backward()
-    _update(state, ("discriminator",))
+    _update_networks(state, ("discriminator",))
 
     l_c1 = reference_cross_entropy(layer_chain(nets["adv_head"], fs_adv), ys)
     l_c2 = reference_cross_entropy(layer_chain(nets["clu_head"], fs_clu), ys)
@@ -555,9 +543,9 @@ def reference_train_step(state, source_batch, target_batch, target_batch_true_la
         "l_cs": None if skipped else l_cs.item(),
         "l_pl": l_pl,
     }
-    _require_finite(state, **main_losses)
+    _check_finite(state, **main_losses)
     weighted_sum(terms, weights).backward()
-    _update(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+    _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
 
     precision = None
     if target_batch_true_labels is not None and picked.size:

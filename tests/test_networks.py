@@ -111,14 +111,27 @@ class TestForward:
 NODE_SPECS = [(3, 4), (3, 5, 4), (3, 5, 4, 1)]
 
 
+def _trainable_layers(params_grad, n_layers):
+    """Per layer, whether its weight and bias take a gradient: every layer's
+    when ``params_grad`` is a bool, else all but the first or the last one."""
+    if params_grad == "first_constant":
+        return [i > 0 for i in range(n_layers)]
+    if params_grad == "last_constant":
+        return [i < n_layers - 1 for i in range(n_layers)]
+    return [params_grad] * n_layers
+
+
 def _node_operands(widths, seed, x_grad=False, params_grad=False):
     """x (5 rows), a network with nonzero biases, and upstream weights for ``contract``."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(5, widths[0])), requires_grad=x_grad)
     net = Mlp.create(widths, seed)
+    trainable = _trainable_layers(params_grad, len(net.weights))
     net = Mlp(
-        weights=[Tensor(w.values, requires_grad=params_grad) for w in net.weights],
-        biases=[Tensor(rng.normal(size=b.shape), requires_grad=params_grad) for b in net.biases],
+        weights=[Tensor(w.values, requires_grad=t) for w, t in zip(net.weights, trainable)],
+        biases=[
+            Tensor(rng.normal(size=b.shape), requires_grad=t) for b, t in zip(net.biases, trainable)
+        ],
     )
     return x, net, rng.normal(size=(5, widths[-1]))
 
@@ -145,7 +158,17 @@ class TestNetworkNode:
 
     @pytest.mark.parametrize("spec", NODE_SPECS)
     @pytest.mark.parametrize(
-        "x_grad, params_grad", [(True, True), (False, True), (True, False)]
+        "x_grad, params_grad",
+        [
+            (True, True),
+            (False, True),
+            (True, False),
+            # mixed networks: every layer above the first passes a gradient down
+            (False, "first_constant"),
+            (True, "first_constant"),
+            (False, "last_constant"),
+            (True, "last_constant"),
+        ],
     )
     def test_bit_identical_to_layer_chain(self, spec, x_grad, params_grad):
         grads = []
@@ -157,8 +180,9 @@ class TestNetworkNode:
         node, chain = grads
         for a, b in zip(node, chain):
             assert (a is None and b is None) or np.array_equal(a, b)
-        # a gradient exactly where a parent takes one
-        takes = [x_grad] + [params_grad] * (2 * len(net.weights))
+        # a gradient exactly where a parent takes one: no constant gets a grad
+        layers = _trainable_layers(params_grad, len(net.weights))
+        takes = [x_grad] + [t for t in layers for _ in range(2)]
         assert [g is not None for g in node[1:]] == takes
 
     @pytest.mark.parametrize("spec", NODE_SPECS)

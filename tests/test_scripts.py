@@ -116,31 +116,23 @@ def test_bench_record_summarizes_perfbench_stdout():
     assert runs[0]["wall"] == {"train_s": 7.5, "reference_s": 0.0003}
 
 
-def test_bench_record_rescales_per_layer_times_to_the_reference_speed():
+def test_bench_record_step_shares_do_not_move_with_the_machine_speed():
     bench_record = _import_script("bench_record")
     run = bench_record.parse_run(_perfbench_stdout(0, 5.0))
-    run["result"]["metrics"] = {
-        "tensor.backward.main_ms_per_step": {"value": 0.6, "unit": "ms"},
-        "networks.branch_outputs.ms_per_call": {"value": 0.9, "unit": "ms"},
-        "tensor.nodes_per_step": {"value": 24.99, "unit": "count"},
-    }
-    # the run's reference took 0.3 ms, twice the reference speed's 0.15 ms
-    rescaled = bench_record.at_reference_speed(run, 1.5e-4)
-    assert rescaled == {
-        "tensor.backward.main_ms_per_step": {"value": pytest.approx(0.3), "unit": "ms"},
-        "networks.branch_outputs.ms_per_call": {"value": pytest.approx(0.45), "unit": "ms"},
-    }
-
-
-def test_bench_record_reads_the_reference_speed_from_perfbench():
-    bench_record = _import_script("bench_record")
-    perfbench = str(SCRIPTS.parent / "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(perfbench)
-    assert bench_record.perfbench_reference_s(SCRIPTS.parent) == workloads.REFERENCE_S
+    times = dict(zip(bench_record.STEP_LAYERS, [0.3, 0.35, 0.37, 0.25, 0.2, 0.1, 0.3, 0.4, 0.9]))
+    shares = []
+    for factor in (1.0, 1.7):
+        run["result"]["metrics"] = {
+            name: {"value": t * factor, "unit": "ms"} for name, t in times.items()
+        }
+        # outside the step: neither a share nor part of the sum
+        run["result"]["metrics"]["networks.branch_outputs.ms_per_call"] = {"value": 9.0, "unit": "ms"}
+        shares.append(bench_record.step_shares(run))
+    plain, slower = shares
+    assert list(plain) == list(bench_record.STEP_LAYERS)
+    assert plain["tensor.backward.main_ms_per_step"] == pytest.approx(0.9 / 3.17)
+    assert slower == pytest.approx(plain)
+    assert sum(plain.values()) == pytest.approx(1.0)
 
 
 def test_bench_record_times_the_cli_train_and_eval():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,48 @@ class TestMaskedCrossEntropy:
         logits /= np.abs(logits).max()  # unsaturated, so differences resolve the slope
         report = grad_check(lambda x: source_classification_loss(x, labels), Tensor(logits))
         assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize(
+        "fill",
+        [
+            [1e300],
+            [-1e300],
+            [1e300, -1e300],
+            [-7.0, 3e5, 0.0],
+            [np.inf],
+            [-np.inf],
+            [np.inf, 0.0],
+            [-np.inf, 0.0],
+            [np.nan],
+            [np.nan, 1.0],
+            [np.inf, -np.inf, np.nan],
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unlabeled_rows_cannot_reach_the_loss(self, seed, fill):
+        logits, labels = self._case(seed)
+        unlabeled = labels < 0
+        # the fill values in turn, along each -1 row and down the rows
+        replaced = logits.copy()
+        replaced[unlabeled] = np.resize(fill, (np.count_nonzero(unlabeled), logits.shape[1]))
+        outcomes = []
+        for values in (logits, replaced):
+            x = Tensor(values, requires_grad=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loss = source_classification_loss(x, labels)
+                loss.backward()
+            outcomes.append((loss.values, x.grad, [str(w.message) for w in caught]))
+        (loss, grad, _), (replaced_loss, replaced_grad, warned) = outcomes
+        assert np.array_equal(replaced_loss, loss)
+        assert np.array_equal(replaced_grad[~unlabeled], grad[~unlabeled])
+        assert not replaced_grad[unlabeled].any()
+        assert not np.signbit(replaced_grad[unlabeled]).any()  # +0.0, not -0.0
+        # numpy flags a row whose max is infinite: inf - inf in the row-max shift
+        row_max = replaced[unlabeled].max(axis=1)
+        shifted_inf = np.isinf(row_max).any()
+        assert warned == (["invalid value encountered in subtract"] if shifted_inf else [])
 
     def test_every_row_unlabeled_raises(self):
         with pytest.raises(ValueError, match="all 3 labels are -1"):
