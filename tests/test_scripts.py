@@ -122,11 +122,10 @@ def test_bench_record_step_shares_do_not_move_with_the_machine_speed():
     times = dict(zip(bench_record.STEP_LAYERS, [0.3, 0.35, 0.37, 0.25, 0.2, 0.1, 0.3, 0.4, 0.9]))
     shares = []
     for factor in (1.0, 1.7):
-        run["result"]["metrics"] = {
-            name: {"value": t * factor, "unit": "ms"} for name, t in times.items()
-        }
+        metrics = {name: {"value": t * factor, "unit": "ms"} for name, t in times.items()}
         # outside the step: neither a share nor part of the sum
-        run["result"]["metrics"]["networks.branch_outputs.ms_per_call"] = {"value": 9.0, "unit": "ms"}
+        metrics["networks.branch_outputs.ms_per_call"] = {"value": 9.0, "unit": "ms"}
+        run["result"]["metrics"] = metrics
         shares.append(bench_record.step_shares(run))
     plain, slower = shares
     assert list(plain) == list(bench_record.STEP_LAYERS)
