@@ -13,7 +13,7 @@ from dcp.losses import (
 from dcp.networks import Mlp, forward
 from dcp.pseudo_label import per_class_quota, tau_adv, tau_clu
 from dcp.tensor import ShapeError, Tensor, weighted_sum
-from dcp.trainer import MetricsRecord, StepInfo, _check_finite, _update_networks
+from dcp.trainer import MetricsRecord, StepInfo, _check_finite
 
 
 def contract(t: Tensor, weights) -> Tensor:
@@ -472,6 +472,30 @@ def reference_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor._node(np.array([[loss]]), (logits,), bw)
 
 
+def write_parameter(state, p, values) -> None:
+    """Store ``values`` as the parameter ``p`` of one of ``state``'s networks."""
+    p.update_values(values)
+
+
+def reference_sgd_update(state, names) -> None:
+    """Momentum SGD on the named networks, one parameter at a time.
+
+    ``v *= momentum; v += g``, then ``p - lr * v`` is stored as the new
+    parameter, and ``g`` is zeroed; a parameter without a gradient takes a
+    zero one. The reference keeps its own velocity, one array per
+    parameter, in ``state.reference_velocity``, made at its first update.
+    """
+    cfg = state.config
+    velocity = vars(state).setdefault("reference_velocity", {})
+    for name in names:
+        tensors = state.networks[name].tensors()
+        for p, v in zip(tensors, velocity.setdefault(name, [np.zeros(p.shape) for p in tensors])):
+            v *= cfg.momentum
+            v += 0.0 if p.grad is None else p.grad
+            write_parameter(state, p, p.values - cfg.lr * v)
+            p.grad = None
+
+
 def reference_train_step(state, source_batch, target_batch, target_batch_true_labels=None):
     """One iteration of ``train_step``'s method from the reference pieces.
 
@@ -520,7 +544,7 @@ def reference_train_step(state, source_batch, target_batch, target_batch_true_la
     )
     _check_finite(state, l_d=l_d.item())
     l_d.backward()
-    _update_networks(state, ("discriminator",))
+    reference_sgd_update(state, ("discriminator",))
 
     l_c1 = reference_cross_entropy(layer_chain(nets["adv_head"], fs_adv), ys)
     l_c2 = reference_cross_entropy(layer_chain(nets["clu_head"], fs_clu), ys)
@@ -545,7 +569,7 @@ def reference_train_step(state, source_batch, target_batch, target_batch_true_la
     }
     _check_finite(state, **main_losses)
     weighted_sum(terms, weights).backward()
-    _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+    reference_sgd_update(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
 
     precision = None
     if target_batch_true_labels is not None and picked.size:
