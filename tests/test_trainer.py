@@ -11,6 +11,7 @@ from graph_helpers import (
     kmeans_reference,
     reference_train_step,
     squared_norm,
+    write_parameter,
 )
 
 from dcp import centroids as cent
@@ -1043,6 +1044,39 @@ class TestWholeStepReference:
     # the README's harder shift, on which both arms still learn
     HARD_SHIFT = dict(k=3, n_per_class=200, rotation=50.0, translation=(2.0, -1.0), noise_sigma=0.9)
 
+    @staticmethod
+    def _runs(monkeypatch, config, source, target, on_step=None):
+        """One run per step function: its metrics rows, its last state, and the
+        ``NumericsError`` that ended it, or None. ``on_step`` sees both runs."""
+        runs = []
+        for step in (train_step, reference_train_step):
+            monkeypatch.setattr(trainer, "train_step", step)
+            states = []
+
+            def seen(state, record, info):
+                states.append(state)
+                if on_step is not None:
+                    on_step(state, record, info)
+
+            try:
+                _, records = train(config, source, target, on_step=seen)
+                error = None
+            except NumericsError as exc:
+                records, error = exc.records, exc
+            runs.append(([r.csv_row() for r in records], states[-1], error))
+        return runs
+
+    @staticmethod
+    def _assert_same_networks(state, ref_state, names):
+        for name in names:
+            pairs = zip(state.networks[name].tensors(), ref_state.networks[name].tensors(), strict=True)
+            for a, b in pairs:
+                assert np.array_equal(a.values, b.values, equal_nan=True), name
+
+    @staticmethod
+    def _column(rows, name):
+        return [row[METRICS_FIELDS.index(name)] for row in rows]
+
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize(
         "arm", [{}, {"alpha": 0.0, "use_pseudo_labels": False}], ids=["full", "ablation"]
@@ -1050,18 +1084,94 @@ class TestWholeStepReference:
     def test_same_records_and_weights(self, seed, arm, monkeypatch):
         source, target = gen_blobs(ShiftSpec(seed=seed, **self.HARD_SHIFT))
         config = TrainConfig(iterations=300, **derived_seeds(seed), **arm)
-        runs = []
-        for step in (train_step, reference_train_step):
-            monkeypatch.setattr(trainer, "train_step", step)
-            states = []
-            _, records = train(config, source, target, on_step=lambda s, *_: states.append(s))
-            runs.append(([r.csv_row() for r in records], states[-1].networks))
-        (rows, nets), (ref_rows, ref_nets) = runs
+        (rows, state, _), (ref_rows, ref_state, _) = self._runs(monkeypatch, config, source, target)
         assert rows == ref_rows
         if arm:
-            assert all(row[METRICS_FIELDS.index("n_selected")] == "0" for row in rows)
+            assert all(n == "0" for n in self._column(rows, "n_selected"))
         else:
-            assert any(row[METRICS_FIELDS.index("l_pl")] for row in rows)
-        for name, net in nets.items():
-            for a, b in zip(net.tensors(), ref_nets[name].tensors(), strict=True):
-                assert np.array_equal(a.values, b.values), name
+            assert any(self._column(rows, "l_pl"))
+        self._assert_same_networks(state, ref_state, state.networks)
+
+    # (k, d, config): listed, not drawn, so that a failure names its config;
+    # each gives the update groups' flat arrays another layout
+    CONFIGS = [
+        (2, 2, dict(batch_size=7, alpha=1.0, ema_momentum=0.0, kmeans_max_iters=1)),
+        (2, 4, dict(batch_size=13, alpha=0.0, ema_momentum=0.95, use_pseudo_labels=False)),
+        (3, 3, dict(batch_size=21, alpha=0.1, ema_momentum=0.7, kmeans_max_iters=3)),
+        (4, 2, dict(batch_size=9, alpha=1.0, ema_momentum=0.95, use_pseudo_labels=False)),
+        (4, 4, dict(batch_size=25, alpha=0.0, ema_momentum=0.0)),
+        (5, 3, dict(batch_size=11, alpha=1.0, ema_momentum=0.7, kmeans_max_iters=1)),
+        (5, 2, dict(batch_size=37, alpha=0.1, ema_momentum=0.95, use_pseudo_labels=False)),
+        (3, 4, dict(batch_size=15, alpha=0.0, ema_momentum=0.0, kmeans_max_iters=1)),
+    ]
+
+    @staticmethod
+    def _data(k, d, seed):
+        return gen_blobs(ShiftSpec(k=k, d=d, n_per_class=40, rotation=30.0, noise_sigma=0.8, seed=seed))
+
+    @pytest.mark.parametrize(
+        "k, d, overrides", CONFIGS, ids=[f"k{k}-d{d}-b{o['batch_size']}" for k, d, o in CONFIGS]
+    )
+    def test_same_run_across_configs(self, k, d, overrides, monkeypatch):
+        source, target = self._data(k, d, seed=k * 10 + d)
+        config = TrainConfig(iterations=100, **derived_seeds(k + d), **overrides)
+        (rows, state, _), (ref_rows, ref_state, _) = self._runs(monkeypatch, config, source, target)
+        assert rows == ref_rows
+        if config.use_pseudo_labels:
+            assert any(self._column(rows, "l_pl"))
+        self._assert_same_networks(state, ref_state, state.networks)
+        assert np.array_equal(state.banks.values, np.vstack([b.values for b in ref_state.banks]))
+
+    def test_same_run_through_degenerate_geometry(self, monkeypatch):
+        # zeroing the adversarial extractor's last layer collapses its
+        # features, so the next step skips alignment (with no EMA, the bank is
+        # that step's collapsed centroids); training then moves the zeroed
+        # layer on, and alignment comes back
+        zeroed_after = (10, 40, 41)
+
+        def zero_last_layer(state, record, info):
+            if record.T in zeroed_after:
+                extractor = state.networks["adv_extractor"]
+                for p in (extractor.weights[-1], extractor.biases[-1]):
+                    write_parameter(state, p, np.zeros(p.shape))
+
+        source, target = self._data(3, 2, seed=7)
+        config = TrainConfig(iterations=100, batch_size=15, alpha=1.0, ema_momentum=0.0)
+        runs = self._runs(monkeypatch, config, source, target, on_step=zero_last_layer)
+        (rows, state, _), (ref_rows, ref_state, _) = runs
+        assert rows == ref_rows
+        skipped = [t for t, l_cc in enumerate(self._column(rows, "l_cc")) if not l_cc]
+        assert skipped == [t + 1 for t in zeroed_after]
+        self._assert_same_networks(state, ref_state, state.networks)
+        assert np.array_equal(state.banks.values, np.vstack([b.values for b in ref_state.banks]))
+
+    def test_same_run_up_to_a_numeric_failure(self, monkeypatch):
+        # a NaN in the adversarial head leaves l_d finite and makes l_c1 NaN:
+        # the failing step has updated the discriminator before it raises
+        fails_at = 30
+        disc_after = {}
+
+        def poison_head(state, record, info):
+            disc = state.networks["discriminator"]
+            disc_after[id(state)] = [p.values.copy() for p in disc.tensors()]
+            if record.T == fails_at - 1:
+                bias = state.networks["adv_head"].biases[-1]
+                write_parameter(state, bias, np.full(bias.shape, np.nan))
+
+        source, target = self._data(3, 2, seed=8)
+        config = TrainConfig(iterations=100, batch_size=15)
+        with np.errstate(all="ignore"):
+            runs = self._runs(monkeypatch, config, source, target, on_step=poison_head)
+        (rows, state, error), (ref_rows, ref_state, ref_error) = runs
+        assert rows == ref_rows and len(rows) == fails_at
+        for exc in (error, ref_error):
+            assert (exc.iteration, exc.loss) == (fails_at, "l_c1")
+        assert state.t == ref_state.t == fails_at
+        # the reference does not undo the discriminator's update, so only the
+        # other networks are compared; train_step's discriminator is the one
+        # the last good iteration left
+        self._assert_same_networks(state, ref_state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+        kept = disc_after[id(state)]
+        assert all(np.array_equal(a, p.values) for a, p in zip(kept, state.networks["discriminator"].tensors()))
+        moved = disc_after[id(ref_state)]
+        assert not all(np.array_equal(a, p.values) for a, p in zip(moved, ref_state.networks["discriminator"].tensors()))
