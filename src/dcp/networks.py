@@ -35,8 +35,8 @@ class Mlp:
     """Per-layer weight and bias tensors; callable on a batch tensor.
 
     Hidden layers are relu and the output layer is linear. The layer shapes
-    are checked here, and no forward checks them again: ``Tensor.update_values``
-    keeps every shape, so they cannot change later.
+    are checked here, and no forward checks them again: a parameter is only
+    ever written in place, so they cannot change later.
     """
 
     weights: list[Tensor]

@@ -1,6 +1,6 @@
 """Dense 2-D float64 matrices with reverse-mode automatic differentiation.
 
-Every numeric value in the training stack is a :class:`Tensor`: an immutable
+Every numeric value in the training stack is a :class:`Tensor`: a read-only
 rows-by-cols matrix of doubles that, when marked differentiable, records the
 operations applied to it and accumulates ``grad`` during
 :meth:`Tensor.backward`. A tensor sums the deltas of its consumers, and a
@@ -30,6 +30,13 @@ through :meth:`Tensor._node` in the module that states their formula.
 A tensor's values are always C-contiguous, whatever the memory order of the
 array it was built from: BLAS may round a product differently when an
 operand's order differs.
+
+Who writes a value: nothing writes through a tensor, and a node's values
+never change. A trained parameter's values are a read-only view into its
+update group's flat parameter array (``trainer.UpdateGroup``). Only that
+group's optimizer step writes them, in place, after the backward pass that
+reads them; so the values a caller holds change when the group steps, and a
+caller that needs them later copies them.
 """
 
 from __future__ import annotations
@@ -64,10 +71,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Tensor:
     """A rows x cols matrix of doubles, optionally recorded on a compute graph.
 
-    ``values`` is frozen after construction; parameter updates replace the
-    array rather than mutating it, which makes read-only sharing across
-    concurrent evaluations safe. ``grad`` is ``None`` until a backward pass
-    deposits into it.
+    ``values`` is read-only. Only a parameter's update group writes it, in
+    place, through the group's own writable array (module docstring); a
+    checkpoint or any other caller that keeps a parameter's values copies
+    them. ``grad`` is ``None`` until a backward pass deposits into it.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -126,7 +133,7 @@ class Tensor:
         return float(self.values[0, 0])
 
     def detached(self) -> "Tensor":
-        """A constant tensor over the same frozen values, cut off from the graph."""
+        """A constant tensor over the same read-only values, cut off from the graph."""
         out = Tensor.__new__(Tensor)
         out.values = self.values
         out.grad = None
@@ -134,20 +141,6 @@ class Tensor:
         out._parents = ()
         out._backward_fn = None
         return out
-
-    def update_values(self, values: np.ndarray) -> None:
-        """Swap in a new same-shape matrix.
-
-        Only the trainer uses this, between steps; graphs built before the
-        swap keep referencing the old (frozen) array.
-        """
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr.shape != self.values.shape:
-            raise ShapeError(f"cannot replace {self.values.shape} values with {arr.shape}")
-        self.values = _freeze(arr)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, delta: np.ndarray) -> None:
         if not self.requires_grad:

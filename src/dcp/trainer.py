@@ -188,37 +188,67 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
 # -- optimizer ---------------------------------------------------------------
 
 
-def apply_sgd_update(
-    params: list[Tensor], velocity: list[np.ndarray], lr: float, momentum: float
-) -> None:
-    """Step every parameter tensor in place and zero its gradient.
+class UpdateGroup:
+    """Parameter tensors that one momentum step updates together.
 
-    Momentum SGD: v <- momentum * v + grad; p <- p - lr * v. Each velocity
-    array is updated in place (``v *= momentum; v += grad``, the same two
-    roundings), so a caller that keeps an earlier velocity must copy it. The
-    new parameter is ``p - lr * v`` computed into the fresh ``lr * v``, again
-    the same roundings. A parameter without a gradient takes a zero one.
+    The group owns one flat parameter array and one flat velocity array.
+    Each tensor's ``values`` becomes a read-only, C-contiguous view into the
+    parameter array, in the order given, so a tensor's values change when its
+    group steps; only :func:`apply_sgd_update` writes them, in place.
     """
-    for i, p in enumerate(params):
-        grad = p.grad if p.grad is not None else np.zeros(p.shape)
-        v = velocity[i]
-        v *= momentum
-        v += grad
-        step = lr * v
-        np.subtract(p.values, step, out=step)
-        p.update_values(step)
-        p.zero_grad()
+
+    def __init__(self, tensors: list[Tensor]):
+        self.tensors = tuple(tensors)
+        self.params = np.concatenate([p.values for p in self.tensors], axis=None)
+        self.velocity = np.zeros_like(self.params)
+        start = 0
+        for p in self.tensors:
+            view = self.params[start : start + p.values.size].reshape(p.shape)
+            view.flags.writeable = False
+            p.values = view
+            start += view.size
+
+
+def apply_sgd_update(group: UpdateGroup, lr: float, momentum: float) -> None:
+    """Step every parameter of the group in place and zero its gradient.
+
+    Momentum SGD: v <- momentum * v + grad; p <- p - lr * v, as whole-array
+    operations on the group's flat arrays: ``v *= momentum; v += grad``, then
+    ``p - lr * v`` with ``lr * v`` computed first, the roundings of the same
+    formula applied to each tensor. Both arrays are written in place, so a
+    caller that keeps an earlier parameter or velocity must copy it. The
+    gradients are gathered by one copy, which keeps a -0.0 gradient's sign
+    bit; a parameter without a gradient takes a zero one.
+    """
+    # raveled first: numpy's own flattening (axis=None) was slower here
+    grad = np.concatenate(
+        [p.grad.ravel() if p.grad is not None else np.zeros(p.values.size) for p in group.tensors]
+    )
+    v = group.velocity
+    v *= momentum
+    v += grad
+    step = np.multiply(lr, v, out=grad)
+    np.subtract(group.params, step, out=group.params)
+    for p in group.tensors:
+        p.grad = None
 
 
 # -- state -------------------------------------------------------------------
 
+# The networks the main objective trains; the discriminator updates alone,
+# after L_D, so the two are separate update groups.
+MAIN_NETWORKS = ("adv_extractor", "adv_head", "clu_extractor", "clu_head")
+
 
 @dataclass
 class TrainState:
+    """The networks and their two update groups, ``"discriminator"`` and
+    ``"main"``, whose flat arrays hold every parameter and velocity."""
+
     config: TrainConfig
     k: int
     networks: dict[str, Mlp]
-    velocity: dict[str, list[np.ndarray]]
+    groups: dict[str, UpdateGroup]
     t: int = 0
     # (2K x d_f) centroids, the adversarial branch's K rows first, detached;
     # None before the first step
@@ -235,10 +265,15 @@ def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
         "clu_head": Mlp.create((FEATURE_DIM, k), config.clu_seed + 1_000_003),
         "discriminator": Mlp.create((FEATURE_DIM, DISC_HIDDEN, 1), config.disc_seed),
     }
-    velocity = {
-        name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()
+    return TrainState(config=config, k=k, networks=networks, groups=_update_groups(networks))
+
+
+def _update_groups(networks: dict[str, Mlp]) -> dict[str, UpdateGroup]:
+    """The discriminator's update group and the main networks' one."""
+    return {
+        "discriminator": UpdateGroup(networks["discriminator"].tensors()),
+        "main": UpdateGroup([p for name in MAIN_NETWORKS for p in networks[name].tensors()]),
     }
-    return TrainState(config=config, k=k, networks=networks, velocity=velocity)
 
 
 @dataclass
@@ -267,14 +302,6 @@ def pseudo_precision(pseudo_labels: np.ndarray, true_labels) -> float | None:
     true_labels = np.asarray(true_labels, dtype=np.int64).reshape(-1)
     # two exact counts, divided once: the mean of the boolean matches, bit for bit
     return float(np.count_nonzero(picked & (pseudo_labels == true_labels)) / n_picked)
-
-
-def _update_networks(state: TrainState, names: tuple[str, ...]) -> None:
-    cfg = state.config
-    for name in names:
-        apply_sgd_update(
-            state.networks[name].tensors(), state.velocity[name], cfg.lr, cfg.momentum
-        )
 
 
 def _check_finite(state: TrainState, **losses_by_name: float | None) -> None:
@@ -385,14 +412,11 @@ def train_step(
     s_target = disc(ft_adv.detached())
     l_d = losses.discriminator_loss(s_source, s_target)
     _check_finite(state, l_d=l_d.item())
-    disc_params = disc.tensors()
-    disc_before = (
-        [p.values for p in disc_params],
-        # copies: the update changes the velocity arrays in place
-        [v.copy() for v in state.velocity["discriminator"]],
-    )
+    disc_group = state.groups["discriminator"]
+    # copies: the update writes both arrays in place
+    disc_before = (disc_group.params.copy(), disc_group.velocity.copy())
     l_d.backward()
-    _update_networks(state, ("discriminator",))
+    apply_sgd_update(disc_group, cfg.lr, cfg.momentum)
 
     # (f) main update: classifiers, generator, and alignment. D is frozen:
     # l_g reaches it through constant parameters, so no D gradient is computed
@@ -425,13 +449,11 @@ def train_step(
     try:
         _check_finite(state, **main_losses)
     except NumericsError:
-        # undo the discriminator update of this iteration
-        values, state.velocity["discriminator"] = disc_before
-        for p, v in zip(disc_params, values):
-            p.update_values(v)
+        # undo the discriminator update of this iteration, in place
+        disc_group.params[...], disc_group.velocity[...] = disc_before
         raise
     total.backward()
-    _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+    apply_sgd_update(state.groups["main"], cfg.lr, cfg.momentum)
 
     # (g) advance the iteration counter and persist detached banks
     record = MetricsRecord(
@@ -627,8 +649,8 @@ class Checkpoint:
     layers and linear at the output. The clustering branch, the
     discriminator, optimizer velocity and centroid banks are not kept, so a
     run cannot be resumed from a checkpoint. A checkpoint is a snapshot: it
-    holds its own copy of each weight, made when it is built, and each bias's
-    frozen array, so training on does not change it.
+    holds its own copy of each weight and bias, made when it is built, so
+    training on, which writes the parameters in place, does not change it.
     """
 
     adv_extractor: Mlp
@@ -636,7 +658,10 @@ class Checkpoint:
 
     def __post_init__(self):
         self.adv_extractor, self.adv_head = (
-            Mlp([_cache_aligned(w.values) for w in net.weights], [b.detached() for b in net.biases])
+            Mlp(
+                [_cache_aligned(w.values) for w in net.weights],
+                [Tensor(b.values) for b in net.biases],
+            )
             for net in (self.adv_extractor, self.adv_head)
         )
 

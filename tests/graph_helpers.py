@@ -473,8 +473,17 @@ def reference_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def write_parameter(state, p, values) -> None:
-    """Store ``values`` as the parameter ``p`` of one of ``state``'s networks."""
-    p.update_values(values)
+    """Store ``values`` as the parameter ``p`` of one of ``state``'s networks:
+    written in place into the slice of its update group's flat parameter
+    array that ``p`` views."""
+    for group in state.groups.values():
+        start = 0
+        for t in group.tensors:
+            if t is p:
+                group.params[start : start + p.values.size] = np.ravel(values)
+                return
+            start += t.values.size
+    raise ValueError("not a parameter of any update group")
 
 
 def reference_sgd_update(state, names) -> None:

@@ -147,18 +147,17 @@ class TestTwoMoons:
         from dcp.losses import source_classification_loss
         from dcp.networks import Mlp, branch_outputs
         from dcp.tensor import Tensor
-        from dcp.trainer import apply_sgd_update
+        from dcp.trainer import UpdateGroup, apply_sgd_update
 
         src, tgt = gen_two_moons_shift(200, 180.0, 0.08, seed=1)
         extractor = Mlp.create((2, 16, 16), seed=0)
         head = Mlp.create((16, 2), seed=1)
-        params = extractor.tensors() + head.tensors()
-        velocity = [np.zeros(p.shape) for p in params]
+        group = UpdateGroup(extractor.tensors() + head.tensors())
         x_src = Tensor(src.X)
         for _ in range(300):
             loss = source_classification_loss(head(extractor(x_src)), src.y)
             loss.backward()
-            apply_sgd_update(params, velocity, lr=0.05, momentum=0.5)
+            apply_sgd_update(group, lr=0.05, momentum=0.5)
         target_logits = branch_outputs(extractor, head, tgt.X)
         target_acc = (target_logits.argmax(axis=1) == tgt.eval_labels()).mean()
         source_acc = (branch_outputs(extractor, head, src.X).argmax(axis=1) == src.y).mean()

@@ -288,8 +288,6 @@ class TestBackward:
         loss.backward()
         loss.backward()
         np.testing.assert_allclose(x.grad, [[4.0, 8.0]])
-        x.zero_grad()
-        assert x.grad is None
 
     def test_shared_subexpression_counted_twice(self):
         x = Tensor([[3.0]], requires_grad=True)

@@ -31,6 +31,8 @@ from dcp.trainer import (
     TrainConfig,
     TrainState,
     UnlabeledDatasetError,
+    UpdateGroup,
+    _update_groups,
     apply_sgd_update,
     derived_seeds,
     evaluate,
@@ -121,10 +123,17 @@ def _sgd_step(values, grad, velocity, lr, momentum):
     """One ``apply_sgd_update`` of a parameter holding ``values`` and ``grad``."""
     p = Tensor(values, requires_grad=True)
     p.grad = None if grad is None else np.array(grad, dtype=np.float64)
-    velocities = [np.array(velocity, dtype=np.float64)]
-    apply_sgd_update([p], velocities, lr, momentum)
+    group = UpdateGroup([p])
+    group.velocity[...] = np.ravel(velocity)
+    apply_sgd_update(group, lr, momentum)
     assert p.grad is None
-    return p.values, velocities[0]
+    return p.values, group.velocity.reshape(p.shape)
+
+
+def _views(group, flat):
+    """``flat``, one of the group's flat arrays, cut into its tensors' shapes."""
+    bounds = np.cumsum([0] + [p.values.size for p in group.tensors])
+    return [flat[a:b].reshape(p.shape) for p, a, b in zip(group.tensors, bounds, bounds[1:])]
 
 
 class TestSgdMomentum:
@@ -155,24 +164,63 @@ class TestSgdMomentum:
     @pytest.mark.parametrize("with_grad", [True, False])
     def test_bit_identical_to_momentum_formula_over_layer_shapes(self, with_grad):
         cfg = TrainConfig()
-        networks = init_state(cfg, k=3, d_in=2).networks.values()
-        params = [p for net in networks for p in net.tensors()]
+        groups = init_state(cfg, k=3, d_in=2).groups.values()
         rng = np.random.default_rng(7)
-        velocity = [rng.normal(size=p.shape) for p in params]
-        grads = [rng.normal(size=p.shape) if with_grad else np.zeros(p.shape) for p in params]
-        expected_v = [cfg.momentum * v + g for v, g in zip(velocity, grads)]
-        expected_p = [p.values - cfg.lr * v for p, v in zip(params, expected_v)]
-        for p, g in zip(params, grads):
-            p.grad = g.copy() if with_grad else None
-        apply_sgd_update(params, velocity, cfg.lr, cfg.momentum)
-        assert all(np.array_equal(v, e) for v, e in zip(velocity, expected_v))
-        assert all(np.array_equal(p.values, e) for p, e in zip(params, expected_p))
+        for group in groups:
+            group.velocity[...] = rng.normal(size=group.velocity.shape)
+            velocity = [v.copy() for v in _views(group, group.velocity)]
+            params = group.tensors
+            grads = [rng.normal(size=p.shape) if with_grad else np.zeros(p.shape) for p in params]
+            expected_v = [cfg.momentum * v + g for v, g in zip(velocity, grads)]
+            expected_p = [p.values - cfg.lr * v for p, v in zip(params, expected_v)]
+            for p, g in zip(params, grads):
+                p.grad = g.copy() if with_grad else None
+            apply_sgd_update(group, cfg.lr, cfg.momentum)
+            velocity = _views(group, group.velocity)
+            assert all(np.array_equal(v, e) for v, e in zip(velocity, expected_v))
+            assert all(np.array_equal(p.values, e) for p, e in zip(params, expected_p))
+
+    def test_flat_update_is_the_per_tensor_formula(self):
+        # the trainer's 16 tensors: every parameter, velocity and sign bit is
+        # the per-tensor formula's (v *= m; v += g; p - lr * v); a -0.0
+        # gradient into a -0.0 velocity stays -0.0, which it would not if the
+        # gradients were added into a zeroed buffer (0.0 + -0.0 is 0.0)
+        cfg = TrainConfig()
+        state = init_state(cfg, k=3, d_in=2)
+        rng = np.random.default_rng(11)
+        assert sum(len(g.tensors) for g in state.groups.values()) == 16
+        for group in state.groups.values():
+            group.velocity[...] = rng.normal(size=group.velocity.shape)
+            group.velocity[::3] = -0.0
+            expected = []
+            for i, (p, v) in enumerate(zip(group.tensors, _views(group, group.velocity))):
+                if i == 1:
+                    # no gradient: the parameter steps as if it were zero
+                    p.grad, g = None, np.zeros(p.shape)
+                else:
+                    g = rng.normal(size=p.shape)
+                    g[v == 0.0] = -0.0
+                    p.grad = g.copy()
+                v = v.copy()
+                v *= cfg.momentum
+                v += g
+                expected.append((p.values - cfg.lr * v, v))
+            assert np.signbit(group.velocity).any()
+            apply_sgd_update(group, cfg.lr, cfg.momentum)
+            now = zip(group.tensors, _views(group, group.velocity))
+            for (p, v), (p_expected, v_expected) in zip(now, expected, strict=True):
+                for a, b in ((p.values, p_expected), (v, v_expected)):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+                assert p.grad is None
+                # still a read-only view of the array the group updates
+                assert np.shares_memory(p.values, group.params) and not p.values.flags.writeable
+            assert (np.signbit(group.velocity) & (group.velocity == 0.0)).any()
 
     def test_apply_updates_tensor_and_zeroes_grad(self):
         t = Tensor([[1.0, 1.0]], requires_grad=True)
         squared_norm(t).backward()  # the gradient is 2t
-        velocity = [np.zeros(t.shape)]
-        apply_sgd_update([t], velocity, lr=0.1, momentum=0.0)
+        apply_sgd_update(UpdateGroup([t]), lr=0.1, momentum=0.0)
         np.testing.assert_allclose(t.values, [[0.8, 0.8]])
         assert t.grad is None
 
@@ -202,7 +250,7 @@ class TestTrainStep:
         state, src_b, tgt_b, tgt_y = self._setup()
         extractor = state.networks["adv_extractor"]
         for p in (extractor.weights[-1], extractor.biases[-1]):
-            p.update_values(np.zeros(p.shape))
+            write_parameter(state, p, np.zeros(p.shape))
         record, info = train_step(state, src_b, tgt_b, tgt_y)
         assert info.alignment_skipped
         assert record.l_cc is None and record.l_cs is None
@@ -230,7 +278,7 @@ class TestTrainStep:
     def _state_snapshot(state):
         return (
             [p.values.copy() for net in state.networks.values() for p in net.tensors()],
-            [v.copy() for vel in state.velocity.values() for v in vel],
+            [group.velocity.copy() for group in state.groups.values()],
             state.t,
             None if state.banks is None else state.banks.values.copy(),
         )
@@ -407,7 +455,7 @@ class TestTrainStep:
         def snapshot():
             return (
                 [p.values.copy() for net in state.networks.values() for p in net.tensors()],
-                [v.copy() for vel in state.velocity.values() for v in vel],
+                [group.velocity.copy() for group in state.groups.values()],
                 [state.banks.values.copy()],
             )
 
@@ -481,18 +529,18 @@ class TestTrainStep:
         # main backward computes no discriminator gradient at all
         import dcp.trainer as trainer_module
 
-        real_update = trainer_module._update_networks
+        real_update = trainer_module.apply_sgd_update
         seen = []
 
-        def spy(state, names):
-            if "discriminator" not in names:
+        def spy(group, lr, momentum):
+            if group is state.groups["main"]:
                 disc = state.networks["discriminator"]
                 seen.append([p.grad for p in disc.tensors()])
                 extractor = state.networks["adv_extractor"]
                 assert all(p.grad is not None for p in extractor.tensors())
-            real_update(state, names)
+            real_update(group, lr, momentum)
 
-        monkeypatch.setattr(trainer_module, "_update_networks", spy)
+        monkeypatch.setattr(trainer_module, "apply_sgd_update", spy)
         state, src_b, tgt_b, tgt_y = self._setup()
         for _ in range(2):
             train_step(state, src_b, tgt_b, tgt_y)
@@ -560,9 +608,7 @@ class TestMainPhaseIsolation:
         # the gradient reaches the extractor through D, but no D parameter
         assert all(p.grad is not None for p in adv_ext.tensors())
         assert all(p.grad is None for p in disc.tensors())
-        from dcp.trainer import _update_networks
-
-        _update_networks(state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
+        apply_sgd_update(state.groups["main"], cfg.lr, cfg.momentum)
         after = [p.values.copy() for p in disc.tensors()]
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
@@ -691,9 +737,9 @@ class TestEvaluate:
         src, tgt = tiny_datasets()
         ckpt, _ = train(tiny_config(iterations=0), src, tgt)
         # zero the head: every row gets identical logits, argmax is always 0
-        for p in ckpt.adv_head.tensors():
-            p.update_values(np.zeros(p.shape))
-        report = evaluate(ckpt, src)
+        head = ckpt.adv_head
+        zeros = [[Tensor(np.zeros(p.shape)) for p in ps] for ps in (head.weights, head.biases)]
+        report = evaluate(Checkpoint(ckpt.adv_extractor, Mlp(*zeros)), src)
         assert report.accuracy == pytest.approx(1.0 / 3.0)
         # rows are true classes, columns predictions
         counts = np.bincount(src.y, minlength=3)
@@ -791,15 +837,30 @@ class TestCheckpoint:
                 assert c.values.ctypes.data % 64 == 0
                 assert np.array_equal(c.values, w.values)
                 assert not np.shares_memory(c.values, w.values)
-            assert all(c.values is b.values for b, c in zip(net.biases, kept.biases))
+            for b, c in zip(net.biases, kept.biases):
+                assert np.array_equal(c.values, b.values)
+                assert not np.shares_memory(c.values, b.values)
         kept = (ckpt.adv_extractor, ckpt.adv_head)
         before = [t.values.copy() for net in kept for t in net.tensors()]
-        # training on swaps the networks' arrays; the snapshot keeps its own
-        for net in nets:
-            for t in net.tensors():
-                t.update_values(t.values + 1.0)
+        # training on writes the networks' arrays in place, through their
+        # update group; the snapshot keeps its own
+        state.groups["main"].params[...] += 1.0
+        assert all(np.array_equal(a + 1.0, t.values) for a, t in zip(before, nets[0].tensors()))
         after = [t.values for net in kept for t in net.tensors()]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_snapshot_unchanged_by_a_training_step(self):
+        src, tgt = tiny_datasets()
+        state = init_state(tiny_config(), k=3, d_in=2)
+        ckpt = trainer._checkpoint(state)
+        kept = [t.values.copy() for net in (ckpt.adv_extractor, ckpt.adv_head) for t in net.tensors()]
+        src_idx = np.concatenate([np.flatnonzero(src.y == c)[:4] for c in range(3)])
+        train_step(state, (src.X[src_idx], src.y[src_idx]), tgt.X[:12])
+        now = [t.values for net in (ckpt.adv_extractor, ckpt.adv_head) for t in net.tensors()]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, now, strict=True))
+        # the step moved every weight and bias that the checkpoint copied
+        trained = [state.networks[name].tensors() for name in ("adv_extractor", "adv_head")]
+        assert not any(np.array_equal(a, p.values) for a, p in zip(kept, sum(trained, [])))
 
     @pytest.mark.parametrize("offset", range(8, 64, 8))
     def test_evaluation_bits_do_not_depend_on_weight_placement(self, offset):
@@ -808,10 +869,12 @@ class TestCheckpoint:
         state = init_state(TrainConfig(), k=3, d_in=2)
         nets = (state.networks["adv_extractor"], state.networks["adv_head"])
         ckpt = Checkpoint(*nets)
-        placed = [Mlp([Tensor(w.values) for w in net.weights], net.biases) for net in nets]
+        placed = [
+            Mlp([Tensor._node(_placed(w.values, offset), (), None) for w in net.weights], net.biases)
+            for net in nets
+        ]
         for net in placed:
             for w in net.weights:
-                w.update_values(_placed(w.values, offset))
                 assert w.values.ctypes.data % 64 == offset
         x = np.random.default_rng(offset).normal(scale=3.0, size=(600, 2))
         expected = branch_outputs(ckpt.adv_extractor, ckpt.adv_head, x)
@@ -962,10 +1025,9 @@ class TestMainObjectiveGradient:
             "discriminator": (4, 3, 1),
         }
         networks = {name: Mlp.create(w, seed=i) for i, (name, w) in enumerate(widths.items())}
-        velocity = {
-            name: [np.zeros(p.shape) for p in net.tensors()] for name, net in networks.items()
-        }
-        return TrainState(config=tiny_config(alpha=0.5), k=3, networks=networks, velocity=velocity)
+        return TrainState(
+            config=tiny_config(alpha=0.5), k=3, networks=networks, groups=_update_groups(networks)
+        )
 
     @staticmethod
     def _objective(nets, disc, xs, ys, xt, pseudo, banks, cfg):
