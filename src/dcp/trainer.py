@@ -235,11 +235,6 @@ def apply_sgd_update(group: UpdateGroup, lr: float, momentum: float) -> None:
 
 # -- state -------------------------------------------------------------------
 
-# The networks the main objective trains; the discriminator updates alone,
-# after L_D, so the two are separate update groups.
-MAIN_NETWORKS = ("adv_extractor", "adv_head", "clu_extractor", "clu_head")
-
-
 @dataclass
 class TrainState:
     """The networks and their two update groups, ``"discriminator"`` and
@@ -269,10 +264,12 @@ def init_state(config: TrainConfig, k: int, d_in: int) -> TrainState:
 
 
 def _update_groups(networks: dict[str, Mlp]) -> dict[str, UpdateGroup]:
-    """The discriminator's update group and the main networks' one."""
+    """The discriminator's update group, stepped after L_D, and the one of the
+    four networks that the main objective trains."""
+    main = ("adv_extractor", "adv_head", "clu_extractor", "clu_head")
     return {
         "discriminator": UpdateGroup(networks["discriminator"].tensors()),
-        "main": UpdateGroup([p for name in MAIN_NETWORKS for p in networks[name].tensors()]),
+        "main": UpdateGroup([p for name in main for p in networks[name].tensors()]),
     }
 
 

@@ -472,17 +472,21 @@ def reference_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor._node(np.array([[loss]]), (logits,), bw)
 
 
+def flat_views(group, flat):
+    """``flat``, one of an update group's flat arrays, cut into writable views
+    of its tensors' shapes, in the group's order."""
+    bounds = np.cumsum([0] + [p.values.size for p in group.tensors])
+    return [flat[a:b].reshape(p.shape) for p, a, b in zip(group.tensors, bounds, bounds[1:])]
+
+
 def write_parameter(state, p, values) -> None:
     """Store ``values`` as the parameter ``p`` of one of ``state``'s networks:
-    written in place into the slice of its update group's flat parameter
-    array that ``p`` views."""
+    written in place into its update group's flat parameter array."""
     for group in state.groups.values():
-        start = 0
-        for t in group.tensors:
+        for t, view in zip(group.tensors, flat_views(group, group.params)):
             if t is p:
-                group.params[start : start + p.values.size] = np.ravel(values)
+                view[...] = values
                 return
-            start += t.values.size
     raise ValueError("not a parameter of any update group")
 
 

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from graph_helpers import (
+    flat_views,
     gathered_pseudo_label_loss,
     kmeans_reference,
     reference_train_step,
@@ -130,12 +131,6 @@ def _sgd_step(values, grad, velocity, lr, momentum):
     return p.values, group.velocity.reshape(p.shape)
 
 
-def _views(group, flat):
-    """``flat``, one of the group's flat arrays, cut into its tensors' shapes."""
-    bounds = np.cumsum([0] + [p.values.size for p in group.tensors])
-    return [flat[a:b].reshape(p.shape) for p, a, b in zip(group.tensors, bounds, bounds[1:])]
-
-
 class TestSgdMomentum:
     def test_vanilla_when_momentum_zero(self):
         p = np.array([[1.0, 2.0]])
@@ -168,7 +163,7 @@ class TestSgdMomentum:
         rng = np.random.default_rng(7)
         for group in groups:
             group.velocity[...] = rng.normal(size=group.velocity.shape)
-            velocity = [v.copy() for v in _views(group, group.velocity)]
+            velocity = [v.copy() for v in flat_views(group, group.velocity)]
             params = group.tensors
             grads = [rng.normal(size=p.shape) if with_grad else np.zeros(p.shape) for p in params]
             expected_v = [cfg.momentum * v + g for v, g in zip(velocity, grads)]
@@ -176,7 +171,7 @@ class TestSgdMomentum:
             for p, g in zip(params, grads):
                 p.grad = g.copy() if with_grad else None
             apply_sgd_update(group, cfg.lr, cfg.momentum)
-            velocity = _views(group, group.velocity)
+            velocity = flat_views(group, group.velocity)
             assert all(np.array_equal(v, e) for v, e in zip(velocity, expected_v))
             assert all(np.array_equal(p.values, e) for p, e in zip(params, expected_p))
 
@@ -193,7 +188,7 @@ class TestSgdMomentum:
             group.velocity[...] = rng.normal(size=group.velocity.shape)
             group.velocity[::3] = -0.0
             expected = []
-            for i, (p, v) in enumerate(zip(group.tensors, _views(group, group.velocity))):
+            for i, (p, v) in enumerate(zip(group.tensors, flat_views(group, group.velocity))):
                 if i == 1:
                     # no gradient: the parameter steps as if it were zero
                     p.grad, g = None, np.zeros(p.shape)
@@ -207,7 +202,7 @@ class TestSgdMomentum:
                 expected.append((p.values - cfg.lr * v, v))
             assert np.signbit(group.velocity).any()
             apply_sgd_update(group, cfg.lr, cfg.momentum)
-            now = zip(group.tensors, _views(group, group.velocity))
+            now = zip(group.tensors, flat_views(group, group.velocity))
             for (p, v), (p_expected, v_expected) in zip(now, expected, strict=True):
                 for a, b in ((p.values, p_expected), (v, v_expected)):
                     assert np.array_equal(a, b)
