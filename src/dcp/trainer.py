@@ -14,6 +14,7 @@ at weight alpha.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -207,6 +208,12 @@ class UpdateGroup:
             view.flags.writeable = False
             p.values = view
             start += view.size
+
+    def __deepcopy__(self, memo) -> "UpdateGroup":
+        # the copy's tensors view the copy's parameter array, not a detached copy
+        out = UpdateGroup(copy.deepcopy(self.tensors, memo))
+        out.velocity[...] = self.velocity
+        return out
 
 
 def apply_sgd_update(group: UpdateGroup, lr: float, momentum: float) -> None:

@@ -286,6 +286,21 @@ class TestTrainStep:
         assert now[2] == t
         assert (banks is None and now[3] is None) or np.array_equal(banks, now[3])
 
+    def test_deep_copied_state_trains_on_its_own(self):
+        # a copy's parameters view the copy's update groups, so stepping the
+        # copy trains it exactly as the original trains, and leaves the
+        # original as it was
+        state, src_b, tgt_b, tgt_y = self._setup()
+        train_step(state, src_b, tgt_b, tgt_y)
+        twin = copy.deepcopy(state)
+        before = self._state_snapshot(state)
+        train_step(twin, src_b, tgt_b, tgt_y)
+        self._assert_state_is(state, before)
+        train_step(state, src_b, tgt_b, tgt_y)
+        self._assert_state_is(twin, self._state_snapshot(state))
+        for group in twin.groups.values():
+            assert all(np.shares_memory(p.values, group.params) for p in group.tensors)
+
     @pytest.mark.parametrize("rows", [11, 13])
     def test_source_label_count_must_match_rows(self, rows):
         # a mismatch used to fail inside k-means with numpy's gufunc message
@@ -840,7 +855,8 @@ class TestCheckpoint:
         # training on writes the networks' arrays in place, through their
         # update group; the snapshot keeps its own
         state.groups["main"].params[...] += 1.0
-        assert all(np.array_equal(a + 1.0, t.values) for a, t in zip(before, nets[0].tensors()))
+        moved = zip(before, nets[0].tensors())
+        assert all(np.array_equal(a + 1.0, t.values) for a, t in moved)
         after = [t.values for net in kept for t in net.tensors()]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -848,10 +864,11 @@ class TestCheckpoint:
         src, tgt = tiny_datasets()
         state = init_state(tiny_config(), k=3, d_in=2)
         ckpt = trainer._checkpoint(state)
-        kept = [t.values.copy() for net in (ckpt.adv_extractor, ckpt.adv_head) for t in net.tensors()]
+        snapshot = (ckpt.adv_extractor, ckpt.adv_head)
+        kept = [t.values.copy() for net in snapshot for t in net.tensors()]
         src_idx = np.concatenate([np.flatnonzero(src.y == c)[:4] for c in range(3)])
         train_step(state, (src.X[src_idx], src.y[src_idx]), tgt.X[:12])
-        now = [t.values for net in (ckpt.adv_extractor, ckpt.adv_head) for t in net.tensors()]
+        now = [t.values for net in snapshot for t in net.tensors()]
         assert all(np.array_equal(a, b) for a, b in zip(kept, now, strict=True))
         # the step moved every weight and bias that the checkpoint copied
         trained = [state.networks[name].tensors() for name in ("adv_extractor", "adv_head")]
@@ -864,6 +881,7 @@ class TestCheckpoint:
         state = init_state(TrainConfig(), k=3, d_in=2)
         nets = (state.networks["adv_extractor"], state.networks["adv_head"])
         ckpt = Checkpoint(*nets)
+        # constant tensors over the placed copies, which Tensor() would copy again
         placed = [
             Mlp([Tensor._node(_placed(w.values, offset), (), None) for w in net.weights], net.biases)
             for net in nets
@@ -1126,8 +1144,8 @@ class TestWholeStepReference:
     @staticmethod
     def _assert_same_networks(state, ref_state, names):
         for name in names:
-            pairs = zip(state.networks[name].tensors(), ref_state.networks[name].tensors(), strict=True)
-            for a, b in pairs:
+            nets = (state.networks[name], ref_state.networks[name])
+            for a, b in zip(*(net.tensors() for net in nets), strict=True):
                 assert np.array_equal(a.values, b.values, equal_nan=True), name
 
     @staticmethod
@@ -1164,7 +1182,8 @@ class TestWholeStepReference:
 
     @staticmethod
     def _data(k, d, seed):
-        return gen_blobs(ShiftSpec(k=k, d=d, n_per_class=40, rotation=30.0, noise_sigma=0.8, seed=seed))
+        spec = ShiftSpec(k=k, d=d, n_per_class=40, rotation=30.0, noise_sigma=0.8, seed=seed)
+        return gen_blobs(spec)
 
     @pytest.mark.parametrize(
         "k, d, overrides", CONFIGS, ids=[f"k{k}-d{d}-b{o['batch_size']}" for k, d, o in CONFIGS]
@@ -1227,8 +1246,9 @@ class TestWholeStepReference:
         # the reference does not undo the discriminator's update, so only the
         # other networks are compared; train_step's discriminator is the one
         # the last good iteration left
-        self._assert_same_networks(state, ref_state, ("adv_extractor", "adv_head", "clu_extractor", "clu_head"))
-        kept = disc_after[id(state)]
-        assert all(np.array_equal(a, p.values) for a, p in zip(kept, state.networks["discriminator"].tensors()))
-        moved = disc_after[id(ref_state)]
-        assert not all(np.array_equal(a, p.values) for a, p in zip(moved, ref_state.networks["discriminator"].tensors()))
+        main = ("adv_extractor", "adv_head", "clu_extractor", "clu_head")
+        self._assert_same_networks(state, ref_state, main)
+        for s, rolled_back in ((state, True), (ref_state, False)):
+            now = s.networks["discriminator"].tensors()
+            same = [np.array_equal(a, p.values) for a, p in zip(disc_after[id(s)], now)]
+            assert all(same) if rolled_back else not all(same)
