@@ -242,6 +242,7 @@ def apply_sgd_update(group: UpdateGroup, lr: float, momentum: float) -> None:
 
 # -- state -------------------------------------------------------------------
 
+
 @dataclass
 class TrainState:
     """The networks and their two update groups, ``"discriminator"`` and
