@@ -21,6 +21,7 @@ in a fixed order, on which the pinned metrics traces depend.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -192,15 +193,16 @@ def _matrix_discrepancy(m: Tensor, scale: float) -> Tensor:
     """Scaled Frobenius distance between the adversarial and the clustering half of ``m``."""
     half = m.rows // 2
     diff = m.values[:half] - m.values[half:]
-    shifted = np.array([[(diff * diff).sum()]]) + LOSS_EPS
+    # the 1 x 1 arithmetic on Python floats: the same IEEE operations, in order
+    shifted = (diff * diff).sum().item() + LOSS_EPS
 
     def bw(g: np.ndarray) -> None:
-        g_shifted = g * scale / (2.0 * np.sqrt(shifted + SQRT_SHIFT))
-        half_diff = g_shifted[0, 0] * diff
+        g_shifted = g.item() * scale / (2.0 * math.sqrt(shifted + SQRT_SHIFT))
+        half_diff = g_shifted * diff
         g_diff = half_diff + half_diff
         m._accumulate(np.concatenate([g_diff, -g_diff]))
 
-    return Tensor._node(np.sqrt(shifted) * scale, (m,), bw)
+    return Tensor._node(np.array([[math.sqrt(shifted) * scale]]), (m,), bw)
 
 
 def loss_cc(m: Tensor) -> Tensor:

@@ -60,7 +60,8 @@ def class_means(x: np.ndarray, labels: np.ndarray, counts: np.ndarray, out: np.n
     counted.
     """
     onehot = labels == np.arange(counts.size)[:, None]
-    np.divide(onehot @ x, counts[:, None], out=out, where=counts[:, None] > 0)
+    column = counts[:, None]
+    np.divide(np.dot(onehot, x), column, out=out, where=column > 0)
 
 
 def kmeans_assign(
@@ -69,7 +70,9 @@ def kmeans_assign(
     """Lloyd's algorithm from the given centroids.
 
     Each row goes to the argmin over clusters of ``|c|^2 - 2 x.c^T``, and a
-    tie in that computed score goes to the lower cluster index. A row that is
+    tie in that computed score goes to the lower cluster index. The score is
+    computed in place as ``-2 x.c^T + |c|^2``, which has the same bits:
+    doubling is exact, and ``a + (-b)`` is ``a - b``. A row that is
     equidistant in real arithmetic from two centroids can go the other way
     than under the direct form ``sum((x - c)^2)``; see the module docstring
     for how often. A cluster that empties keeps its previous centroid.
@@ -85,7 +88,10 @@ def kmeans_assign(
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        scores = (centroids * centroids).sum(axis=1) - 2.0 * (x @ centroids.T)
+        # |c|^2 - 2 x.c^T, in place
+        scores = np.dot(x, centroids.T)
+        scores *= -2.0
+        scores += np.add.reduce(centroids * centroids, axis=1)
         new_labels = scores.argmin(axis=1)
         if (new_labels == labels).all():
             break

@@ -22,10 +22,13 @@ without waiting for the cyclic garbage collector.
 This module is the engine only, with :func:`weighted_sum` its one node type
 and no elementwise arithmetic; the trainer's whole objective is one weighted
 sum, over every loss term. A whole network call is one node
-(``networks.forward``), and so is each loss term (``losses``); so are the
-centroids of both classifier branches, stacked as one (2K x d_f) bank, and
-each of their relativized distance matrices (``centroids``). All are built
-through :meth:`Tensor._node` in the module that states their formula.
+(``networks.forward``), and so is each loss (``losses``): the cross entropy
+takes every classification term of a step, both heads on the source labels
+and on the pseudo-labels, as blocks of one node. So are the centroids of
+both classifier branches, stacked as one (2K x d_f) bank, each of their
+relativized distance matrices and each alignment loss (``centroids``).
+All are built through :meth:`Tensor._node` in the module that states their
+formula.
 
 A tensor's values are always C-contiguous, whatever the memory order of the
 array it was built from: BLAS may round a product differently when an
@@ -171,17 +174,18 @@ class Tensor:
             return  # constant loss: no differentiable ancestors, nothing to do
         # Only nodes with a backward rule are ordered: a leaf has nothing to
         # run, and leaving it out does not change the order of the others.
+        # Depth first, each stack entry a node and the iterator over its
+        # parents left to visit; a node is ordered once its parents are.
         order: list[Tensor] = []
         seen: set[int] = {id(self)}
-        stack: list[tuple[Tensor, int]] = [(self, 0)] if self._backward_fn is not None else []
+        stack = [(self, iter(self._parents))] if self._backward_fn is not None else []
         while stack:
-            node, idx = stack[-1]
-            if idx < len(node._parents):
-                stack[-1] = (node, idx + 1)
-                parent = node._parents[idx]
+            node, parents = stack[-1]
+            for parent in parents:
                 if parent._backward_fn is not None and id(parent) not in seen:
                     seen.add(id(parent))
-                    stack.append((parent, 0))
+                    stack.append((parent, iter(parent._parents)))
+                    break
             else:
                 order.append(node)
                 stack.pop()

@@ -8,8 +8,8 @@ centroid update and by L_PL, and then discarded. L_PL is the sum of both
 classifiers' cross entropies on the target batch with its unaccepted rows
 (label -1) skipped: a high-confidence label trains the two classifiers as a
 source label does. The main objective is one ``weighted_sum`` node whose
-terms are L_C1, L_C2, L_G, the two cross entropies of L_PL, and L_CC and L_CS
-at weight alpha.
+terms are L_G, one cross-entropy node over L_C1, L_C2 and L_PL's two cross
+entropies, and L_CC and L_CS at weight alpha.
 """
 
 from __future__ import annotations
@@ -425,19 +425,20 @@ def train_step(
 
     # (f) main update: classifiers, generator, and alignment. D is frozen:
     # l_g reaches it through constant parameters, so no D gradient is computed
-    l_c1 = losses.source_classification_loss(adv_head(fs_adv), ys)
-    l_c2 = losses.source_classification_loss(clu_head(fs_clu), ys)
     l_g = losses.generator_loss(disc.detached()(ft_adv))
-    terms = [l_c1, l_c2, l_g]
-    l_pl = None
+    # L_C1 and L_C2: both heads on the source labels. L_PL: accepted
+    # pseudo-labels train both heads on their rows of the target batch, the
+    # rows labeled -1 skipped. All four are blocks of one cross-entropy node.
+    blocks, block_labels = [adv_head(fs_adv), clu_head(fs_clu)], [ys, ys]
     if n_selected:
-        # L_PL: accepted pseudo-labels train both classifiers on their rows of
-        # the target batch; the cross entropy skips the rows labeled -1
-        ce_adv = losses.source_classification_loss(logits_t_adv, pseudo)
-        ce_clu = losses.source_classification_loss(clu_head(ft_clu), pseudo)
-        l_pl = ce_adv.item() + ce_clu.item()
-        terms += [ce_adv, ce_clu]
-    weights = [1.0] * len(terms)
+        blocks += [logits_t_adv, clu_head(ft_clu)]
+        block_labels += [pseudo, pseudo]
+    ce, means = losses.source_classification_loss(blocks, block_labels)
+    l_pl = means[2] + means[3] if n_selected else None
+    # l_g first: a tensor with three or more consumers (ft_adv, ft_clu) then
+    # receives its deltas in the order it did when each cross entropy was a
+    # term of its own, so every gradient keeps its bits
+    terms, weights = [l_g, ce], [1.0, 1.0]
     if not alignment_skipped and cfg.alpha > 0.0:
         terms += [l_cc_tensor, l_cs_tensor]
         weights += [cfg.alpha, cfg.alpha]
@@ -445,8 +446,8 @@ def train_step(
     # checked in this order, so the first non-finite one names the error
     main_losses = {
         "l_g": l_g.item(),
-        "l_c1": l_c1.item(),
-        "l_c2": l_c2.item(),
+        "l_c1": means[0],
+        "l_c2": means[1],
         "l_cc": None if alignment_skipped else l_cc_tensor.item(),
         "l_cs": None if alignment_skipped else l_cs_tensor.item(),
         "l_pl": l_pl,
@@ -495,23 +496,26 @@ class _CycleSampler:
 
     A pool is reshuffled whenever it runs short: with one pool per class,
     every class is in every batch; with one pool, batches walk shuffled epochs.
+    Each pool's queue is an int64 array, and a pool's fresh permutation goes
+    after what is left of its queue, as many times as one batch needs.
     """
 
     def __init__(self, pools: list[np.ndarray], batch_size: int, rng: np.random.Generator):
         self._rng = rng
         self._pools = pools
-        self._queues: list[list[int]] = [[] for _ in pools]
+        self._queues = [np.empty(0, dtype=np.int64) for _ in pools]
         base, extra = divmod(batch_size, len(pools))
         self._per_pool = [base + (1 if i < extra else 0) for i in range(len(pools))]
 
     def next_batch(self) -> np.ndarray:
-        chosen: list[int] = []
-        for pool, queue, want in zip(self._pools, self._queues, self._per_pool):
-            while len(queue) < want:
-                queue.extend(self._rng.permutation(pool).tolist())
-            chosen.extend(queue[:want])
-            del queue[:want]
-        return np.array(chosen, dtype=np.int64)
+        chosen = []
+        for i, (pool, want) in enumerate(zip(self._pools, self._per_pool)):
+            queue = self._queues[i]
+            while queue.size < want:
+                queue = np.concatenate((queue, self._rng.permutation(pool)))
+            chosen.append(queue[:want])
+            self._queues[i] = queue[want:]
+        return np.concatenate(chosen)
 
 
 # -- full runs ----------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each named loss gets fresh random instances per seed; the analytic gradient
 must match central differences within the threshold on every instance.
-L_C1 is also checked with rows labeled -1, the form L_PL takes. The
+L_C1 is also checked with rows labeled -1, and as two blocks of one
+cross-entropy node on those labels, the form L_PL takes. The
 centroid losses are checked through the distance matrices, relativization
 and the discrepancy, with respect to the stacked bank of both branches'
 centroids and to one branch's sample features.
@@ -47,12 +48,20 @@ def _build_l_g(rng, d_f, k, n_b) -> list[Instance]:
 def _build_l_c1(rng, d_f, k, n_b) -> list[Instance]:
     logits = Tensor(rng.normal(size=(n_b, k)))
     labels = rng.integers(0, k, size=n_b)
-    # L_PL's form: about half the rows unlabeled (-1), the first one labeled
+    # L_PL's form: about half the rows unlabeled (-1), the first one labeled,
+    # and both heads' logits as two blocks of one node on those labels
     masked = np.where(rng.random(n_b) < 0.5, -1, labels)
     masked[0] = labels[0]
+    other = Tensor(rng.normal(size=(n_b, k)))
+
+    def one_block(given):
+        return lambda x: source_classification_loss([x], [given])[0]
+
     return [
-        (lambda x: source_classification_loss(x, labels), logits),
-        (lambda x: source_classification_loss(x, masked), logits),
+        (one_block(labels), logits),
+        (one_block(masked), logits),
+        (lambda x: source_classification_loss([x, other], [masked, masked])[0], logits),
+        (lambda x: source_classification_loss([logits, x], [masked, masked])[0], other),
     ]
 
 

@@ -368,9 +368,11 @@ def gathered_pseudo_label_loss(logits_t_adv: Tensor, clu_head: Mlp, ft_clu: Tens
     """L_PL through row gathers: the adversarial logits' selected rows, and the
     clustering head run on the selected rows of its target features only."""
     picked = np.flatnonzero(pseudo >= 0)
-    ce_adv = source_classification_loss(gather_rows(logits_t_adv, picked), pseudo[picked])
-    ce_clu = source_classification_loss(clu_head(gather_rows(ft_clu, picked)), pseudo[picked])
-    return weighted_sum([ce_adv, ce_clu], [1.0, 1.0])
+    labels = pseudo[picked]
+    loss, _ = source_classification_loss(
+        [gather_rows(logits_t_adv, picked), clu_head(gather_rows(ft_clu, picked))], [labels, labels]
+    )
+    return loss
 
 
 # -- the per-class loops and kernels that whole-batch ops replaced ------------
@@ -423,6 +425,28 @@ def centroid_weights_reference(labels, k):
     for cls in range(k):
         weights[cls, labels == cls] = 1.0 / counts[cls]
     return weights
+
+
+class ListCycleSampler:
+    """The batch sampler with its queues as Python lists: an equal share of
+    each pool per batch, a pool's fresh permutation appended whenever its
+    queue runs short."""
+
+    def __init__(self, pools, batch_size, rng):
+        self._rng = rng
+        self._pools = pools
+        self._queues = [[] for _ in pools]
+        base, extra = divmod(batch_size, len(pools))
+        self._per_pool = [base + (1 if i < extra else 0) for i in range(len(pools))]
+
+    def next_batch(self):
+        chosen = []
+        for pool, queue, want in zip(self._pools, self._queues, self._per_pool):
+            while len(queue) < want:
+                queue.extend(self._rng.permutation(pool).tolist())
+            chosen.extend(queue[:want])
+            del queue[:want]
+        return np.array(chosen, dtype=np.int64)
 
 
 def sigmoid_reference(x):

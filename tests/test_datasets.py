@@ -155,7 +155,7 @@ class TestTwoMoons:
         group = UpdateGroup(extractor.tensors() + head.tensors())
         x_src = Tensor(src.X)
         for _ in range(300):
-            loss = source_classification_loss(head(extractor(x_src)), src.y)
+            loss = source_classification_loss([head(extractor(x_src))], [src.y])[0]
             loss.backward()
             apply_sgd_update(group, lr=0.05, momentum=0.5)
         target_logits = branch_outputs(extractor, head, tgt.X)

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from graph_helpers import sigmoid, verdict_discriminator_loss, verdict_generator_loss
+from graph_helpers import (
+    contract,
+    cross_entropy_reference,
+    sigmoid,
+    verdict_discriminator_loss,
+    verdict_generator_loss,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -13,7 +19,7 @@ from dcp.losses import (
     source_classification_loss,
 )
 from dcp.networks import Mlp
-from dcp.tensor import Tensor, grad_check, weighted_sum
+from dcp.tensor import ShapeError, Tensor, grad_check, weighted_sum
 
 
 def _logits(verdicts):
@@ -251,12 +257,129 @@ class TestSameBitsAsSigmoidDiscriminator:
 
 class TestSourceClassificationLoss:
     def test_uniform_three_classes(self):
-        loss = source_classification_loss(Tensor([[0.0, 0.0, 0.0]]), [1])
+        loss = source_classification_loss([Tensor([[0.0, 0.0, 0.0]])], [[1]])[0]
         assert abs(loss.item() - 1.0986122886681097) < 1e-12
 
     def test_confident_correct_saturates(self):
-        loss = source_classification_loss(Tensor([[60.0, 0.0, 0.0]]), [0])
+        loss = source_classification_loss([Tensor([[60.0, 0.0, 0.0]])], [[0]])[0]
         assert loss.item() < 1e-20
+
+
+def _stacked_case(seed, shape):
+    """Logit blocks and their label arrays in one of the forms a step takes.
+
+    ``shape`` is "shared" (two blocks on one array with -1 rows, L_PL's form),
+    "distinct" (two blocks of different row counts on arrays of their own),
+    "step" (two blocks on fully labeled source labels, then two on one
+    -1-masked array of another row count, as a step with pseudo-labels
+    builds them) or "mixed" (four blocks, four arrays, some rows -1).
+    """
+    rng = np.random.default_rng(seed)
+    k = 3
+
+    def labels(n, unlabeled):
+        y = rng.integers(0, k, size=n)
+        y[rng.random(n) < unlabeled] = -1
+        y[rng.integers(n)] = rng.integers(k)  # at least one labeled row
+        return y
+
+    if shape == "shared":
+        pseudo = labels(12, 0.5)
+        rows, arrays = (12, 12), [pseudo, pseudo]
+    elif shape == "distinct":
+        rows, arrays = (7, 12), [labels(7, 0.0), labels(12, 0.4)]
+    elif shape == "step":
+        ys, pseudo = labels(9, 0.0), labels(13, 0.6)
+        rows, arrays = (9, 9, 13, 13), [ys, ys, pseudo, pseudo]
+    else:
+        rows = (5, 11, 8, 1)
+        arrays = [labels(5, 0.3), labels(11, 0.0), labels(8, 0.7), labels(1, 0.0)]
+    values = [rng.normal(size=(n, k)) * 3.0 for n in rows]
+    values[0][0] = 1e3 * np.sign(values[0][0])  # a saturated row
+    return values, arrays
+
+
+STACKED_SHAPES = ["shared", "distinct", "step", "mixed"]
+
+
+class TestStackedCrossEntropy:
+    """Blocks of one cross-entropy node against one-block calls, bit for bit."""
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    @pytest.mark.parametrize("shape", STACKED_SHAPES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_block_is_its_own_call(self, seed, shape, upstream):
+        values, arrays = _stacked_case(seed, shape)
+        blocks = [Tensor(v, requires_grad=True) for v in values]
+        node, means = source_classification_loss(blocks, arrays)
+        contract(node, upstream).backward()
+        total = means[0]
+        for mean in means[1:]:
+            total = total + mean
+        assert node.item() == total and len(means) == len(blocks)
+        for v, y, block, mean in zip(values, arrays, blocks, means):
+            alone = Tensor(v, requires_grad=True)
+            loss, (alone_mean,) = source_classification_loss([alone], [y])
+            contract(loss, upstream).backward()
+            assert np.array_equal(mean, alone_mean)
+            assert np.array_equal(loss.values, [[alone_mean]])
+            assert np.array_equal(block.grad, alone.grad)
+            assert not block.grad[y < 0].any()
+            # and the cross entropy of the labeled rows alone, by the reference
+            kept = y >= 0
+            expected_mean, expected_local = cross_entropy_reference(v[kept], y[kept])
+            assert np.array_equal(mean, expected_mean)
+            assert np.array_equal(block.grad[kept], upstream * expected_local)
+
+    def test_equal_arrays_that_are_not_shared_give_the_same_bits(self):
+        values, (pseudo, _) = _stacked_case(0, "shared")
+        shared = source_classification_loss([Tensor(v) for v in values], [pseudo, pseudo])
+        copied = source_classification_loss([Tensor(v) for v in values], [pseudo, pseudo.copy()])
+        assert np.array_equal(shared[0].values, copied[0].values)
+        assert np.array_equal(shared[1], copied[1])
+
+    @pytest.mark.parametrize("shape", STACKED_SHAPES)
+    def test_gradient_matches_finite_differences_wrt_each_block(self, shape):
+        values, arrays = _stacked_case(5, shape)
+        values = [v / np.abs(v).max() for v in values]  # unsaturated
+        for i in range(len(values)):
+
+            def f(x, i=i):
+                blocks = [Tensor(v) for v in values]
+                blocks[i] = x
+                return source_classification_loss(blocks, arrays)[0]
+
+            report = grad_check(f, Tensor(values[i]))
+            assert report.max_rel_error < 1e-4, i
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_block_with_every_label_minus_one_raises(self, position):
+        values, arrays = _stacked_case(1, "mixed")
+        arrays[position] = np.full(values[position].shape[0], -1)
+        n = values[position].shape[0]
+        with pytest.raises(ValueError, match=f"all {n} labels are -1"):
+            source_classification_loss([Tensor(v) for v in values], arrays)
+
+    @pytest.mark.parametrize("bad", [3, -2])
+    def test_label_out_of_range_in_a_later_block_raises(self, bad):
+        values, arrays = _stacked_case(1, "step")
+        pseudo = arrays[2].copy()
+        pseudo[-1] = bad
+        arrays[2:] = [pseudo, pseudo]
+        with pytest.raises(IndexError, match=f"label {bad} out of range"):
+            source_classification_loss([Tensor(v) for v in values], arrays)
+
+    def test_shape_mismatches_raise(self):
+        values, arrays = _stacked_case(2, "distinct")
+        blocks = [Tensor(v) for v in values]
+        with pytest.raises(ShapeError, match="7 labels for 12 logit rows"):
+            source_classification_loss(blocks, [arrays[0], arrays[0]])
+        with pytest.raises(ShapeError, match="columns"):
+            source_classification_loss([blocks[0], Tensor(np.zeros((12, 4)))], arrays)
+        with pytest.raises(ShapeError, match="1 label arrays for 2 logit blocks"):
+            source_classification_loss(blocks, arrays[:1])
+        with pytest.raises(ShapeError, match="0 label arrays for 0 logit blocks"):
+            source_classification_loss([], [])
 
 
 

@@ -113,15 +113,15 @@ class TestActivations:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_two_classes(self):
-        loss = source_classification_loss(Tensor([[1.0, 1.0]]), [0])
+        loss = source_classification_loss([Tensor([[1.0, 1.0]])], [[0]])[0]
         assert abs(loss.item() - 0.69314718055994531) < 1e-12
 
     def test_hand_softmax(self):
-        loss = source_classification_loss(Tensor([[0.0, np.log(3.0)]]), [1])
+        loss = source_classification_loss([Tensor([[0.0, np.log(3.0)]])], [[1]])[0]
         assert abs(loss.item() - 0.28768207245178093) < 1e-9
 
     def test_saturated_logits_no_overflow(self):
-        loss = source_classification_loss(Tensor([[50.0, 0.0], [0.0, 50.0]]), [0, 1])
+        loss = source_classification_loss([Tensor([[50.0, 0.0], [0.0, 50.0]])], [[0, 1]])[0]
         assert loss.item() < 1e-20
         assert np.isfinite(loss.item())
 
@@ -129,7 +129,7 @@ class TestSoftmaxCrossEntropy:
         # -1 marks an unlabeled row; -2 is out of range
         for label in (2, -2):
             with pytest.raises(IndexError, match=f"label {label} out of range"):
-                source_classification_loss(Tensor([[0.0, 0.0], [0.0, 0.0]]), [0, label])
+                source_classification_loss([Tensor([[0.0, 0.0], [0.0, 0.0]])], [[0, label]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_identical_to_log_probs_reference(self, seed):
@@ -139,7 +139,7 @@ class TestSoftmaxCrossEntropy:
         logits[0] = 1e3 * np.sign(logits[0])  # a saturated row
         labels = rng.integers(0, k, size=n)
         x = Tensor(logits, requires_grad=True)
-        loss = source_classification_loss(x, labels)
+        loss = source_classification_loss([x], [labels])[0]
         loss.backward()
         expected_loss, expected_grad = cross_entropy_reference(logits, labels)
         assert np.array_equal(loss.values, [[expected_loss]])
@@ -150,7 +150,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(4, 3))
         labels = rng.integers(0, 3, size=4)
-        report = grad_check(lambda x: source_classification_loss(x, labels), Tensor(logits))
+        report = grad_check(lambda x: source_classification_loss([x], [labels])[0], Tensor(logits))
         assert report.max_rel_error < 1e-4
 
 
@@ -174,8 +174,8 @@ class TestMaskedCrossEntropy:
         upstream = np.random.default_rng(seed + 100).normal(size=(1, 1))
         kept = np.flatnonzero(labels >= 0)
         masked, subset = Tensor(logits, requires_grad=True), Tensor(logits[kept], requires_grad=True)
-        masked_loss = source_classification_loss(masked, labels)
-        subset_loss = source_classification_loss(subset, labels[kept])
+        masked_loss = source_classification_loss([masked], [labels])[0]
+        subset_loss = source_classification_loss([subset], [labels[kept]])[0]
         for loss in (masked_loss, subset_loss):
             contract(loss, upstream).backward()
         assert np.array_equal(masked_loss.values, subset_loss.values)
@@ -187,7 +187,7 @@ class TestMaskedCrossEntropy:
     def test_gradient_matches_finite_differences(self, seed):
         logits, labels = self._case(seed)
         logits /= np.abs(logits).max()  # unsaturated, so differences resolve the slope
-        report = grad_check(lambda x: source_classification_loss(x, labels), Tensor(logits))
+        report = grad_check(lambda x: source_classification_loss([x], [labels])[0], Tensor(logits))
         assert report.max_rel_error < 1e-4
 
     @pytest.mark.parametrize(
@@ -219,7 +219,7 @@ class TestMaskedCrossEntropy:
             x = Tensor(values, requires_grad=True)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                loss = source_classification_loss(x, labels)
+                loss = source_classification_loss([x], [labels])[0]
                 loss.backward()
             outcomes.append((loss.values, x.grad, [str(w.message) for w in caught]))
         (loss, grad, _), (replaced_loss, replaced_grad, warned) = outcomes
@@ -234,7 +234,7 @@ class TestMaskedCrossEntropy:
 
     def test_every_row_unlabeled_raises(self):
         with pytest.raises(ValueError, match="all 3 labels are -1"):
-            source_classification_loss(Tensor(np.zeros((3, 2))), [-1, -1, -1])
+            source_classification_loss([Tensor(np.zeros((3, 2)))], [[-1, -1, -1]])
 
 
 class TestPairwiseEuclidean:
@@ -295,6 +295,38 @@ class TestBackward:
         y.backward()
         np.testing.assert_allclose(x.grad, [[2.0]])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rules_run_in_the_order_of_the_indexed_walk(self, seed):
+        # the post-order of a depth-first walk that re-pushes (node, parent
+        # index) pairs, run in reverse; parents repeat and are shared
+        rng = np.random.default_rng(seed)
+        ran: list[int] = []
+        nodes = [Tensor([[1.0]], requires_grad=True) for _ in range(4)]
+        for i in range(4, 40):
+            parents = tuple(nodes[j] for j in rng.integers(0, i, size=rng.integers(1, 4)))
+
+            def bw(g, i=i, parents=parents):
+                ran.append(i)
+                for parent in parents:
+                    parent._accumulate(g.copy())
+
+            nodes.append(Tensor._node(np.array([[float(i)]]), parents, bw))
+        index = {id(t): i for i, t in enumerate(nodes)}
+        order, seen, stack = [], {id(nodes[-1])}, [(nodes[-1], 0)]
+        while stack:
+            node, idx = stack[-1]
+            if idx < len(node._parents):
+                stack[-1] = (node, idx + 1)
+                parent = node._parents[idx]
+                if parent._backward_fn is not None and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, 0))
+            else:
+                order.append(index[id(node)])
+                stack.pop()
+        nodes[-1].backward()
+        assert ran == order[::-1]
+
     def test_relu_matmul_chain_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(3, 3)))
@@ -329,7 +361,7 @@ class TestCompositionGradients:
             return weighted_sum(
                 [
                     contract(relative, np.vstack([spread, spread[::-1]])),
-                    source_classification_loss(relu_layer(x, w, bias), labels),
+                    source_classification_loss([relu_layer(x, w, bias)], [labels])[0],
                     contract(pairwise_euclidean(stacked, Tensor(np.zeros((1, n)))), 1.0),
                 ],
                 [1.0, 0.5, 0.25],
@@ -671,7 +703,7 @@ class TestWeightedSum:
         def f(probe):
             inputs = [Tensor(v) for v in logits]
             inputs[wrt] = probe
-            terms = [source_classification_loss(x, labels) for x in inputs]
+            terms = [source_classification_loss([x], [labels])[0] for x in inputs]
             return weighted_sum(terms, [1.0, 0.3, 0.3])
 
         report = grad_check(f, Tensor(logits[wrt]))

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from graph_helpers import (
+    ListCycleSampler,
     flat_views,
     gathered_pseudo_label_loss,
     kmeans_reference,
@@ -33,6 +34,7 @@ from dcp.trainer import (
     TrainState,
     UnlabeledDatasetError,
     UpdateGroup,
+    _CycleSampler,
     _update_groups,
     apply_sgd_update,
     derived_seeds,
@@ -471,9 +473,16 @@ class TestTrainStep:
 
         before, t_before = snapshot(), state.t
         real = getattr(losses, poisoned)
-        monkeypatch.setattr(
-            losses, poisoned, lambda *args: weighted_sum([real(*args)], [float("nan")])
-        )
+
+        def nan_loss(*args):
+            out = real(*args)
+            if poisoned == "source_classification_loss":
+                # the cross entropy's node and its block means, L_C1's first
+                node, means = out
+                return weighted_sum([node], [float("nan")]), [float("nan"), *means[1:]]
+            return weighted_sum([out], [float("nan")])
+
+        monkeypatch.setattr(losses, poisoned, nan_loss)
         with pytest.raises(NumericsError, match=f"iteration {t_before}: {loss_name} is nan"):
             train_step(state, src_b, tgt_b, tgt_y)
         assert state.t == t_before
@@ -513,8 +522,9 @@ class TestTrainStep:
         # alignment: 11 network calls (4 extractor, 4 head and 3
         # discriminator passes); 2 for both branches' centroids and their
         # EMA blend; 2 relativized distance matrices; 2 alignment losses;
-        # l_d, l_g, l_c1, l_c2; L_PL's 2 cross entropies, which skip the
-        # unselected rows themselves; 1 weighted sum for the whole objective
+        # l_d, l_g; 1 cross entropy over L_C1, L_C2 and L_PL's two blocks,
+        # which skip the unselected rows themselves; 1 weighted sum for the
+        # whole objective
         built = self._nodes_per_step(
             monkeypatch,
             TrainConfig(),
@@ -522,17 +532,18 @@ class TestTrainStep:
                 live and (info.pseudo_labels >= 0).any() and not info.alignment_skipped
             ),
         )
-        assert built == 24
+        assert built == 21
 
     def test_graph_nodes_without_alignment_weight_or_pseudo_labels(self, monkeypatch):
         # alpha=0 and no pseudo-labels, with live banks: 10 network calls
         # (no head call on the target features selects anything); the 6
-        # alignment nodes are still built; l_d, l_g, l_c1, l_c2; 1 weighted sum
+        # alignment nodes are still built; l_d, l_g; 1 cross entropy over
+        # L_C1's and L_C2's blocks; 1 weighted sum
         config = TrainConfig(alpha=0.0, use_pseudo_labels=False)
         built = self._nodes_per_step(
             monkeypatch, config, lambda live, info: live and not info.alignment_skipped
         )
-        assert built == 21
+        assert built == 20
 
     def test_main_backward_leaves_discriminator_without_gradient(self, monkeypatch):
         # l_g reaches the discriminator through constant parameters, so the
@@ -723,6 +734,31 @@ class TestTrain:
         src, tgt = tiny_datasets()
         with pytest.raises(ValueError, match="source"):
             train(tiny_config(), tgt, src)
+
+
+class TestCycleSampler:
+    @pytest.mark.parametrize(
+        "sizes, batch_size",
+        [
+            ((200, 200, 200), 36),  # one pool per class, as train stratifies the source
+            # a pool smaller than its share refills several times in one call
+            ((5, 50, 7), 37),
+            ((600,), 36),  # one pool: the target's shuffled epochs
+        ],
+    )
+    def test_same_draws_as_list_queues(self, sizes, batch_size):
+        # pools of the ids of rows of one label, as np.flatnonzero gives them
+        labels = np.random.default_rng(3).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        pools = [np.flatnonzero(labels == cls) for cls in range(len(sizes))]
+        rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
+        sampler = _CycleSampler(pools, batch_size, rng)
+        reference = ListCycleSampler(pools, batch_size, reference_rng)
+        for draw in range(2000):
+            batch = sampler.next_batch()
+            assert batch.dtype == np.int64 and batch.shape == (batch_size,)
+            assert np.array_equal(batch, reference.next_batch()), draw
+        # the generator made the same draws, so it is at the same point
+        assert rng.integers(1 << 62) == reference_rng.integers(1 << 62)
 
 
 class TestEvaluate:
@@ -1025,8 +1061,8 @@ class TestMainObjectiveGradient:
     L_C1 + L_C2 + L_PL + L_G + alpha * (L_CC + L_CS), built as ``train_step``
     builds it, checked with respect to every parameter of two tiny
     extractors: through the network nodes, the stacked centroids of both
-    branches, the EMA blend, the relativized distance matrices and the
-    -1-masked cross entropies of L_PL.
+    branches, the EMA blend, the relativized distance matrices and the one
+    cross-entropy node, whose last two blocks are L_PL's -1-masked ones.
     """
 
     def _tiny_state(self) -> TrainState:
@@ -1050,22 +1086,24 @@ class TestMainObjectiveGradient:
         union = np.concatenate([ys, pseudo])
         fresh = cent.compute_centroids((fs_adv, ft_adv), (fs_clu, ft_clu), union, k)
         banks = cent.update_centroids_ema(banks, fresh, cfg.ema_momentum)
-        terms = {
-            "l_c1": losses.source_classification_loss(nets["adv_head"](fs_adv), ys),
-            "l_c2": losses.source_classification_loss(nets["clu_head"](fs_clu), ys),
-            "l_g": losses.generator_loss(disc.detached()(ft_adv)),
-            "l_pl": weighted_sum(
-                [
-                    losses.source_classification_loss(nets["adv_head"](ft_adv), pseudo),
-                    losses.source_classification_loss(nets["clu_head"](ft_clu), pseudo),
-                ],
-                [1.0, 1.0],
-            ),
-            "l_cc": cent.loss_cc(cent.centroid_centroid_matrix(banks)),
-            "l_cs": cent.loss_cs(cent.centroid_sample_matrix(banks, ft_adv, ft_clu)),
+        l_g = losses.generator_loss(disc.detached()(ft_adv))
+        adv_head, clu_head = nets["adv_head"], nets["clu_head"]
+        ce, means = losses.source_classification_loss(
+            [adv_head(fs_adv), clu_head(fs_clu), adv_head(ft_adv), clu_head(ft_clu)],
+            [ys, ys, pseudo, pseudo],
+        )
+        l_cc = cent.loss_cc(cent.centroid_centroid_matrix(banks))
+        l_cs = cent.loss_cs(cent.centroid_sample_matrix(banks, ft_adv, ft_clu))
+        total = weighted_sum([l_g, ce, l_cc, l_cs], [1.0, 1.0, cfg.alpha, cfg.alpha])
+        values = {
+            "l_c1": means[0],
+            "l_c2": means[1],
+            "l_g": l_g.item(),
+            "l_pl": means[2] + means[3],
+            "l_cc": l_cc.item(),
+            "l_cs": l_cs.item(),
         }
-        total = weighted_sum(list(terms.values()), [1.0] * 4 + [cfg.alpha] * 2)
-        return total, terms
+        return total, values
 
     def test_matches_finite_differences(self):
         src, tgt = tiny_datasets()
@@ -1086,9 +1124,9 @@ class TestMainObjectiveGradient:
         # the main phase sees the discriminator after its own update
         disc = state.networks["discriminator"]
         args = (Tensor(xs), ys, Tensor(xt), info.pseudo_labels, before.banks, before.config)
-        _, terms = self._objective(before.networks, disc, *args)
-        for name, term in terms.items():
-            assert term.item() == getattr(record, name), name
+        _, values = self._objective(before.networks, disc, *args)
+        for name, value in values.items():
+            assert value == getattr(record, name), name
         # the same L_PL as the row gathers it replaced
         nets = before.networks
         ft_adv, ft_clu = nets["adv_extractor"](Tensor(xt)), nets["clu_extractor"](Tensor(xt))

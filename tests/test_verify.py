@@ -55,15 +55,18 @@ def test_instances_use_requested_shapes():
 
 
 def test_l_c1_checks_rows_labeled_minus_one():
-    # the second instance is L_PL's form: some rows unlabeled, with zero gradient
+    # the first instance is fully labeled; the others are L_PL's form, some
+    # rows unlabeled, with zero gradient: one block, then each of two blocks
+    # of one node on the same labels
     for seed in range(5):
         instances = verify.LOSS_BUILDERS["l_c1"](np.random.default_rng(seed), d_f=4, k=3, n_b=8)
-        assert len(instances) == 2
+        assert len(instances) == 4
         grads = []
         for f, x in instances:
             probe = Tensor(x.values, requires_grad=True)
             f(probe).backward()
             grads.append(probe.grad)
-        full, masked = (np.abs(g).sum(axis=1) > 0 for g in grads)
+        full, *masked = (np.abs(g).sum(axis=1) > 0 for g in grads)
         assert full.all()
-        assert masked[0] and not masked.all()
+        assert masked[0][0] and not masked[0].all()
+        assert all(np.array_equal(m, masked[0]) for m in masked[1:])
