@@ -9,7 +9,9 @@ manifest gains a ``failure`` entry), 4 checkpoint version mismatch, 141
 stdout closed by its reader (128 + SIGPIPE).
 A gradcheck failure also exits 1.
 Every training run writes exactly one manifest describing the config and
-dataset fingerprints needed to reproduce its outputs. A checkpoint holds the
+dataset fingerprints needed to reproduce its outputs, with the run's wall
+time and the Python, numpy and BLAS versions it ran on, and reports its
+progress on stderr, one line at each evaluation. A checkpoint holds the
 weights and biases of the two networks that eval reads, the adversarial
 extractor and head; it has no clustering branch, discriminator, optimizer or
 centroid state, so runs are not resumable.
@@ -23,7 +25,9 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,21 @@ def _sha256(path: Path) -> str:
 def _write_manifest(out_dir: Path, payload: dict) -> None:
     payload = {"tool": "dcp", "version": __version__, **payload}
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def _environment() -> dict:
+    """The Python and numpy versions, and the BLAS numpy was built against,
+    None where numpy does not report it."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
 
 
 def _out_dir(text: str, parser: argparse.ArgumentParser, *names: str) -> Path:
@@ -247,13 +266,27 @@ def cmd_train(args, parser) -> int:
     target = load_embeddings(target_path)
     out_dir = _out_dir(args.out_dir, parser, "checkpoint.json", "metrics.csv", "manifest.json")
 
+    start = time.perf_counter()
+
+    def report(state, record, info) -> None:
+        # a record at the evaluation cadence carries the accuracies
+        if record.source_acc is None:
+            return
+        target_acc = "absent" if record.target_acc is None else f"{record.target_acc:.4f}"
+        print(
+            f"T={record.T} of {config.iterations}: source_acc={record.source_acc:.4f} "
+            f"target_acc={target_acc} ({time.perf_counter() - start:.1f} s)",
+            file=sys.stderr, flush=True,
+        )
+
     failure = None
     # a numeric failure is reported once, by main, not after numpy's warnings
     with np.errstate(all="ignore"):
         try:
-            checkpoint, records = train(config, source, target)
+            checkpoint, records = train(config, source, target, on_step=report)
         except NumericsError as exc:
             failure, checkpoint, records = exc, exc.checkpoint, exc.records
+    wall_s = time.perf_counter() - start
 
     ckpt_path = out_dir / "checkpoint.json"
     metrics_path = out_dir / "metrics.csv"
@@ -267,6 +300,10 @@ def cmd_train(args, parser) -> int:
             "target": {"path": str(target_path), "sha256": _sha256(target_path)},
         },
         "outputs": {"checkpoint": ckpt_path.name, "metrics": metrics_path.name},
+        "wall_s": wall_s,
+        # the iterations that completed, per second of the whole run
+        "iterations_per_s": len(records) / wall_s if records else None,
+        "environment": _environment(),
     }
     if failure is not None:
         # never finite, and JSON has no NaN or infinity: written as text

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -221,6 +223,60 @@ class TestTrain:
         assert run_cli(self._train_args(blob_files, b)) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
+    def test_manifest_records_wall_time_and_environment(self, blob_files, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(self._train_args(blob_files, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_s"] > 0
+        assert manifest["iterations_per_s"] == pytest.approx(8 / manifest["wall_s"])
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert all(v is None or isinstance(v, str) for v in env["blas"].values())
+
+    def test_zero_iterations_have_no_rate(self, blob_files, tmp_path):
+        out = tmp_path / "run0"
+        args = self._train_args(blob_files, out)
+        args[args.index("--iters") + 1] = "0"
+        assert run_cli(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["iterations_per_s"] is None
+        assert manifest["wall_s"] >= 0
+
+    def test_blas_that_numpy_does_not_report_is_null(self, blob_files, tmp_path, monkeypatch):
+        def prints_only(mode="stdout"):
+            if mode != "stdout":
+                raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(np, "show_config", prints_only)
+        out = tmp_path / "run"
+        assert run_cli(self._train_args(blob_files, out)) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["blas"] == {"name": None, "version": None}
+        assert env["numpy"] == np.__version__
+
+    def test_progress_line_at_each_evaluation(self, blob_files, tmp_path, capsys):
+        # eval_every 4 over 8 iterations evaluates at T = 0, 4 and the last, 7
+        assert run_cli(self._train_args(blob_files, tmp_path / "run")) == 0
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["T=0 of 8", "T=4 of 8", "T=7 of 8"]
+        for line in lines:
+            assert re.fullmatch(
+                r"T=\d of 8: source_acc=\d\.\d{4} target_acc=\d\.\d{4} \(\d+\.\d s\)", line
+            ), line
+        assert out.startswith("trained 8 iterations; ")
+
+    def test_progress_reports_an_absent_target_accuracy(self, blob_files, tmp_path, capsys):
+        unlabeled = relabeled_copy(blob_files / "target.csv", tmp_path / "target.csv", -1)
+        args = self._train_args(blob_files, tmp_path / "run")
+        args[args.index("--target") + 1] = str(unlabeled)
+        assert run_cli(args) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all("target_acc=absent " in line for line in lines)
+
     def test_config_file_layering(self, blob_files, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.25, "iterations": 3}))
@@ -291,7 +347,10 @@ class TestTrain:
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "numeric failure: iteration 1: l_d is nan\n"
+        # iteration 0 evaluated and reported its progress before the failure
+        progress, failure = err.splitlines()
+        assert progress.startswith("T=0 of 8: ")
+        assert failure == "numeric failure: iteration 1: l_d is nan"
         manifest = json.loads((failed / "manifest.json").read_text())
         assert manifest["failure"] == {"iteration": 1, "loss": "l_d", "value": "nan"}
         assert manifest["outputs"] == {"checkpoint": "checkpoint.json", "metrics": "metrics.csv"}
