@@ -11,12 +11,21 @@ across pairs and workloads. The parent runs first on even pairs and the
 working tree on odd ones, so neither side always runs on a warmer machine.
 Each run lasts ``BENCHMARK.json``'s ``run_seconds``.
 
-For each workload and end-to-end metric it prints the inputs of the gain
-rule: both sides' medians, the parent's spread between quartiles (IQR), and
-in how many pairs the working tree did better, by the metric's direction in
-``BENCHMARK.json``. It also prints whether every run was correct and whether
-both runs of every pair wrote the same metrics-trace hash, and writes every
-run's numbers to ``PAIRS_<label>.json`` at the root of the repository.
+For each workload and end-to-end metric it prints both sides' medians, the
+parent's spread between quartiles (IQR), and in how many pairs the working
+tree did better, by the metric's direction in ``BENCHMARK.json``. From these
+and the metric's bound there (a fraction of the parent's median) it prints
+the verdicts that hold:
+
+- ``gain met``: the tree did better in at least nine pairs of ten, and its
+  median is better than the parent's by more than the parent's IQR;
+- ``worse``: the tree's median is worse than the parent's by more than the
+  bound;
+- ``unresolved``: the parent's IQR is wider than the bound.
+
+It also prints whether every run was correct and whether both runs of every
+pair wrote the same metrics-trace hash, and writes every run's numbers and
+the verdicts to ``PAIRS_<label>.json`` at the root of the repository.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from bench_record import git_state, run_perfbench
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "tree")
 PAIRS = 10
+VERDICTS = ("gain_met", "worse", "unresolved")
 
 
 def archive(checkout: Path, revision: str, dest: Path) -> str:
@@ -69,19 +79,35 @@ def run_pairs(checkouts: dict, workload: str, first_seed: int, seconds: float) -
     return out
 
 
-def compare(pairs: list, better: dict) -> dict:
-    """Per metric: both sides' medians and values, the parent's IQR, and the
-    working tree's wins; ``better`` maps each metric to "lower" or "higher"."""
+def verdicts(m: dict) -> dict:
+    """Which of the gain, worse and unresolved verdicts hold for one metric's
+    comparison ``m``, as ``compare`` builds it."""
+    base = m["parent_median"]
+    # how much the tree's median is better than the parent's, in the metric's units
+    gain = base - m["tree_median"] if m["better"] == "lower" else m["tree_median"] - base
+    bound = m["bound"] * abs(base)
+    return {
+        "gain_met": m["wins"] * 10 >= m["pairs"] * 9 and gain > m["parent_iqr"],
+        "worse": -gain > bound,
+        "unresolved": m["parent_iqr"] > bound,
+    }
+
+
+def compare(pairs: list, end_to_end: dict) -> dict:
+    """Per metric: both sides' medians and values, the parent's IQR, the
+    working tree's wins and the verdicts; ``end_to_end`` maps each metric to
+    its ``BENCHMARK.json`` entry, which gives its direction and bound."""
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in end_to_end.items():
         values = {
             side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES
         }
         parent, tree = (np.array(values[side]) for side in SIDES)
         q1, q3 = np.percentile(parent, [25, 75])
-        wins = tree < parent if direction == "lower" else tree > parent
-        metrics[name] = {
-            "better": direction,
+        wins = tree < parent if spec["better"] == "lower" else tree > parent
+        m = {
+            "better": spec["better"],
+            "bound": spec["bound"],
             "parent_median": float(np.median(parent)),
             "tree_median": float(np.median(tree)),
             "parent_iqr": float(q3 - q1),
@@ -90,6 +116,7 @@ def compare(pairs: list, better: dict) -> dict:
             "parent": values["parent"],
             "tree": values["tree"],
         }
+        metrics[name] = {**m, **verdicts(m)}
     runs = [p[side] for p in pairs for side in SIDES]
     return {
         "metrics": metrics,
@@ -110,9 +137,11 @@ def report_lines(workload: str, comparison: dict) -> list[str]:
         base = m["parent_median"]
         change = (m["tree_median"] - base) / base * 100.0 if base else float("nan")
         iqr = m["parent_iqr"] / base * 100.0 if base else float("nan")
+        held = [v.replace("_", " ") for v in VERDICTS if m[v]]
         lines.append(
             f"{workload} {name}: parent {base:.6g} tree {m['tree_median']:.6g} ({change:+.1f}%), "
-            f"parent IQR {iqr:.1f}%, tree {m['better']} in {m['wins']} of {m['pairs']} pairs"
+            f"parent IQR {iqr:.1f}%, tree {m['better']} in {m['wins']} of {m['pairs']} pairs; "
+            f"verdicts: {', '.join(held) or 'none'}"
         )
     return lines
 
@@ -126,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=100)
     args = parser.parse_args(argv)
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     commit, git_status = git_state(ROOT)
 
     record = {
@@ -142,7 +171,7 @@ def main(argv=None) -> int:
         for i, workload in enumerate(names):
             first_seed = args.first_seed + i * PAIRS
             pairs = run_pairs(checkouts, workload, first_seed, seconds)
-            comparison = compare(pairs, better)
+            comparison = compare(pairs, end_to_end)
             record["workloads"][workload] = {
                 "seeds": [p["seed"] for p in pairs],
                 "first": [p["first"] for p in pairs],

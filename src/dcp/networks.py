@@ -19,15 +19,27 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
-# Rows per block of the graph-free forward. At the trainer's feature width a
-# block's widest intermediate (128 x 64 doubles) stays below glibc's 128 KiB
-# mmap threshold, so repeated evaluations reuse heap memory instead of
-# faulting in fresh pages. The size must also be a multiple of the BLAS
-# kernel's row unroll, or a block's last rows take the kernel's remainder path
-# and round differently from the graph forward: on OpenBLAS's SkylakeX kernel,
-# blocks of 150, 250 or 255 rows change the logits' bits in the last one to
-# three rows of a block, and blocks of 128, 200 or 256 rows do not.
-EVAL_BLOCK_ROWS = 128
+# Rows per block of the graph-free forward. The size must be a multiple of
+# the BLAS kernel's row unroll, or a block's last rows take the kernel's
+# remainder path and round differently from the graph forward: on OpenBLAS's
+# SkylakeX kernel, blocks of 150, 250 or 255 rows change the logits' bits in
+# the last one to three rows of a block, and blocks of 128, 200 or 256 rows do
+# not. At the trainer's feature width a block's widest intermediate (200 x 64
+# doubles, 100 KiB) must also stay below glibc's 128 KiB mmap threshold, so
+# repeated evaluations reuse heap memory instead of faulting in fresh pages.
+# Fewer blocks cost less dispatch. ``evaluate`` on the 600-row ``blobs``
+# target, in alternating in-process rounds on a 2-vCPU Xeon, took these
+# median times relative to 128 rows (60 rounds per kernel):
+#
+#     rows       128    160    192    200    240    248    256
+#     SkylakeX  1.000  0.966  0.976  0.929  0.929  1.116  1.105
+#     Haswell   1.000  0.984  0.959  0.941  0.912  0.916  0.895
+#
+# 200 rows run a 600-row set as three equal blocks, and its logits keep the
+# bits of 128-row blocks under both kernels. Sets of other sizes may not:
+# under the Haswell kernel, sets of 257 or 601 rows change in the last bits of
+# one or two rows, because other rows fall into a block's remainder.
+EVAL_BLOCK_ROWS = 200
 
 
 @dataclass
@@ -103,7 +115,10 @@ def linear_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np
     the layer of the graph node and of the graph-free forward, so both give
     the same bits. The product stays the ``@`` ufunc: ``np.dot``, which the
     backward rule calls, gives the same bits at the model's layer shapes but
-    was slower on the graph-free forward's 128-row blocks.
+    is slower on the graph-free forward's 200-row blocks. A block's three
+    products (2 -> 64, 64 -> 64, 64 -> 3) took 39.2 us with ``@`` and 44.1 us
+    with ``np.dot`` on OpenBLAS's SkylakeX kernel, and 50.8 and 65.5 us on
+    its Haswell kernel (alternating in-process ``timeit``, 2-vCPU Xeon).
     """
     h = x @ w
     h += b

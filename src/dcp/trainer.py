@@ -631,15 +631,14 @@ def evaluate(checkpoint: "Checkpoint", dataset: LabeledDataset) -> EvalReport:
     logits = branch_outputs(checkpoint.adv_extractor, checkpoint.adv_head, dataset.X)
     predicted = logits.argmax(axis=1)
     confusion = np.bincount(labels * k + predicted, minlength=k * k).reshape(k, k)
-    per_class = [
-        float(correct / total) if total else None
-        for correct, total in zip(np.diag(confusion), confusion.sum(axis=1))
-    ]
+    # counts as Python ints, whose true division rounds once, as numpy's
+    # float64 division of the same counts does; the counts are integers, so
+    # each accuracy equals the mean of its ``predicted == labels`` bit for bit
+    correct = confusion.diagonal().tolist()
+    totals = confusion.sum(axis=1).tolist()
     return EvalReport(
-        # the correct count is an integer, so this equals the mean of
-        # ``predicted == labels`` bit for bit
-        accuracy=float(np.trace(confusion) / labels.size),
-        per_class_accuracy=per_class,
+        accuracy=sum(correct) / labels.size,
+        per_class_accuracy=[c / t if t else None for c, t in zip(correct, totals)],
         confusion=confusion,
     )
 
@@ -714,9 +713,12 @@ def _cache_aligned(values: np.ndarray) -> Tensor:
 
     numpy aligns an array to 16 bytes only, so where a trained weight lands
     depends on every allocation before it. ``evaluate`` on the 600-row
-    ``blobs`` target took 329 us with the 64 x 64 weight on a 64-byte (cache
-    line) boundary and 345-347 us at offsets 16, 32 and 48 (interleaved in one
-    process; 2-vCPU Xeon, OpenBLAS SkylakeX kernel), with the same bits.
+    ``blobs`` target, in 200-row blocks, took 240.2 us with the 64 x 64 weight
+    on a 64-byte (cache line) boundary and 242.0-242.7 us at offsets 16, 32
+    and 48 on OpenBLAS's SkylakeX kernel, where the boundary was faster in 28
+    to 32 of 40 alternating in-process rounds; on its Haswell kernel every
+    offset took 314.4-316.1 us. The bits are the same at every offset (2-vCPU
+    Xeon).
     """
     buf = np.empty(values.size + 7)
     start = (-buf.ctypes.data % 64) // 8

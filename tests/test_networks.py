@@ -7,6 +7,7 @@ from graph_helpers import contract, layer_chain
 from dcp import networks
 from dcp.networks import EVAL_BLOCK_ROWS, Mlp, branch_outputs, forward
 from dcp.tensor import ShapeError, Tensor, grad_check
+from dcp.trainer import FEATURE_DIM
 
 
 def _zeros(*shapes):
@@ -260,8 +261,8 @@ class TestBranchOutputs:
         logits = branch_outputs(extractor, extractor, np.array([[1.0, 1.0]]))
         assert logits.argmax(axis=1)[0] == 0
 
-    # 600 rows cross several evaluation blocks and 50 fit in one; the sizes
-    # around a block's edge end in a last block of 1, 127 or 128 rows
+    # 600 and 601 rows cross several evaluation blocks and 50 fit in one; the
+    # sizes around a block's edge are one block each (a last row joins it)
     ROWS = [600, 50, 1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 601]
 
     @staticmethod
@@ -299,6 +300,13 @@ class TestBranchOutputs:
         for p, values in zip(params, before):
             assert np.array_equal(p.values, values)
             assert not p.values.flags.writeable
+
+    def test_block_is_a_row_unroll_multiple_below_the_mmap_threshold(self):
+        # a multiple of the BLAS kernels' row unroll, so no row of a block
+        # takes a remainder path; and the widest intermediate, a block of
+        # features, below glibc's 128 KiB mmap threshold
+        assert EVAL_BLOCK_ROWS % 8 == 0
+        assert EVAL_BLOCK_ROWS * FEATURE_DIM * 8 < 128 * 1024
 
     def test_input_width_checked(self):
         extractor = Mlp.create((2, 4), seed=0)

@@ -270,7 +270,8 @@ def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, cap
 
     git("init", "-q")
     spec = {"run_seconds": 2, "workloads": [{"name": "blobs"}], "end_to_end": [
-        {"name": "train_s", "better": "lower"}, {"name": "eval_s", "better": "lower"}]}
+        {"name": "train_s", "better": "lower", "bound": 0.5},
+        {"name": "eval_s", "better": "lower", "bound": 0.1}]}
     (repo / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
     (repo / "side.txt").write_text("parent\n", encoding="utf-8")
     git("add", ".")
@@ -317,7 +318,7 @@ def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "blobs: every run correct: True; every pair's trace hash equal: True"
     assert out[1] == ("blobs train_s: parent 6.25 tree 5.75 (-8.0%), parent IQR 28.0%, "
-                      "tree lower in 9 of 10 pairs")
+                      "tree lower in 9 of 10 pairs; verdicts: none")
 
 
 def test_bench_pairs_flags_a_failed_run_and_a_changed_trace():
@@ -328,6 +329,44 @@ def test_bench_pairs_flags_a_failed_run_and_a_changed_trace():
         {"seed": 1, "first": "tree", "parent": _pairs_run(1, 5.0, 1.0),
          "tree": _pairs_run(1, 4.0, 1.0, correct=False)},
     ]
-    comparison = bench_pairs.compare(pairs, {"train_s": "higher"})
+    comparison = bench_pairs.compare(pairs, {"train_s": {"better": "higher", "bound": 0.1}})
     assert not comparison["all_correct"] and not comparison["same_trace_hash"]
     assert comparison["metrics"]["train_s"]["wins"] == 0
+
+
+def test_bench_pairs_verdicts_gain_worse_and_unresolved():
+    bench_pairs = _import_script("bench_pairs")
+    spec = {"train_s": {"better": "lower", "bound": 0.15}, "eval_s": {"better": "lower", "bound": 0.25}}
+
+    def verdicts(parent, tree, metric="eval_s"):
+        pairs = [
+            {"seed": i, "first": "parent", "parent": _pairs_run(i, p, p), "tree": _pairs_run(i, t, t)}
+            for i, (p, t) in enumerate(zip(parent, tree))
+        ]
+        m = bench_pairs.compare(pairs, spec)["metrics"][metric]
+        return {v for v in bench_pairs.VERDICTS if m[v]}, m
+
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    # 10% lower in nine pairs of ten, against a 2% IQR
+    held, m = verdicts(steady, [v * 0.9 for v in steady[:9]] + [1.1])
+    assert held == {"gain_met"} and m["wins"] == 9
+    # lower in every pair but by less than the parent's IQR
+    assert verdicts(steady, [v - 0.005 for v in steady])[0] == set()
+    # a median past the gain but lower in only eight pairs
+    assert verdicts(steady, [v * 0.9 for v in steady[:8]] + [1.1, 1.1])[0] == set()
+    # 30% slower against eval_s's 25% bound, and 20% slower within it
+    assert verdicts(steady, [v * 1.3 for v in steady])[0] == {"worse"}
+    assert verdicts(steady, [v * 1.2 for v in steady])[0] == set()
+    # train_s's 15% bound holds the same 20% as worse
+    assert verdicts(steady, [v * 1.2 for v in steady], "train_s")[0] == {"worse"}
+    # the parent spreads over 40% between its quartiles: wider than the bound
+    wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.6, 1.4, 1.0, 1.0]
+    held, m = verdicts(wide, wide)
+    assert held == {"unresolved"} and m["parent_iqr"] > 0.25 * m["parent_median"]
+    line = bench_pairs.report_lines("blobs", {"all_correct": True, "same_trace_hash": True,
+                                              "metrics": {"eval_s": m}})[1]
+    assert line.endswith("tree lower in 0 of 10 pairs; verdicts: unresolved")
+    # a higher-is-better metric counts the gain upwards
+    spec["eval_s"]["better"] = "higher"
+    assert verdicts(steady, [v * 1.1 for v in steady])[0] == {"gain_met"}
+    assert verdicts(steady, [v * 0.7 for v in steady])[0] == {"worse"}

@@ -582,14 +582,14 @@ class TestLinear:
     # 5-row (3 -> 4) layer these tests pinned at first; the rest are the
     # model's layers (extractor 2 -> 64 -> 64, head 64 -> 3, discriminator
     # 64 -> 32 -> 1) at one and two rows, a training batch and an
-    # evaluation block. The network node multiplies with ``np.dot``, which
-    # takes a 1-row or 1-column operand to a vector kernel, and the
-    # references multiply with ``@``.
+    # evaluation block of 128 or 200 rows. The network node multiplies with
+    # ``np.dot``, which takes a 1-row or 1-column operand to a vector kernel,
+    # and the references multiply with ``@``.
     LAYER_CASES = [pytest.param(relu, 5, 3, 4, id=str(relu)) for relu in (False, True)] + [
         pytest.param(relu, rows, w_in, w_out, id=f"{relu}-{rows}x{w_in}x{w_out}")
         for relu in (False, True)
         for w_in, w_out in ((2, 64), (64, 64), (64, 3), (64, 32), (32, 1))
-        for rows in (1, 2, 36, 128)
+        for rows in (1, 2, 36, 128, 200)
     ]
 
     @pytest.mark.parametrize("relu, rows, w_in, w_out", LAYER_CASES)

@@ -822,9 +822,17 @@ class TestEvaluate:
         assert 2 not in predicted and {0, 1, 3} <= set(predicted.tolist())
         report = evaluate(ckpt, data)
         assert report.accuracy == float((predicted == data.y).mean())
+        assert report.per_class_accuracy == [
+            float((predicted[data.y == c] == c).mean()) if (data.y == c).any() else None
+            for c in range(4)
+        ]
         # class 2 has rows and none is predicted right; class 3 has no rows
         assert report.per_class_accuracy[2] == 0.0 and report.per_class_accuracy[3] is None
         assert report.confusion[3].sum() == 0 and report.confusion[:, 2].sum() == 0
+        # plain Python floats, which the JSON report writes as they are
+        accuracies = [report.accuracy, *report.per_class_accuracy[:3]]
+        assert all(type(a) is float for a in accuracies)
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_label_error_names_the_first_label_outside_the_classes(self):
         data = LabeledDataset(np.ones((4, 2)), [0, 5, 1, 7], TARGET)
