@@ -261,9 +261,11 @@ class TestBranchOutputs:
         logits = branch_outputs(extractor, extractor, np.array([[1.0, 1.0]]))
         assert logits.argmax(axis=1)[0] == 0
 
-    # 600 and 601 rows cross several evaluation blocks and 50 fit in one; the
-    # sizes around a block's edge are one block each (a last row joins it)
-    ROWS = [600, 50, 1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 601]
+    # 600 and 601 rows cross several evaluation blocks, and 50 and 127 to 129
+    # fit in one; the sizes around a block's edge are one block each (a last
+    # row joins it)
+    ROWS = [600, 50, 1, 127, 128, 129,
+            EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 601]
 
     @staticmethod
     def _assert_logits_equal_graph_forward(widths, rows):
