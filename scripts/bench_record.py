@@ -19,8 +19,8 @@ short run of seed 0 per workload with
 commit is the checkout's git HEAD. The file also holds the median wall time,
 over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
 blob pair that ``dcp gen-data`` writes by default, each run a fresh
-interpreter on the checkout's sources, the size of the checkpoint that
-``dcp train`` wrote, and the wall time and pass/fail counts of one run of the
+interpreter on the checkout's sources (``cli_wall``), the size of the
+checkpoint that ``dcp train`` wrote, and the wall time and pass/fail counts of one run of the
 tier-1 test command, of one more with ``OPENBLAS_CORETYPE=Haswell`` (a test
 that pins bits of one BLAS kernel fails there), and of one run of the
 acceptance suite alone (``tests/test_acceptance.py``). Next to the
@@ -30,6 +30,12 @@ workload's Haswell hash are compared with those of the newest committed
 ``BENCH_pr<M>.json`` with M < N; each mismatch prints a line, and the
 comparison is kept as ``trace_comparison``. The file is written at the root
 of the repository this script sits in.
+
+``cli_wall``'s runs are neither alternated with a parent's nor rescaled to a
+reference speed, so they move with the machine and cannot back a claim:
+``BENCH_pr28.json`` read ``dcp eval`` +32% on a slowed machine, while
+alternating runs of both sides read 0.282 s against 0.281 s. Compare
+revisions with ``bench_pairs.py``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ still takes the roundings of the formula, in its order.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -99,20 +98,6 @@ def generator_loss(s_target: Tensor) -> Tensor:
     return Tensor._node(np.array([[loss]]), (s_target,), bw)
 
 
-def _checked_labels(given, n: int, k: int) -> tuple[np.ndarray, int]:
-    """``given`` as int64 labels of ``n`` rows of ``k`` logits, and its labeled count."""
-    labels = np.asarray(given, dtype=np.int64).reshape(-1)
-    if labels.shape[0] != n:
-        raise ShapeError(f"{labels.shape[0]} labels for {n} logit rows")
-    if labels.min() < -1 or labels.max() >= k:
-        bad = labels[(labels < -1) | (labels >= k)][0]
-        raise IndexError(f"label {bad} out of range [-1, {k})")
-    m = np.count_nonzero(labels >= 0)
-    if m == 0:
-        raise ValueError(f"all {n} labels are -1; the cross entropy needs a labeled row")
-    return labels, m
-
-
 def source_classification_loss(
     logits: Sequence[Tensor], labels: Sequence
 ) -> tuple[Tensor, list[float]]:
@@ -121,40 +106,36 @@ def source_classification_loss(
     Block i's mean is the mean over its labeled rows of
     -log softmax(logits[i])[row, labels[i][row]], and the node's value is the
     means added left to right. The blocks have the same column count and
-    may differ in rows. Blocks may share one label array, which is then
-    checked once. Source labels label every row; pseudo-labels mark a row
-    that was not selected with -1, as in ``centroids.compute_centroids``, and
-    such a row is left out of its block's mean and its gradient row is zero.
-    A block with no labeled row raises.
+    may differ in rows. Source labels label every row; pseudo-labels mark a
+    row that was not selected with -1, as in ``centroids.compute_centroids``,
+    and such a row is left out of its block's mean and its gradient row is
+    zero. A block with no labeled row raises.
 
     The blocks are stacked by rows, so the softmax runs once for all of
     them, and every row takes the same operations. Each mean adds its
-    block's labeled rows' terms alone, in row order; consecutive blocks on
-    one label array are summed as the rows of one 2-D array. So each mean
-    and each block's gradient equal the one-block call's, and the cross
-    entropy of the labeled rows alone, bit for bit, whatever the -1 rows
-    hold. Numerically stabilized by row-max subtraction, so saturated logits
-    do not overflow.
+    block's labeled rows' terms alone, in row order, as one contiguous
+    slice. So each mean and each block's gradient equal the one-block
+    call's, and the cross entropy of the labeled rows alone, bit for bit,
+    whatever the -1 rows hold. Numerically stabilized by row-max
+    subtraction, so saturated logits do not overflow.
     """
     blocks = tuple(logits)
     label_arrays = tuple(labels)
     if not blocks or len(label_arrays) != len(blocks):
         raise ShapeError(f"{len(label_arrays)} label arrays for {len(blocks)} logit blocks")
     k = blocks[0].cols
-    # each distinct label array, checked once: (labels, labeled count)
-    checked: dict[int, tuple[np.ndarray, int]] = {}
-    stacked, counts = [], []
+    stacked = []
     for t, given in zip(blocks, label_arrays):
         if t.cols != k:
             raise ShapeError(f"logit blocks of {k} and {t.cols} columns")
-        if id(given) not in checked:
-            checked[id(given)] = _checked_labels(given, t.rows, k)
-        arr, m = checked[id(given)]
+        arr = np.asarray(given, dtype=np.int64).reshape(-1)
         if arr.shape[0] != t.rows:
             raise ShapeError(f"{arr.shape[0]} labels for {t.rows} logit rows")
         stacked.append(arr)
-        counts.append(m)
     lab = np.concatenate(stacked)
+    if lab.min() < -1 or lab.max() >= k:
+        bad = lab[(lab < -1) | (lab >= k)][0]
+        raise IndexError(f"label {bad} out of range [-1, {k})")
     unlabeled = lab < 0
     rows = np.flatnonzero(~unlabeled)
     hit = lab[rows]
@@ -163,16 +144,16 @@ def source_classification_loss(
     ez = np.exp(z)
     sez = np.add.reduce(ez, axis=1)
     # the labeled rows' entries of z - log(sez), block after block, and
-    # each block's mean of them; consecutive blocks on one label array are
-    # the rows of one 2-D array
+    # each block's mean of its own slice of them
     terms = z[rows, hit] - np.log(sez[rows])
-    means: list[float] = []
-    start = 0
-    for key, run in groupby(map(id, label_arrays)):
-        m = checked[key][1]
-        end = start + len(tuple(run)) * m
-        means += (-(np.add.reduce(terms[start:end].reshape(-1, m), axis=1) / m)).tolist()
-        start = end
+    counts, means, start = [], [], 0
+    for t, arr in zip(blocks, stacked):
+        m = np.count_nonzero(arr >= 0)
+        if m == 0:
+            raise ValueError(f"all {t.rows} labels are -1; the cross entropy needs a labeled row")
+        counts.append(m)
+        means.append(-float(np.add.reduce(terms[start : start + m]) / m))
+        start += m
     total = means[0]
     for mean in means[1:]:
         total = total + mean

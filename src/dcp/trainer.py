@@ -667,7 +667,7 @@ class Checkpoint:
     def __post_init__(self):
         self.adv_extractor, self.adv_head = (
             Mlp(
-                [_cache_aligned(w.values) for w in net.weights],
+                [Tensor(w.values) for w in net.weights],
                 [Tensor(b.values) for b in net.biases],
             )
             for net in (self.adv_extractor, self.adv_head)
@@ -708,25 +708,6 @@ class Checkpoint:
         return cls(extractor, head)
 
 
-def _cache_aligned(values: np.ndarray) -> Tensor:
-    """A constant tensor over a copy of ``values`` that starts on a 64-byte boundary.
-
-    numpy aligns an array to 16 bytes only, so where a trained weight lands
-    depends on every allocation before it. ``evaluate`` on the 600-row
-    ``blobs`` target, in 200-row blocks, took 240.2 us with the 64 x 64 weight
-    on a 64-byte (cache line) boundary and 242.0-242.7 us at offsets 16, 32
-    and 48 on OpenBLAS's SkylakeX kernel, where the boundary was faster in 28
-    to 32 of 40 alternating in-process rounds; on its Haswell kernel every
-    offset took 314.4-316.1 us. The bits are the same at every offset (2-vCPU
-    Xeon).
-    """
-    buf = np.empty(values.size + 7)
-    start = (-buf.ctypes.data % 64) // 8
-    out = buf[start : start + values.size].reshape(values.shape)
-    out[...] = values
-    return Tensor._node(out, (), None)
-
-
 def _decode_network(name: str, data) -> Mlp:
     """The network that ``data`` encodes, transposed from the file's layout;
     its errors name shapes as the file holds them."""
@@ -741,8 +722,8 @@ def _decode_network(name: str, data) -> Mlp:
             if b.shape != (w.shape[0], 1):
                 raise ValueError(f"bias {i} has shape {b.shape} but weight {i} is {w.shape}")
         net = Mlp(
-            [Tensor(w.T, requires_grad=True) for w in weights],
-            [Tensor(b.T, requires_grad=True) for b in biases],
+            [Tensor(w.T) for w in weights],
+            [Tensor(b.T) for b in biases],
         )
     except (TypeError, ValueError) as exc:  # ragged rows, strings, objects, shapes
         raise ValueError(f"network {name!r}: {exc}") from exc

@@ -272,7 +272,10 @@ def _stacked_case(seed, shape):
     "distinct" (two blocks of different row counts on arrays of their own),
     "step" (two blocks on fully labeled source labels, then two on one
     -1-masked array of another row count, as a step with pseudo-labels
-    builds them) or "mixed" (four blocks, four arrays, some rows -1).
+    builds them), "mixed" (four blocks, four arrays, some rows -1) or "wide"
+    ("step" at the step's 36-row batch, then two 260-row blocks with about
+    40% of rows -1, so a mean adds more than numpy's 128-element pairwise
+    block).
     """
     rng = np.random.default_rng(seed)
     k = 3
@@ -291,15 +294,18 @@ def _stacked_case(seed, shape):
     elif shape == "step":
         ys, pseudo = labels(9, 0.0), labels(13, 0.6)
         rows, arrays = (9, 9, 13, 13), [ys, ys, pseudo, pseudo]
-    else:
+    elif shape == "mixed":
         rows = (5, 11, 8, 1)
         arrays = [labels(5, 0.3), labels(11, 0.0), labels(8, 0.7), labels(1, 0.0)]
+    else:
+        ys, pseudo = labels(36, 0.0), labels(260, 0.4)
+        rows, arrays = (36, 36, 260, 260), [ys, ys, pseudo, pseudo]
     values = [rng.normal(size=(n, k)) * 3.0 for n in rows]
     values[0][0] = 1e3 * np.sign(values[0][0])  # a saturated row
     return values, arrays
 
 
-STACKED_SHAPES = ["shared", "distinct", "step", "mixed"]
+STACKED_SHAPES = ["shared", "distinct", "step", "mixed", "wide"]
 
 
 class TestStackedCrossEntropy:

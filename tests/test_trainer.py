@@ -882,13 +882,12 @@ def _placed(values, offset):
 
 
 class TestCheckpoint:
-    def test_snapshot_of_aligned_weight_copies(self):
+    def test_snapshot_of_weight_copies(self):
         state = init_state(TrainConfig(), k=3, d_in=2)
         nets = (state.networks["adv_extractor"], state.networks["adv_head"])
         ckpt = Checkpoint(*nets)
         for net, kept in zip(nets, (ckpt.adv_extractor, ckpt.adv_head)):
             for w, c in zip(net.weights, kept.weights):
-                assert c.values.ctypes.data % 64 == 0
                 assert np.array_equal(c.values, w.values)
                 assert not np.shares_memory(c.values, w.values)
             for b, c in zip(net.biases, kept.biases):
@@ -918,10 +917,11 @@ class TestCheckpoint:
         trained = [state.networks[name].tensors() for name in ("adv_extractor", "adv_head")]
         assert not any(np.array_equal(a, p.values) for a, p in zip(kept, sum(trained, [])))
 
-    @pytest.mark.parametrize("offset", range(8, 64, 8))
+    @pytest.mark.parametrize("offset", range(0, 64, 8))
     def test_evaluation_bits_do_not_depend_on_weight_placement(self, offset):
-        # the checkpoint places each weight on a 64-byte boundary; the logits
-        # of weights placed at any other offset are the same, bit for bit
+        # numpy aligns the checkpoint's weight copies to 16 bytes only, so
+        # their offset from a 64-byte boundary depends on earlier allocations;
+        # the logits of weights placed at any offset are the same, bit for bit
         state = init_state(TrainConfig(), k=3, d_in=2)
         nets = (state.networks["adv_extractor"], state.networks["adv_head"])
         ckpt = Checkpoint(*nets)
