@@ -20,10 +20,10 @@ commit is the checkout's git HEAD. The file also holds the median wall time,
 over three runs, of ``dcp train`` and ``dcp eval`` at their defaults on the
 blob pair that ``dcp gen-data`` writes by default, each run a fresh
 interpreter on the checkout's sources (``cli_wall``), the size of the
-checkpoint that ``dcp train`` wrote, and the wall time and pass/fail counts of one run of the
-tier-1 test command, of one more with ``OPENBLAS_CORETYPE=Haswell`` (a test
-that pins bits of one BLAS kernel fails there), and of one run of the
-acceptance suite alone (``tests/test_acceptance.py``). Next to the
+checkpoint that ``dcp train`` wrote, and the wall time and pass/fail counts
+of one run of the tier-1 test command, of one more with
+``OPENBLAS_CORETYPE=Haswell`` (a test that pins bits of one BLAS kernel
+fails there), and of one run of the acceptance suite alone (``tests/test_acceptance.py``). Next to the
 commit it keeps the checkout's ``git status --porcelain`` lines, empty for a
 clean tree. For a label ``pr<N>``, every seed's metrics-trace hash and each
 workload's Haswell hash are compared with those of the newest committed
